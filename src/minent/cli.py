@@ -29,10 +29,8 @@ from .entropy import (
     clique_mean_scores,
     discovery_loss,
     hard_negatives,
-    partition_cliques,
     row_softmax,
     select_object,
-    singleton_partition,
     soft_weights,
 )
 from .evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate
@@ -44,7 +42,9 @@ from .trainer import (
     CheckpointError,
     TrainConfig,
     TrainingDiverged,
+    check_dims,
     load_checkpoint,
+    partition_step,
     save_checkpoint,
     tier_switches,
     train,
@@ -92,19 +92,6 @@ def _load_ckpt(path: str):
         return load_checkpoint(path)
     except OSError as e:
         raise RuntimeError(f"cannot read checkpoint {path}: {e}") from e
-
-
-def _check_dims(state, ds) -> None:
-    if state.params.feature_dim != ds.feature_dim:
-        raise RuntimeError(
-            f"checkpoint feature_dim {state.params.feature_dim} "
-            f"!= dataset feature_dim {ds.feature_dim}"
-        )
-    if state.params.num_classes != ds.num_classes:
-        raise RuntimeError(
-            f"checkpoint num_classes {state.params.num_classes} "
-            f"!= dataset num_classes {ds.num_classes}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +146,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     if stop_after is not None and stop_after < 1:
         raise UsageError(f"--stop-after must be >= 1, got {stop_after}")
 
-    ds = _load_ds(args.data)
     if state is not None:
+        for name, theirs, ours in (
+            ("branches", state.params.branches, cfg.branches),
+            ("hidden_dim", state.params.hidden_dim, cfg.effective_hidden_dim()),
+        ):
+            if ours != theirs:
+                raise UsageError(f"--resume cannot change {name} from {theirs} to {ours}")
         state.config = cfg
+    ds = _load_ds(args.data)
     state, reports = train(ds, cfg, state=state, csv_path=args.csv, stop_after=stop_after)
     save_checkpoint(state, args.out_checkpoint)
 
@@ -211,7 +204,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not ds.has_ground_truth():
         raise RuntimeError("evaluation requires ground-truth boxes; the dataset has none")
     state = _load_ckpt(args.checkpoint)
-    _check_dims(state, ds)
+    check_dims(state.params, ds)
 
     head = tier_switches(state.config).detect_head
     report = evaluate(
@@ -231,7 +224,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     ds = _load_ds(args.data)
     state = _load_ckpt(args.checkpoint)
-    _check_dims(state, ds)
+    check_dims(state.params, ds)
     try:
         bag = ds.bag_by_id(args.bag)
     except KeyError as e:
@@ -241,19 +234,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     switches = tier_switches(cfg)
     features = bag.feature_matrix()  # inspection never applies score scaling
     boxes = bag.box_array()
-    disc_scores = forward(state.params, features, "disc")
-    q_disc = row_softmax(disc_scores)
     positives = np.flatnonzero(bag.labels == 1)
-
     # without positive labels there is nothing to discover; the partition is
     # still shown over all-class objectness
-    objectness = (
-        q_disc[:, positives].max(axis=1) if positives.size else q_disc.max(axis=1)
-    )
-    if switches.use_cliques:
-        partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k)
-    else:
-        partition = singleton_partition(boxes, objectness, cfg.top_k)
+    classes = positives if positives.size else np.arange(ds.num_classes)
+    disc_scores, q_disc, partition = partition_step(state.params, cfg, features, boxes, classes)
     disc_out, _ = discovery_loss(bag.labels, partition, disc_scores)
     mean_scores = clique_mean_scores(partition, disc_scores)
 

@@ -17,11 +17,11 @@ group win — the behavior the training objective is supposed to exhibit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Box, iou
+from .geometry import Box, boxes_to_array, iou
 from .jsonio import read_json, write_json
 
 
@@ -37,50 +37,53 @@ class GenerationError(RuntimeError):
 _MAX_TRIES = 1000
 
 
-@dataclass(frozen=True)
-class Proposal:
-    box: Box
-    feature: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "feature", np.asarray(self.feature, dtype=float))
-        if self.feature.ndim != 1:
-            raise DataError(f"proposal feature must be a vector, got shape {self.feature.shape}")
+def _frozen(values) -> np.ndarray:
+    """Read-only float array over ``values``; no copy when it already is one."""
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.flags.writeable = False
+    return arr
 
 
 @dataclass
 class Bag:
-    """One image: proposals + a binary label per class.
+    """One image: P proposals, as a (P, D) feature matrix and a (P, 4)
+    corner-format box array, plus a binary label per class.
 
-    ``ground_truth`` is a list of (class index, Box) pairs used only by
-    evaluation; ``training_view`` strips it.
+    Both arrays are read-only, so views and accessors share them without
+    copying.  ``ground_truth`` is a list of (class index, Box) pairs used
+    only by evaluation; ``training_view`` strips it.
     """
 
     id: str
     labels: np.ndarray
-    proposals: list[Proposal]
+    features: np.ndarray
+    boxes: np.ndarray
     ground_truth: list[tuple[int, Box]] | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
+        self.features = _frozen(self.features)
+        self.boxes = _frozen(self.boxes)
 
     @property
     def num_proposals(self) -> int:
-        return len(self.proposals)
+        return len(self.features)
 
     def feature_matrix(self) -> np.ndarray:
-        """(num_proposals, D) stack of proposal features."""
-        return np.stack([p.feature for p in self.proposals])
+        """(num_proposals, D) proposal features (the stored array)."""
+        return self.features
 
     def box_array(self) -> np.ndarray:
-        """(num_proposals, 4) corner-format boxes."""
-        return np.array([p.box.as_list() for p in self.proposals])
+        """(num_proposals, 4) corner-format boxes (the stored array)."""
+        return self.boxes
 
     def positive_classes(self) -> np.ndarray:
         return np.flatnonzero(self.labels == 1)
 
     def training_view(self) -> "Bag":
-        return Bag(id=self.id, labels=self.labels, proposals=self.proposals, ground_truth=None)
+        return replace(self, ground_truth=None)
 
 
 @dataclass
@@ -155,7 +158,8 @@ def validate_dataset(ds: Dataset) -> None:
         if bag.id in seen_ids:
             raise DataError(f"bag '{bag.id}': duplicate id")
         seen_ids.add(bag.id)
-        if len(bag.proposals) == 0:
+        num = bag.num_proposals
+        if num == 0:
             raise DataError(f"bag '{bag.id}': needs at least one proposal")
         if bag.labels.shape != (n,):
             raise DataError(
@@ -163,14 +167,19 @@ def validate_dataset(ds: Dataset) -> None:
             )
         if not np.isin(bag.labels, (0, 1)).all():
             raise DataError(f"bag '{bag.id}': labels must be 0 or 1")
-        for j, p in enumerate(bag.proposals):
-            if p.feature.shape != (ds.feature_dim,):
-                raise DataError(
-                    f"bag '{bag.id}': proposal {j} feature has length "
-                    f"{p.feature.shape[0]}, expected {ds.feature_dim}"
-                )
-            if not np.isfinite(p.feature).all():
-                raise DataError(f"bag '{bag.id}': proposal {j} feature has non-finite values")
+        if bag.features.shape != (num, ds.feature_dim):
+            raise DataError(
+                f"bag '{bag.id}': features have shape {bag.features.shape}, "
+                f"expected ({num}, {ds.feature_dim})"
+            )
+        if not np.isfinite(bag.features).all():
+            raise DataError(f"bag '{bag.id}': features have non-finite values")
+        if bag.boxes.shape != (num, 4):
+            raise DataError(
+                f"bag '{bag.id}': boxes have shape {bag.boxes.shape}, expected ({num}, 4)"
+            )
+        if not (np.isfinite(bag.boxes).all() and (bag.boxes[:, :2] < bag.boxes[:, 2:]).all()):
+            raise DataError(f"bag '{bag.id}': boxes must be finite with x1 < x2 and y1 < y2")
         if bag.ground_truth is not None:
             for k, (cls, _box) in enumerate(bag.ground_truth):
                 if not 0 <= cls < n:
@@ -184,8 +193,8 @@ def _bag_to_record(bag: Bag) -> dict:
         "id": bag.id,
         "labels": [int(v) for v in bag.labels],
         "proposals": [
-            {"box": p.box.as_list(), "feature": [float(v) for v in p.feature]}
-            for p in bag.proposals
+            {"box": box, "feature": feature}
+            for box, feature in zip(bag.boxes.tolist(), bag.features.tolist())
         ],
     }
     if bag.ground_truth is not None:
@@ -200,10 +209,9 @@ def _bag_from_record(rec: dict, num_classes: int) -> Bag:
     if not isinstance(bag_id, str) or not bag_id:
         raise DataError(f"bag record missing string 'id': {rec.get('id')!r}")
     try:
-        proposals = [
-            Proposal(box=Box.from_list(p["box"]), feature=np.asarray(p["feature"], dtype=float))
-            for p in rec["proposals"]
-        ]
+        proposals = rec["proposals"]
+        features = np.array([p["feature"] for p in proposals], dtype=float)
+        boxes = np.array([p["box"] for p in proposals], dtype=float)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"bag '{bag_id}': malformed proposal: {e}") from e
     gt = None
@@ -215,7 +223,7 @@ def _bag_from_record(rec: dict, num_classes: int) -> Bag:
     labels = rec.get("labels")
     if not isinstance(labels, list):
         raise DataError(f"bag '{bag_id}': missing labels list")
-    return Bag(id=bag_id, labels=np.asarray(labels, dtype=int), proposals=proposals, ground_truth=gt)
+    return Bag(id=bag_id, labels=labels, features=features, boxes=boxes, ground_truth=gt)
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
@@ -327,8 +335,8 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     sub = max(1, block // 3)  # "discriminative part" sub-support
     n_near, n_part, n_bg = _proposal_counts(cfg)
 
-    def noise() -> np.ndarray:
-        return cfg.noise_sigma * rng.standard_normal(d)
+    def noise(*shape) -> np.ndarray:
+        return cfg.noise_sigma * rng.standard_normal(shape + (d,))
 
     bags: list[Bag] = []
     for cls in range(n):
@@ -349,31 +357,38 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
             )
             bgs = [_sample_background(rng, obj, bag_id) for _ in range(n_bg)]
 
-            proposals = []
-            for b in nears:
-                f = noise()
-                f[lo : lo + block] += _NEAR_AMPLITUDE
-                proposals.append(Proposal(box=b, feature=f))
-            for b in parts:
-                f = noise()
-                f[lo : lo + sub] += _PART_AMPLITUDE
-                proposals.append(Proposal(box=b, feature=f))
-            for b in bgs:
-                proposals.append(Proposal(box=b, feature=noise()))
+            # rows: near-object boxes, then parts, then background
+            features = noise(cfg.proposals_per_bag)
+            features[:n_near, lo : lo + block] += _NEAR_AMPLITUDE
+            features[n_near : n_near + n_part, lo : lo + sub] += _PART_AMPLITUDE
 
             labels = np.zeros(n, dtype=int)
             labels[cls] = 1
             bags.append(
-                Bag(id=bag_id, labels=labels, proposals=proposals, ground_truth=[(cls, obj)])
+                Bag(
+                    id=bag_id,
+                    labels=labels,
+                    features=features,
+                    boxes=boxes_to_array(nears + parts + bgs),
+                    ground_truth=[(cls, obj)],
+                )
             )
 
     for i in range(cfg.negatives):
         bag_id = f"neg-{i:04d}"
-        proposals = [
-            Proposal(box=_sample_background(rng, None, bag_id), feature=noise())
-            for _ in range(cfg.proposals_per_bag)
-        ]
-        bags.append(Bag(id=bag_id, labels=np.zeros(n, dtype=int), proposals=proposals))
+        # each box is drawn before its feature, so the two interleave in rng
+        boxes, features = [], []
+        for _ in range(cfg.proposals_per_bag):
+            boxes.append(_sample_background(rng, None, bag_id))
+            features.append(noise())
+        bags.append(
+            Bag(
+                id=bag_id,
+                labels=np.zeros(n, dtype=int),
+                features=features,
+                boxes=boxes_to_array(boxes),
+            )
+        )
 
     ds = Dataset(classes=[f"class-{c}" for c in range(n)], feature_dim=d, bags=bags)
     validate_dataset(ds)

@@ -73,7 +73,6 @@ class DiscoveryOutput:
 class LocalizationOutput:
     h_star: int
     soft_weights: np.ndarray  # per clique member, aligned with clique.members
-    local_entropy: float
     loss: float
 
 
@@ -290,7 +289,4 @@ def localization_loss(
     for m, k in zip(members, kappa):
         grad[m] += k * (probs[m] - onehot)
 
-    out = LocalizationOutput(
-        h_star=h_star, soft_weights=w, local_entropy=loss, loss=loss
-    )
-    return out, grad
+    return LocalizationOutput(h_star=h_star, soft_weights=w, loss=loss), grad

@@ -95,7 +95,7 @@ def detect(
                 Detection(
                     bag_id=bag.id,
                     cls=cls,
-                    box=bag.proposals[idx].box,
+                    box=Box(*boxes[idx]),
                     score=float(scores[idx]),
                 )
             )
@@ -214,7 +214,7 @@ def pointing(params: ModelParams, ds: Dataset, head=None) -> float:
                 continue
             total += 1
             top = _top_proposal(params, bag, int(cls), head)
-            cx, cy = bag.proposals[top].box.center
+            cx, cy = Box(*bag.box_array()[top]).center
             if any(b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2 for b in gt):
                 correct += 1
     if total == 0:

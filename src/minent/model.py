@@ -47,38 +47,17 @@ class ModelParams:
             yield f"loc_w.{k}", self.loc_w[k]
             yield f"loc_b.{k}", self.loc_b[k]
 
-    def get(self, name: str) -> np.ndarray:
-        for n, a in self.named_arrays():
-            if n == name:
-                return a
-        raise KeyError(name)
-
-    def set(self, name: str, value: np.ndarray) -> None:
-        if name == "hidden_w":
-            self.hidden_w = value
-        elif name == "hidden_b":
-            self.hidden_b = value
-        elif name == "disc_w":
-            self.disc_w = value
-        elif name == "disc_b":
-            self.disc_b = value
-        elif name.startswith("loc_w."):
-            self.loc_w[int(name.split(".")[1])] = value
-        elif name.startswith("loc_b."):
-            self.loc_b[int(name.split(".")[1])] = value
-        else:
-            raise KeyError(name)
-
     def validate(self) -> None:
+        width = self.hidden_dim or self.feature_dim
         for name, arr in self.named_arrays():
             if not np.isfinite(arr).all():
                 raise ValueError(f"parameter '{name}' has non-finite entries")
-        width = self.hidden_dim or self.feature_dim
-        if self.disc_w.shape != (width, self.num_classes):
-            raise ValueError(f"disc_w shape {self.disc_w.shape} != {(width, self.num_classes)}")
-        for k, w in enumerate(self.loc_w):
-            if w.shape != (width, self.num_classes):
-                raise ValueError(f"loc_w.{k} shape {w.shape} != {(width, self.num_classes)}")
+            if name.startswith("hidden"):
+                want = (self.feature_dim, width) if name == "hidden_w" else (width,)
+            else:
+                want = (width, self.num_classes) if "_w" in name else (self.num_classes,)
+            if arr.shape != want:
+                raise ValueError(f"{name} shape {arr.shape} != {want}")
 
 
 def init_params(

@@ -232,50 +232,60 @@ def init_state(ds: Dataset, cfg: TrainConfig) -> TrainState:
     )
 
 
-def _check_compat(state: TrainState, ds: Dataset) -> None:
-    if state.params.feature_dim != ds.feature_dim:
+def check_dims(params: ModelParams, ds: Dataset) -> None:
+    """Raise CheckpointError unless ``params`` fit the dataset's feature
+    and class counts."""
+    if params.feature_dim != ds.feature_dim:
         raise CheckpointError(
-            f"checkpoint feature_dim {state.params.feature_dim} "
+            f"checkpoint feature_dim {params.feature_dim} "
             f"!= dataset feature_dim {ds.feature_dim}"
         )
-    if state.params.num_classes != ds.num_classes:
+    if params.num_classes != ds.num_classes:
         raise CheckpointError(
-            f"checkpoint num_classes {state.params.num_classes} "
+            f"checkpoint num_classes {params.num_classes} "
             f"!= dataset num_classes {ds.num_classes}"
         )
-    missing = [bag.id for bag in ds.bags if bag.id not in state.s_h]
-    if missing:
-        raise CheckpointError(f"checkpoint has no score state for bags: {missing[:3]}")
 
 
-def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag_data, stats) -> None:
-    """One SGD step on one bag; appends report quantities to ``stats``."""
-    bag_id, features, boxes, labels = bag_data
-    params = state.params
+def _check_compat(state: TrainState, ds: Dataset) -> None:
+    """``check_dims``, plus a score state s(h) of the right length for
+    every bag, which only training reads."""
+    check_dims(state.params, ds)
+    bad = [bag.id for bag in ds.bags if len(state.s_h.get(bag.id, ())) != bag.num_proposals]
+    if bad:
+        raise CheckpointError(f"checkpoint score state missing or mis-sized for bags: {bad[:3]}")
 
-    s = state.s_h[bag_id] if switches.use_feedback else None
-    feats_eff = features * s[:, None] if s is not None else features
 
-    disc_scores = forward(params, feats_eff, "disc")
+def partition_step(params: ModelParams, cfg: TrainConfig, features, boxes, classes):
+    """Discovery scores of one bag, their per-row softmax, and the tier's
+    partition of the bag, with objectness the best probability over
+    ``classes``.  Returns ``(scores, softmax, partition)``; without classes
+    there is nothing to discover, and the last two are None."""
+    disc_scores = forward(params, features, "disc")
     if not np.isfinite(disc_scores).all():
-        raise TrainingDiverged(
-            f"discovery scores non-finite at epoch {stats['epoch']}, bag '{bag_id}'"
-        )
-    positives = np.flatnonzero(labels == 1)
+        raise TrainingDiverged("discovery scores non-finite")
+    if not classes.size:
+        return disc_scores, None, None
+    q_disc = row_softmax(disc_scores)
+    objectness = q_disc[:, classes].max(axis=1)
+    if tier_switches(cfg).use_cliques:
+        partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k)
+    else:
+        partition = singleton_partition(boxes, objectness, cfg.top_k)
+    return disc_scores, q_disc, partition
 
-    partition = None
-    q_disc = None
-    if positives.size:
-        q_disc = row_softmax(disc_scores)
-        objectness = q_disc[:, positives].max(axis=1)
-        if switches.use_cliques:
-            partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k)
-        else:
-            partition = singleton_partition(boxes, objectness, cfg.top_k)
 
-    disc_out, disc_grad = discovery_loss(labels, partition, disc_scores)
+def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, stats) -> None:
+    """One SGD step on one bag; appends report quantities to ``stats``."""
+    params = state.params
+    s = state.s_h[bag.id] if switches.use_feedback else None
+    feats_eff = bag.features * s[:, None] if s is not None else bag.features
+
+    positives = np.flatnonzero(bag.labels == 1)
+    disc_scores, q_disc, partition = partition_step(params, cfg, feats_eff, bag.boxes, positives)
+    disc_out, disc_grad = discovery_loss(bag.labels, partition, disc_scores)
     if not np.isfinite(disc_out.loss):
-        raise TrainingDiverged(f"discovery loss non-finite at epoch {stats['epoch']}, bag '{bag_id}'")
+        raise TrainingDiverged("discovery loss non-finite")
     grads = backward_head(params, feats_eff, "disc", disc_grad)
 
     bag_loc_losses = [0.0] * cfg.branches
@@ -296,15 +306,12 @@ def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag_d
                 for h_star in anchors:
                     home = partition.cliques[partition.clique_of(h_star)]
                     loc_out, g = localization_loss(
-                        home, h_star, probs_k, boxes, cfg.kernel_a, y
+                        home, h_star, probs_k, bag.boxes, cfg.kernel_a, y
                     )
                     if not np.isfinite(loc_out.loss):
-                        raise TrainingDiverged(
-                            f"localization loss non-finite at epoch {stats['epoch']}, "
-                            f"bag '{bag_id}', branch {k + 1}"
-                        )
+                        raise TrainingDiverged(f"localization loss non-finite on branch {k + 1}")
                     bag_loc_losses[k] += loc_out.loss
-                    stats["local_entropy_terms"].append(loc_out.local_entropy)
+                    stats["local_entropy_terms"].append(loc_out.loss)
                     branch_grad += g
                 # this branch's own pick feeds later branches
                 own = int(pool[np.argmax(probs_k[pool, y])])
@@ -322,7 +329,7 @@ def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag_d
     if switches.use_feedback and positives.size:
         final_k = switches.active_branches - 1
         probs_final = row_softmax(forward(params, feats_eff, final_k))
-        state.s_h[bag_id] = probs_final[:, positives].max(axis=1)
+        state.s_h[bag.id] = probs_final[:, positives].max(axis=1)
 
     stats["disc_losses"].append(disc_out.loss)
     for k in range(cfg.branches):
@@ -357,32 +364,33 @@ def train(
     last_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, stop_after)
 
     # learning path sees the stripped view; diagnostics read the original
-    train_ds = ds.training_view()
-    bag_data = [
-        (bag.id, bag.feature_matrix(), bag.box_array(), bag.labels)
-        for bag in train_ds.bags
-    ]
+    train_bags = ds.training_view().bags
 
     # One seeded shuffle, fixed across epochs: every bag is visited (and its
     # running losses measured) at a stable phase of each epoch, so per-epoch
     # report series reflect parameter progress rather than visit-order
     # resampling noise.  Recomputed from the seed, so resumed runs follow
     # the same order.
-    visit_order = np.random.default_rng(cfg.seed).permutation(len(bag_data))
+    visit_order = np.random.default_rng(cfg.seed).permutation(len(train_bags))
 
     csv_file = None
     if csv_path is not None:
-        fresh = not os.path.exists(csv_path)
+        header = csv_header(cfg.branches)
+        found = None
+        if os.path.exists(csv_path):
+            with open(csv_path) as f:
+                found = f.readline().rstrip("\n")
+        if found and found != header:
+            raise ValueError(f"{csv_path}: header does not match a {cfg.branches}-branch run")
         csv_file = open(csv_path, "a")
-        if fresh:
-            csv_file.write(csv_header(cfg.branches) + "\n")
+        if not found:
+            csv_file.write(header + "\n")
 
     reports: list[EpochReport] = []
     try:
         for epoch in range(state.epoch + 1, last_epoch + 1):
             started = time.perf_counter()
             stats = {
-                "epoch": epoch,
                 "lr": cfg.lr_for_epoch(epoch),
                 "disc_losses": [],
                 "loc_losses": [[] for _ in range(cfg.branches)],
@@ -390,7 +398,11 @@ def train(
                 "local_entropy_terms": [],
             }
             for i in visit_order:
-                _bag_step(state, cfg, switches, bag_data[int(i)], stats)
+                bag = train_bags[int(i)]
+                try:
+                    _bag_step(state, cfg, switches, bag, stats)
+                except TrainingDiverged as e:
+                    raise TrainingDiverged(f"{e} at epoch {epoch}, bag '{bag.id}'") from None
             state.epoch = epoch
 
             loc_acc, loc_var = dataset_loc_stats(
@@ -462,31 +474,43 @@ def load_checkpoint(path: str) -> TrainState:
         )
     try:
         cfg = TrainConfig(**doc["config"])
-        raw = doc["params"]
-        d, n = doc["feature_dim"], doc["num_classes"]
+        raw = {name: np.array(v, dtype=float) for name, v in doc["params"].items()}
         hidden = doc["hidden_dim"]
         params = ModelParams(
-            feature_dim=d,
-            num_classes=n,
-            hidden_w=np.array(raw["hidden_w"]) if hidden else None,
-            hidden_b=np.array(raw["hidden_b"]) if hidden else None,
-            disc_w=np.array(raw["disc_w"]),
-            disc_b=np.array(raw["disc_b"]),
-            loc_w=[np.array(raw[f"loc_w.{k}"]) for k in range(doc["branches"])],
-            loc_b=[np.array(raw[f"loc_b.{k}"]) for k in range(doc["branches"])],
+            feature_dim=doc["feature_dim"],
+            num_classes=doc["num_classes"],
+            hidden_w=raw["hidden_w"] if hidden else None,
+            hidden_b=raw["hidden_b"] if hidden else None,
+            disc_w=raw["disc_w"],
+            disc_b=raw["disc_b"],
+            loc_w=[raw[f"loc_w.{k}"] for k in range(doc["branches"])],
+            loc_b=[raw[f"loc_b.{k}"] for k in range(doc["branches"])],
         )
         params.validate()
-        buffers = {name: np.array(v) for name, v in doc["buffers"].items()}
-        s_h = {bag_id: np.array(v) for bag_id, v in doc["s_h"].items()}
+        cfg.validate()
+        if (cfg.branches, cfg.effective_hidden_dim()) != (params.branches, params.hidden_dim):
+            raise ValueError("config branches or hidden_dim disagree with the parameters")
+        buffers = {name: np.array(v, dtype=float) for name, v in doc["buffers"].items()}
+        if {name: buf.shape for name, buf in buffers.items()} != {
+            name: arr.shape for name, arr in params.named_arrays()
+        }:
+            raise ValueError("buffers must match the parameters' names and shapes")
+        s_h = {bag_id: np.array(v, dtype=float) for bag_id, v in doc["s_h"].items()}
+        for bag_id, s in s_h.items():
+            if s.ndim != 1 or not np.isfinite(s).all():
+                raise ValueError(f"s_h of bag '{bag_id}' must be a finite vector")
+        epoch = doc["epoch"]
+        if not isinstance(epoch, int) or epoch < 0:
+            raise ValueError(f"epoch must be a count of epochs, got {epoch!r}")
         rng = np.random.default_rng()
         rng.bit_generator.state = doc["rng_state"]
         return TrainState(
             params=params,
             buffers=buffers,
             s_h=s_h,
-            epoch=int(doc["epoch"]),
+            epoch=epoch,
             rng=rng,
             config=cfg,
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from e

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minent.cli import main
-from minent.data import Bag, Dataset, Proposal, load_dataset, save_dataset
+from minent.data import Bag, Dataset, load_dataset, save_dataset
 from minent.geometry import Box
 from minent.trainer import load_checkpoint
 
@@ -131,6 +131,34 @@ class TestTrain:
         assert rc == 0
         assert solid.read_bytes() == done.read_bytes()
 
+    @pytest.mark.parametrize("flag, change", [
+        (["--hidden-dim", "8"], "hidden_dim from 0 to 8"),
+        (["--branches", "5"], "branches from 3 to 5"),
+    ])
+    def test_resume_rejects_shape_change(self, workspace, tmp_path, capsys, flag, change):
+        out, csv = tmp_path / "ck.json", tmp_path / "ep.csv"
+        rc = main(["train", "--data", str(workspace / "ds.json"), "--resume",
+                   str(workspace / "ck.json"), "--out-checkpoint", str(out),
+                   "--epochs", "3", "--csv", str(csv), *flag])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: --resume cannot change {change}"
+        ]
+        assert not out.exists() and not csv.exists()
+
+    def test_csv_header_mismatch_is_runtime_error(self, workspace, tmp_path, capsys):
+        csv = tmp_path / "ep.csv"
+        base = ["train", "--data", str(workspace / "ds.json"),
+                "--out-checkpoint", str(tmp_path / "ck.json"), "--epochs", "1",
+                "--csv", str(csv)]
+        assert main(base) == 0
+        before = csv.read_text()
+        capsys.readouterr()
+        assert main(base + ["--branches", "2"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert csv.read_text() == before
+
     def test_divergence_is_runtime_error(self, workspace, tmp_path):
         rc = main([
             "train", "--data", str(workspace / "ds.json"),
@@ -195,6 +223,17 @@ class TestEval:
                    "--checkpoint", str(workspace / "ck.json")])
         assert rc == 1
 
+    def test_other_bag_ids_evaluate(self, workspace, tmp_path, capsys):
+        # score states are per training bag; evaluation reads only the params
+        doc = json.loads((workspace / "ds.json").read_text())
+        for rec in doc["bags"]:
+            rec["id"] = "held-out-" + rec["id"]
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        rc = main(["eval", "--data", str(other), "--checkpoint", str(workspace / "ck.json")])
+        assert rc == 0
+        assert set(json.loads(capsys.readouterr().out)) == METRIC_KEYS
+
     def test_nms_iou_out_of_range_is_usage_error(self, workspace):
         rc = main(["eval", "--data", str(workspace / "ds.json"),
                    "--checkpoint", str(workspace / "ck.json"), "--nms-iou", "1.5"])
@@ -242,7 +281,8 @@ class TestInspect:
         solo = Bag(
             id="solo",
             labels=np.array([1, 0]),
-            proposals=[Proposal(box=Box(0.2, 0.2, 0.8, 0.8), feature=0.1 * np.ones(8))],
+            features=0.1 * np.ones((1, 8)),
+            boxes=[[0.2, 0.2, 0.8, 0.8]],
             ground_truth=[(0, Box(0.2, 0.2, 0.8, 0.8))],
         )
         path = tmp_path / "solo.json"
@@ -256,6 +296,49 @@ class TestInspect:
         assert doc["selected"] == {"0": 0}
         assert doc["h_star"] == {"0": 0}
         assert doc["weights"]["0"] == [1.0]
+
+
+class TestCorruptCheckpoint:
+    def edited(self, workspace, tmp_path, edit):
+        doc = json.loads((workspace / "ck.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["buffers"].pop("disc_w"),
+        lambda d: d["buffers"].update(extra=[0.0]),
+        lambda d: d["buffers"].update(disc_b=[0.0]),
+        lambda d: d["params"].update(disc_b=[0.0]),
+        lambda d: d["s_h"].update({"neg-0000": [[1.0]]}),
+        lambda d: d["s_h"].update({"neg-0000": [1.0, float("nan")]}),
+        lambda d: d["config"].update(branches=2),
+        lambda d: d.update(s_h=[]),
+        lambda d: d.update(epoch=-3),
+    ], ids=["no-buffer", "extra-buffer", "buffer-shape", "param-shape", "s_h-matrix",
+            "s_h-nan", "config-branches", "s_h-list", "epoch"])
+    def test_every_command_rejects_it(self, workspace, tmp_path, capsys, edit):
+        ck = self.edited(workspace, tmp_path, edit)
+        data = str(workspace / "ds.json")
+        for argv in (
+            ["train", "--data", data, "--resume", ck, "--epochs", "3",
+             "--out-checkpoint", str(tmp_path / "out.json")],
+            ["eval", "--data", data, "--checkpoint", ck],
+            ["inspect", "--data", data, "--checkpoint", ck, "--bag", "neg-0000"],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: corrupt checkpoint") and err.count("\n") == 1
+
+    def test_score_state_length_must_match_bag(self, workspace, tmp_path, capsys):
+        ck = self.edited(workspace, tmp_path, lambda d: d["s_h"].update({"pos-c0-0000": [1.0]}))
+        rc = main(["train", "--data", str(workspace / "ds.json"), "--resume", ck,
+                   "--epochs", "3", "--out-checkpoint", str(tmp_path / "out.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "pos-c0-0000" in err and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestMain:

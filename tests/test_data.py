@@ -7,22 +7,21 @@ from minent.data import (
     Bag,
     DataError,
     Dataset,
-    Proposal,
     SynthConfig,
     generate_synthetic,
     load_dataset,
     save_dataset,
     validate_dataset,
 )
-from minent.geometry import Box, iou
+from minent.geometry import Box, iou_matrix
 
 
 def tiny_dataset():
-    p = Proposal(box=Box(0.1, 0.1, 0.5, 0.5), feature=np.array([1.0, 2.0, 3.0]))
     bag = Bag(
         id="b0",
         labels=np.array([1]),
-        proposals=[p],
+        features=[[1.0, 2.0, 3.0]],
+        boxes=[[0.1, 0.1, 0.5, 0.5]],
         ground_truth=[(0, Box(0.1, 0.1, 0.5, 0.5))],
     )
     return Dataset(classes=["thing"], feature_dim=3, bags=[bag])
@@ -39,7 +38,8 @@ class TestSchema:
         assert len(back.bags) == 1
         assert back.bags[0].id == "b0"
         np.testing.assert_array_equal(back.bags[0].labels, [1])
-        np.testing.assert_allclose(back.bags[0].proposals[0].feature, [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(back.bags[0].features, [[1.0, 2.0, 3.0]])
+        np.testing.assert_allclose(back.bags[0].boxes, [[0.1, 0.1, 0.5, 0.5]])
         cls, box = back.bags[0].ground_truth[0]
         assert cls == 0
         assert box == Box(0.1, 0.1, 0.5, 0.5)
@@ -53,9 +53,7 @@ class TestSchema:
 
     def test_feature_length_mismatch_names_bag(self, tmp_path):
         ds = tiny_dataset()
-        ds.bags[0].proposals.append(
-            Proposal(box=Box(0, 0, 1, 1), feature=np.array([1.0, 2.0]))
-        )
+        ds.bags[0].features = np.ones((1, 2))
         with pytest.raises(DataError, match="b0"):
             save_dataset(ds, str(tmp_path / "x.json"))
 
@@ -106,7 +104,8 @@ class TestSchema:
         ds = Dataset(
             classes=["a"],
             feature_dim=2,
-            bags=[Bag(id="e", labels=np.array([0]), proposals=[])],
+            bags=[Bag(id="e", labels=np.array([0]), features=np.zeros((0, 2)),
+                      boxes=np.zeros((0, 4)))],
         )
         with pytest.raises(DataError, match="'e'"):
             validate_dataset(ds)
@@ -128,7 +127,8 @@ class TestSchema:
         view = ds.training_view()
         assert view.bags[0].ground_truth is None
         assert ds.bags[0].ground_truth is not None  # original untouched
-        assert view.bags[0].proposals is ds.bags[0].proposals
+        assert view.bags[0].features is ds.bags[0].features
+        assert view.bags[0].boxes is ds.bags[0].boxes
 
     def test_bag_helpers(self):
         ds = tiny_dataset()
@@ -136,6 +136,34 @@ class TestSchema:
         assert bag.feature_matrix().shape == (1, 3)
         assert bag.box_array().shape == (1, 4)
         np.testing.assert_array_equal(bag.positive_classes(), [0])
+
+    def test_bag_arrays_are_stored_read_only(self):
+        features = np.array([[1.0, 2.0, 3.0]])
+        bag = Bag(id="b", labels=[1], features=features, boxes=[[0.1, 0.1, 0.5, 0.5]])
+        assert bag.feature_matrix() is bag.feature_matrix()
+        assert bag.box_array() is bag.box_array()
+        assert np.shares_memory(bag.feature_matrix(), features)
+        assert features.flags.writeable  # the caller's array is left as it was
+        for arr in (bag.feature_matrix(), bag.box_array()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 9.0
+
+    @pytest.mark.parametrize("proposals", [
+        [],
+        [{"box": [0, 0, 1, 1], "feature": [1.0]}, {"box": [0, 0, 1, 1], "feature": [1.0, 2.0]}],
+        [{"box": [0, 0, 1, 1], "feature": [1.0, float("inf")]}],
+        [{"box": [0.5, 0, 0.2, 1], "feature": [1.0, 2.0]}],
+        [{"box": [0, 0, 1], "feature": [1.0, 2.0]}],
+        [{"feature": [1.0, 2.0]}],
+    ])
+    def test_load_rejects_bad_proposals_naming_bag(self, tmp_path, proposals):
+        path = tmp_path / "ds.json"
+        doc = {"classes": ["a"], "feature_dim": 2,
+               "bags": [{"id": "bagZ", "labels": [1], "proposals": proposals}]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="bagZ"):
+            load_dataset(str(path))
 
     def test_bag_by_id(self):
         ds = tiny_dataset()
@@ -202,7 +230,7 @@ class TestGenerator:
         ds = generate_synthetic(cfg)
         for bag in ds.bags:
             gt_box = bag.ground_truth[0][1]
-            ious = np.array([iou(p.box, gt_box) for p in bag.proposals])
+            ious = iou_matrix(bag.box_array(), [gt_box.as_list()])[:, 0]
             near = ious >= 0.6
             part = (ious >= 0.2) & (ious < 0.5)
             bg = ious < 0.2
@@ -216,8 +244,8 @@ class TestGenerator:
         ds = generate_synthetic(cfg)
         for bag in ds.bags:
             gt_box = bag.ground_truth[0][1]
-            for p in bag.proposals:
-                assert not (0.2 <= iou(p.box, gt_box) < 0.5)
+            ious = iou_matrix(bag.box_array(), [gt_box.as_list()])[:, 0]
+            assert not ((0.2 <= ious) & (ious < 0.5)).any()
 
     def test_negative_bags_have_no_gt_and_zero_labels(self):
         ds = generate_synthetic(SynthConfig(num_classes=2, bags_per_class=1, negatives=4, seed=1))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from minent.data import Bag, Dataset, Proposal
+from minent.data import Bag, Dataset
 from minent.evaluate import (
     Detection,
     average_precision,
@@ -107,8 +107,8 @@ class TestAveragePrecision:
 
 
 def linear_bag(bag_id, boxes, features, labels, gt=None):
-    props = [Proposal(box=b, feature=np.asarray(f, dtype=float)) for b, f in zip(boxes, features)]
-    return Bag(id=bag_id, labels=np.asarray(labels), proposals=props, ground_truth=gt)
+    return Bag(id=bag_id, labels=labels, features=features,
+               boxes=[b.as_list() for b in boxes], ground_truth=gt)
 
 
 def pick_params(num_classes=2, feature_dim=2, branches=1):

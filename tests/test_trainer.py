@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from minent.data import Bag, Dataset, Proposal, SynthConfig, generate_synthetic
-from minent.geometry import Box
+from minent.data import SynthConfig, generate_synthetic
 from minent.model import init_params
 from minent.trainer import (
     CheckpointError,
@@ -222,8 +221,9 @@ class TestTrain:
     def test_divergence_aborts_with_context(self):
         ds = small_ds()
         bad = ds.bags[0]
-        bad.proposals[0] = Proposal(box=bad.proposals[0].box,
-                                    feature=np.full(6, np.inf))
+        features = bad.features.copy()
+        features[0] = np.inf
+        bad.features = features
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             train(ds, small_cfg(epochs=1))
 
