@@ -21,9 +21,11 @@ from .data import (
     DataError,
     GenerationError,
     SynthConfig,
+    finite_number,
     generate_synthetic,
     load_dataset,
     save_dataset,
+    whole_number,
 )
 from .entropy import (
     clique_mean_scores,
@@ -102,15 +104,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
     defaults = asdict(SynthConfig())
     defaults.pop("feature_dim")  # derived from num_classes unless given
     merged = {**defaults, **_config_file(args, _SYNTH_FIELDS), **_provided(args, _SYNTH_FIELDS)}
+    classes = merged["num_classes"]
+    if not whole_number(classes) or classes < 1:
+        raise UsageError(f"num_classes must be an integer >= 1, got {classes!r}")
     if hasattr(args, "total_bags"):  # --bags counts positives across all classes
-        per_class, rem = divmod(args.total_bags, int(merged["num_classes"]))
+        per_class, rem = divmod(args.total_bags, classes)
         if rem or per_class < 1:
             raise UsageError(
-                f"--bags {args.total_bags} must be a positive multiple of "
-                f"--classes {merged['num_classes']}"
+                f"--bags {args.total_bags} must be a positive multiple of --classes {classes}"
             )
         merged["bags_per_class"] = per_class
-    merged.setdefault("feature_dim", 12 * int(merged["num_classes"]))
+    merged.setdefault("feature_dim", 12 * classes)
     try:
         cfg = SynthConfig(**merged)
         cfg.validate()
@@ -195,6 +199,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         **_config_file(args, allowed),
         **_provided(args, allowed),
     }
+    for name in sorted(allowed):
+        if not finite_number(merged[name]):
+            raise UsageError(f"{name} must be a finite number, got {merged[name]!r}")
     if not 0.0 <= merged["nms_iou"] <= 1.0:
         raise UsageError(f"--nms-iou must lie in [0, 1], got {merged['nms_iou']}")
     if merged["score_floor"] < 0.0:

@@ -17,7 +17,9 @@ group win — the behavior the training objective is supposed to exhibit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -113,6 +115,27 @@ class Dataset:
         return any(b.ground_truth for b in self.bags)
 
 
+def whole_number(value) -> bool:
+    """An int; a bool does not count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def finite_number(value) -> bool:
+    """A finite int or float; a bool does not count."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_field_types(cfg, error: type[Exception]) -> None:
+    """Raise ``error`` unless every ``int`` field of the config dataclass
+    holds an int (not a bool) and every ``float`` field a finite number."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" and not whole_number(value):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not finite_number(value):
+            raise error(f"{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     num_classes: int = 2
@@ -125,6 +148,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_field_types(self, DataError)
         if self.num_classes < 1:
             raise DataError("num_classes must be >= 1")
         if self.bags_per_class < 1:

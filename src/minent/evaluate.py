@@ -1,11 +1,15 @@
-"""Detection and evaluation metrics.
+"""Detection and evaluation metrics, read from one pass over the bags.
 
-Detection is a plain forward pass (no score feedback): joint softmax
-probabilities over every (proposal, class) cell of a bag, a score floor,
-and per-class greedy NMS.  Metrics cover ranked-detection AP/mAP, CorLoc
-(top proposal vs. ground truth at IoU 0.5, meant for the training set),
-pointing accuracy (top proposal's center inside ground truth), and the
-probability-weighted overlap mean/variance used as training diagnostics.
+``evaluate`` computes each bag's probability table once (``head_probs``,
+a joint softmax over every (proposal, class) cell) and feeds it to two
+readers: detection (a score floor and per-class greedy NMS, no score
+feedback, ranked into AP/mAP), and ``_bag_pairs``, which gives one row per
+positive (bag, class) pair with ground truth: the CorLoc hit (top proposal
+vs. ground truth at IoU 0.5, meant for the training set), the pointing hit
+(top proposal's center inside ground truth), and the probability-weighted
+mean and variance of every proposal's best IoU with ground truth.
+``corloc``, ``pointing`` and ``dataset_loc_stats`` aggregate those rows, so
+each alone equals what ``evaluate`` reports.
 
 The joint softmax matters: it ranks proposals by their class score, so a
 background row with a lopsided but tiny score pair cannot outrank a
@@ -15,6 +19,7 @@ confident object row the way a per-row class softmax would let it.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +63,40 @@ class MetricsReport:
         }
 
 
-def head_probs(params: ModelParams, features: np.ndarray, head) -> np.ndarray:
-    """Joint (proposal, class) probability table for the selected head.
+# what one positive (bag, class) pair with ground truth scores
+_Pair = namedtuple("_Pair", "cls corloc_hit pointing_hit loc_acc loc_var")
+
+
+def head_probs(params: ModelParams, features: np.ndarray, head=None) -> np.ndarray:
+    """Joint (proposal, class) probability table for the selected head;
+    ``head`` defaults to the final localization branch.
 
     One softmax over the entire score matrix: entries sum to 1 across the
     whole bag, so ``probs[:, cls]`` is proportional to the model's
     distribution over proposals for that class.
     """
+    if head is None:
+        head = params.branches - 1
     scores = forward(params, features, head)
     shifted = np.exp(scores - scores.max())
     return shifted / max(float(shifted.sum()), EPS)
+
+
+def _detections(
+    bag: Bag, probs: np.ndarray, nms_iou: float, score_floor: float
+) -> list[Detection]:
+    """Per-class NMS over the table's cells at or above the score floor."""
+    boxes = bag.box_array()
+    out: list[Detection] = []
+    for cls in range(probs.shape[1]):
+        scores = probs[:, cls]
+        keep = np.flatnonzero(scores >= score_floor)
+        if keep.size == 0:
+            continue
+        for i in nms(boxes[keep], scores[keep], nms_iou):
+            idx = int(keep[i])
+            out.append(Detection(bag.id, cls, Box(*boxes[idx]), float(scores[idx])))
+    return out
 
 
 def detect(
@@ -77,29 +106,9 @@ def detect(
     score_floor: float = DEFAULT_SCORE_FLOOR,
     head=None,
 ) -> list[Detection]:
-    """Per-class NMS over softmax scores; ``head`` defaults to the final
-    localization branch."""
-    if head is None:
-        head = params.branches - 1
-    probs = head_probs(params, bag.feature_matrix(), head)
-    boxes = bag.box_array()
-    out: list[Detection] = []
-    for cls in range(params.num_classes):
-        scores = probs[:, cls]
-        keep = np.flatnonzero(scores >= score_floor)
-        if keep.size == 0:
-            continue
-        for i in nms(boxes[keep], scores[keep], nms_iou):
-            idx = int(keep[i])
-            out.append(
-                Detection(
-                    bag_id=bag.id,
-                    cls=cls,
-                    box=Box(*boxes[idx]),
-                    score=float(scores[idx]),
-                )
-            )
-    return out
+    """One bag's detections: its probability table, a score floor and
+    per-class NMS."""
+    return _detections(bag, head_probs(params, bag.feature_matrix(), head), nms_iou, score_floor)
 
 
 def average_precision(
@@ -127,7 +136,6 @@ def average_precision(
         bag_id: np.zeros(len(boxes), dtype=bool) for bag_id, boxes in gts.items()
     }
     tp = np.zeros(len(order))
-    fp = np.zeros(len(order))
     for rank, di in enumerate(order):
         det = detections[int(di)]
         cand = gts.get(det.bag_id, [])
@@ -137,18 +145,14 @@ def average_precision(
                 np.array([det.box.as_list()]), np.array([b.as_list() for b in cand])
             )[0]
             for j in range(len(cand)):
-                if matched[det.bag_id][j]:
-                    continue
-                if table[j] >= iou_threshold and table[j] > best_iou:
+                if not matched[det.bag_id][j] and table[j] >= iou_threshold and table[j] > best_iou:
                     best_iou, best_j = float(table[j]), j
         if best_j >= 0:
             matched[det.bag_id][best_j] = True
             tp[rank] = 1.0
-        else:
-            fp[rank] = 1.0
 
     tp_cum = np.cumsum(tp)
-    fp_cum = np.cumsum(fp)
+    fp_cum = np.cumsum(1.0 - tp)  # every unmatched detection is a false positive
     recall = tp_cum / npos
     precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
 
@@ -158,69 +162,6 @@ def average_precision(
         mpre[i] = max(mpre[i], mpre[i + 1])
     steps = np.flatnonzero(mrec[1:] != mrec[:-1])
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
-
-
-def _gt_boxes(bag: Bag, cls: int) -> list[Box]:
-    if not bag.ground_truth:
-        return []
-    return [box for c, box in bag.ground_truth if c == cls]
-
-
-def _top_proposal(params: ModelParams, bag: Bag, cls: int, head) -> int:
-    probs = head_probs(params, bag.feature_matrix(), head)
-    return int(np.argmax(probs[:, cls]))
-
-
-def corloc(params: ModelParams, ds: Dataset, head=None) -> tuple[list[float | None], float]:
-    """Fraction of positive bags whose top-scored proposal hits ground
-    truth at IoU >= 0.5, per class and averaged over non-empty classes."""
-    if head is None:
-        head = params.branches - 1
-    per_class: list[float | None] = []
-    for cls in range(ds.num_classes):
-        correct = total = 0
-        for bag in ds.bags:
-            if bag.labels[cls] != 1:
-                continue
-            gt = _gt_boxes(bag, cls)
-            if not gt:
-                continue
-            total += 1
-            top = _top_proposal(params, bag, cls, head)
-            table = iou_matrix(
-                bag.box_array()[top : top + 1], np.array([b.as_list() for b in gt])
-            )
-            if table.max() >= 0.5:
-                correct += 1
-        if total == 0:
-            warnings.warn(f"corloc: class {cls} has no positive bags with ground truth")
-            per_class.append(None)
-        else:
-            per_class.append(correct / total)
-    scored = [v for v in per_class if v is not None]
-    return per_class, (float(np.mean(scored)) if scored else 0.0)
-
-
-def pointing(params: ModelParams, ds: Dataset, head=None) -> float:
-    """Fraction of positive (bag, class) pairs whose top proposal's center
-    falls inside some ground-truth box of that class."""
-    if head is None:
-        head = params.branches - 1
-    correct = total = 0
-    for bag in ds.bags:
-        for cls in bag.positive_classes():
-            gt = _gt_boxes(bag, int(cls))
-            if not gt:
-                continue
-            total += 1
-            top = _top_proposal(params, bag, int(cls), head)
-            cx, cy = Box(*bag.box_array()[top]).center
-            if any(b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2 for b in gt):
-                correct += 1
-    if total == 0:
-        warnings.warn("pointing: no positive bags with ground truth")
-        return 0.0
-    return correct / total
 
 
 def localization_stats(
@@ -245,28 +186,75 @@ def localization_stats(
     return acc, var
 
 
+def _bag_pairs(bag: Bag, probs: np.ndarray) -> list[_Pair]:
+    """One row per positive class of the bag that has ground truth, in class
+    order.  This is the one place that decides which pairs count."""
+    boxes = bag.box_array()
+    pairs: list[_Pair] = []
+    for cls in bag.positive_classes().tolist():
+        gt = [box for c, box in bag.ground_truth or () if c == cls]
+        if not gt:
+            continue
+        top = int(np.argmax(probs[:, cls]))
+        table = iou_matrix(boxes[top : top + 1], np.array([b.as_list() for b in gt]))
+        cx, cy = Box(*boxes[top]).center
+        pairs.append(_Pair(
+            cls,
+            bool(table.max() >= 0.5),
+            any(b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2 for b in gt),
+            *localization_stats(probs[:, cls], boxes, gt),
+        ))
+    return pairs
+
+
+def _dataset_pairs(params: ModelParams, ds: Dataset, head) -> list[_Pair]:
+    pairs: list[_Pair] = []
+    for bag in ds.bags:
+        if bag.positive_classes().size:  # else no pairs, so no forward pass either
+            pairs += _bag_pairs(bag, head_probs(params, bag.feature_matrix(), head))
+    return pairs
+
+
+def _corloc_of(pairs: list[_Pair], num_classes: int) -> tuple[list[float | None], float]:
+    per_class: list[float | None] = []
+    for cls in range(num_classes):
+        hits = [p.corloc_hit for p in pairs if p.cls == cls]
+        if not hits:
+            warnings.warn(f"corloc: class {cls} has no positive bags with ground truth")
+        per_class.append(sum(hits) / len(hits) if hits else None)
+    scored = [v for v in per_class if v is not None]
+    return per_class, (float(np.mean(scored)) if scored else 0.0)
+
+
+def _pointing_of(pairs: list[_Pair]) -> float:
+    if not pairs:
+        warnings.warn("pointing: no positive bags with ground truth")
+        return 0.0
+    return sum(p.pointing_hit for p in pairs) / len(pairs)
+
+
+def _loc_stats_of(pairs: list[_Pair]) -> tuple[float, float]:
+    if not pairs:
+        return 0.0, 0.0
+    return float(np.mean([p.loc_acc for p in pairs])), float(np.mean([p.loc_var for p in pairs]))
+
+
+def corloc(params: ModelParams, ds: Dataset, head=None) -> tuple[list[float | None], float]:
+    """Fraction of positive bags whose top-scored proposal hits ground
+    truth at IoU >= 0.5, per class and averaged over non-empty classes."""
+    return _corloc_of(_dataset_pairs(params, ds, head), ds.num_classes)
+
+
+def pointing(params: ModelParams, ds: Dataset, head=None) -> float:
+    """Fraction of positive (bag, class) pairs whose top proposal's center
+    falls inside some ground-truth box of that class."""
+    return _pointing_of(_dataset_pairs(params, ds, head))
+
+
 def dataset_loc_stats(params: ModelParams, ds: Dataset, head=None) -> tuple[float, float]:
     """Mean localization accuracy/variance over all positive (bag, class)
     pairs that carry ground truth."""
-    if head is None:
-        head = params.branches - 1
-    accs, variances = [], []
-    for bag in ds.bags:
-        positives = bag.positive_classes()
-        if positives.size == 0:
-            continue
-        probs = head_probs(params, bag.feature_matrix(), head)
-        boxes = bag.box_array()
-        for cls in positives:
-            gt = _gt_boxes(bag, int(cls))
-            if not gt:
-                continue
-            a, v = localization_stats(probs[:, int(cls)], boxes, gt)
-            accs.append(a)
-            variances.append(v)
-    if not accs:
-        return 0.0, 0.0
-    return float(np.mean(accs)), float(np.mean(variances))
+    return _loc_stats_of(_dataset_pairs(params, ds, head))
 
 
 def evaluate(
@@ -277,49 +265,31 @@ def evaluate(
     score_floor: float = DEFAULT_SCORE_FLOOR,
     iou_threshold: float = 0.5,
 ) -> MetricsReport:
-    if head is None:
-        head = params.branches - 1
+    """Every metric from one pass: each bag's probability table is computed
+    once and feeds both its detections and its pair rows."""
     dets_by_class: list[list[Detection]] = [[] for _ in range(ds.num_classes)]
     gts_by_class: list[dict[str, list[Box]]] = [{} for _ in range(ds.num_classes)]
+    pairs: list[_Pair] = []
     for bag in ds.bags:
-        for d in detect(params, bag, nms_iou=nms_iou, score_floor=score_floor, head=head):
+        probs = head_probs(params, bag.feature_matrix(), head)
+        for d in _detections(bag, probs, nms_iou, score_floor):
             dets_by_class[d.cls].append(d)
-        if bag.ground_truth:
-            for cls, box in bag.ground_truth:
-                gts_by_class[cls].setdefault(bag.id, []).append(box)
+        pairs += _bag_pairs(bag, probs)
+        for cls, box in bag.ground_truth or ():
+            gts_by_class[cls].setdefault(bag.id, []).append(box)
 
     per_class_ap = [
         average_precision(dets_by_class[c], gts_by_class[c], iou_threshold)
         for c in range(ds.num_classes)
     ]
-    per_class_corloc, mean_corloc = corloc(params, ds, head=head)
-    point = pointing(params, ds, head=head)
-    loc_acc, loc_var = dataset_loc_stats(params, ds, head=head)
+    per_class_corloc, mean_corloc = _corloc_of(pairs, ds.num_classes)
+    loc_acc, loc_var = _loc_stats_of(pairs)
     return MetricsReport(
         per_class_ap=per_class_ap,
         mean_ap=float(np.mean(per_class_ap)) if per_class_ap else 0.0,
         per_class_corloc=per_class_corloc,
         mean_corloc=mean_corloc,
-        pointing=point,
+        pointing=_pointing_of(pairs),
         loc_acc=loc_acc,
         loc_var=loc_var,
     )
-
-
-def mean_ap_over_thresholds(
-    params: ModelParams,
-    ds: Dataset,
-    head=None,
-    thresholds=None,
-    nms_iou: float = DEFAULT_NMS_IOU,
-    score_floor: float = DEFAULT_SCORE_FLOOR,
-) -> float:
-    """mAP averaged over a sweep of IoU thresholds (default .5:.05:.95)."""
-    if thresholds is None:
-        thresholds = [0.5 + 0.05 * i for i in range(10)]
-    values = [
-        evaluate(params, ds, head=head, nms_iou=nms_iou,
-                 score_floor=score_floor, iou_threshold=t).mean_ap
-        for t in thresholds
-    ]
-    return float(np.mean(values))

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_field_types
 from .entropy import (
     discovery_loss,
     localization_loss,
@@ -80,6 +80,7 @@ class TrainConfig:
     init_scale: float = 0.01
 
     def validate(self) -> None:
+        check_field_types(self, ValueError)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         # zero is admitted so a no-op run can serve as a diagnostic
@@ -103,6 +104,8 @@ class TrainConfig:
             raise ValueError(f"ablation must be one of {ABLATION_TIERS}, got {self.ablation!r}")
         if self.hidden_dim < 0:
             raise ValueError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
+        if self.init_scale < 0:
+            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
 
     def effective_hidden_dim(self) -> int:
         # a hidden layer only exists when it can be shared by all heads
@@ -337,6 +340,10 @@ def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, 
     stats["global_entropy_terms"].extend(disc_out.entropies.values())
 
 
+def _mean_or_zero(values: list[float]) -> float:
+    return float(np.mean(values)) if values else 0.0
+
+
 def train(
     ds: Dataset,
     cfg: TrainConfig,
@@ -411,19 +418,9 @@ def train(
             report = EpochReport(
                 epoch=epoch,
                 disc_loss=float(np.mean(stats["disc_losses"])),
-                loc_losses=tuple(
-                    float(np.mean(v)) if v else 0.0 for v in stats["loc_losses"]
-                ),
-                global_entropy=(
-                    float(np.mean(stats["global_entropy_terms"]))
-                    if stats["global_entropy_terms"]
-                    else 0.0
-                ),
-                local_entropy=(
-                    float(np.mean(stats["local_entropy_terms"]))
-                    if stats["local_entropy_terms"]
-                    else 0.0
-                ),
+                loc_losses=tuple(_mean_or_zero(v) for v in stats["loc_losses"]),
+                global_entropy=_mean_or_zero(stats["global_entropy_terms"]),
+                local_entropy=_mean_or_zero(stats["local_entropy_terms"]),
                 loc_acc=loc_acc,
                 loc_var=loc_var,
                 seconds=time.perf_counter() - started,

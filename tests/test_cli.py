@@ -316,8 +316,9 @@ class TestCorruptCheckpoint:
         lambda d: d["config"].update(branches=2),
         lambda d: d.update(s_h=[]),
         lambda d: d.update(epoch=-3),
+        lambda d: d["config"].update(top_k=2.5),
     ], ids=["no-buffer", "extra-buffer", "buffer-shape", "param-shape", "s_h-matrix",
-            "s_h-nan", "config-branches", "s_h-list", "epoch"])
+            "s_h-nan", "config-branches", "s_h-list", "epoch", "config-type"])
     def test_every_command_rejects_it(self, workspace, tmp_path, capsys, edit):
         ck = self.edited(workspace, tmp_path, edit)
         data = str(workspace / "ds.json")
@@ -339,6 +340,49 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert "pos-c0-0000" in err and err.count("\n") == 1
         assert not (tmp_path / "out.json").exists()
+
+
+class TestBadValues:
+    """Every bad flag or config value is one ``error:`` line and exit 2,
+    before any epoch runs or any file is written."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["train", "--lr", "nan"], None),
+        (["train", "--lr-late", "nan"], None),
+        (["train", "--kernel-a", "nan"], None),
+        (["train", "--init-scale", "nan"], None),
+        (["train", "--init-scale", "-1"], None),
+        (["train"], {"epochs": 2.5}),
+        (["train"], {"top_k": True}),
+        (["train"], {"momentum": "0.9"}),
+        (["gen", "--noise-sigma", "nan"], None),
+        (["gen"], {"bags_per_class": 2.5}),
+        (["gen"], {"num_classes": None}),
+        (["gen", "--classes", "0", "--bags", "6"], None),
+        (["eval", "--score-floor", "nan"], None),
+        (["eval", "--nms-iou", "inf"], None),
+        (["eval"], {"score_floor": "abc"}),
+        (["eval"], {"nms_iou": None}),
+    ], ids=json.dumps)
+    def test_exits_two_with_one_error_line(self, workspace, tmp_path, capsys, argv, config):
+        out = tmp_path / "out" / "result.json"
+        data, ck = str(workspace / "ds.json"), str(workspace / "ck.json")
+        argv = argv + {
+            "gen": ["--out", str(out)],
+            "train": ["--data", data, "--out-checkpoint", str(out),
+                      "--csv", str(tmp_path / "out" / "epochs.csv")],
+            "eval": ["--data", data, "--checkpoint", ck, "--out", str(out),
+                     "--csv", str(tmp_path / "out" / "metrics.csv")],
+        }[argv[0]]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        (tmp_path / "out").mkdir()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestMain:

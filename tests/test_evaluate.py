@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import minent.evaluate as evaluate_module
 from minent.data import Bag, Dataset
 from minent.evaluate import (
     Detection,
@@ -13,7 +14,6 @@ from minent.evaluate import (
     detect,
     evaluate,
     localization_stats,
-    mean_ap_over_thresholds,
     pointing,
 )
 from minent.geometry import Box
@@ -282,9 +282,62 @@ class TestEvaluate:
         assert 0.0 <= acc <= 1.0
         assert var >= 0.0
 
-    def test_threshold_sweep_leq_single(self):
+
+class TestOnePass:
+    """``evaluate`` reads every metric from one probability table per bag,
+    and each lone metric agrees with it."""
+
+    def make_ds(self):
+        boxes = [BOX_A, BOX_FAR, BOX_A_NEAR]
+        bags = [
+            linear_bag("neg", boxes, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                       [0, 0, 0]),
+            linear_bag("no-gt", boxes, [[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                       [1, 0, 0]),
+            # class 0's top box hits its ground truth; class 1's misses
+            linear_bag("two", boxes, [[3.0, 3.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                       [1, 1, 0], gt=[(0, BOX_A), (1, BOX_FAR)]),
+            linear_bag("one", boxes, [[0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 1.0, 0.0]],
+                       [0, 1, 0], gt=[(1, BOX_FAR)]),
+        ]
+        return Dataset(classes=["x", "y", "z"], feature_dim=3, bags=bags)
+
+    def test_head_probs_runs_once_per_bag(self, monkeypatch):
+        calls = []
+        real = evaluate_module.head_probs
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "head_probs", counted)
         ds = self.make_ds()
-        p = pick_params()
-        sweep = mean_ap_over_thresholds(p, ds)
-        single = evaluate(p, ds).mean_ap
-        assert sweep <= single + 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evaluate(pick_params(3, 3), ds)
+        assert len(calls) == len(ds.bags)
+
+    @pytest.mark.parametrize("head, want_corloc, want_pointing", [
+        # the default head, branch 1, scores nothing: every tie goes to BOX_A
+        (None, [1.0, 0.0, None], 1 / 3),
+        (0, [1.0, 0.5, None], 2 / 3),
+        ("disc", [1.0, 0.5, None], 2 / 3),
+    ])
+    def test_report_equals_lone_metrics(self, head, want_corloc, want_pointing):
+        p, ds = pick_params(3, 3, branches=2), self.make_ds()
+        p.loc_w[1][:, :] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = evaluate(p, ds, head=head)
+            per_class, mean = corloc(p, ds, head=head)
+            point = pointing(p, ds, head=head)
+            stats = dataset_loc_stats(p, ds, head=head)
+        assert report.per_class_corloc == per_class
+        assert report.mean_corloc == mean
+        assert report.pointing == point
+        assert (report.loc_acc, report.loc_var) == stats
+        # the pairs that count: ("two", 0), ("two", 1) and ("one", 1)
+        assert [str(w.message) for w in caught].count(
+            "corloc: class 2 has no positive bags with ground truth") == 2
+        assert per_class == want_corloc
+        assert point == want_pointing
