@@ -21,7 +21,7 @@ epsilon-floored at ``EPS``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,12 +51,19 @@ class CliquePartition:
     cliques: tuple[Clique, ...]
     pool: tuple[int, ...]  # the top-k proposal indices the cliques cover
     tau: float
+    # derived from ``cliques``: each proposal's clique index, -1 outside them
+    label: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        members = [m for c in self.cliques for m in c.members]
+        label = np.full(max(members, default=-1) + 1, -1)
+        label[members] = np.repeat(np.arange(len(self.cliques)), [len(c) for c in self.cliques])
+        object.__setattr__(self, "label", label)
 
     def clique_of(self, proposal: int) -> int:
         """Index of the clique containing ``proposal``."""
-        for i, c in enumerate(self.cliques):
-            if proposal in c.members:
-                return i
+        if 0 <= proposal < len(self.label) and self.label[proposal] >= 0:
+            return int(self.label[proposal])
         raise KeyError(f"proposal {proposal} not in any clique")
 
 
@@ -76,12 +83,21 @@ class LocalizationOutput:
     loss: float
 
 
-def partition_cliques(boxes: np.ndarray, objectness: np.ndarray, tau: float, top_k: int) -> CliquePartition:
-    """Greedy partition of the top-k highest-objectness proposals.
+def partition_cliques(
+    boxes: np.ndarray,
+    objectness: np.ndarray,
+    tau: float,
+    top_k: int,
+    adjacency: np.ndarray | None = None,
+) -> CliquePartition:
+    """Partition the top-k highest-objectness proposals into the connected
+    components of their IoU > ``tau`` graph, seeded in objectness order.
 
-    Seed a clique with the best unassigned proposal, then absorb every
-    unassigned proposal overlapping ANY current member above ``tau``,
-    to closure; repeat until the pool is exhausted.
+    The best unassigned proposal seeds a clique, which absorbs every
+    proposal chained to it above ``tau``; cliques come in the order of their
+    seeds, each with sorted members.  ``adjacency``, if given, is the whole
+    bag's ``iou_matrix(boxes, boxes) > tau`` table, which the pool slices
+    instead of recomputing its overlaps.
     """
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     objectness = np.asarray(objectness, dtype=float)
@@ -93,27 +109,27 @@ def partition_cliques(boxes: np.ndarray, objectness: np.ndarray, tau: float, top
         raise ValueError(f"top_k must be >= 1, got {top_k}")
 
     order = np.argsort(-objectness, kind="stable")[: min(top_k, len(objectness))]
-    pool = [int(i) for i in order]
-    overlaps = iou_matrix(boxes[pool], boxes[pool]) > tau
+    if adjacency is None:
+        overlaps = iou_matrix(boxes[order], boxes[order]) > tau
+    else:
+        overlaps = adjacency[np.ix_(order, order)]
 
-    unassigned = list(range(len(pool)))  # positions into pool, kept score-sorted
+    assigned = np.zeros(len(order), dtype=bool)  # positions into order
     cliques: list[Clique] = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        members = [seed]
-        grew = True
-        while grew:
-            grew = False
-            still = []
-            for pos in unassigned:
-                if overlaps[pos, members].any():
-                    members.append(pos)
-                    grew = True
-                else:
-                    still.append(pos)
-            unassigned = still
-        cliques.append(Clique(members=tuple(sorted(pool[pos] for pos in members))))
-    return CliquePartition(cliques=tuple(cliques), pool=tuple(sorted(pool)), tau=tau)
+    for seed in range(len(order)):
+        if assigned[seed]:
+            continue
+        frontier = np.zeros(len(order), dtype=bool)
+        frontier[seed] = True
+        component = frontier.copy()
+        while True:  # one level of breadth-first search per pass
+            frontier = overlaps[frontier].any(axis=0) & ~component
+            if not frontier.any():
+                break
+            component |= frontier
+        assigned |= component
+        cliques.append(Clique(members=tuple(np.sort(order[component]).tolist())))
+    return CliquePartition(cliques=tuple(cliques), pool=tuple(np.sort(order).tolist()), tau=tau)
 
 
 def singleton_partition(boxes: np.ndarray, objectness: np.ndarray, top_k: int) -> CliquePartition:
@@ -200,8 +216,9 @@ def discovery_loss(
             a = max(float(u.sum()), EPS)
             gm += (u[:, None] / a) * weights + probs
             gm[:, y] -= 2.0 * u / a
-        for i, c in enumerate(partition.cliques):
-            grad[list(c.members)] += gm[i] / len(c)
+        rows = np.flatnonzero(partition.label >= 0)
+        sizes = np.array([len(c) for c in partition.cliques])
+        grad[rows] += (gm / sizes[:, None])[partition.label[rows]]
     else:
         probs = np.zeros((0, n_cls))
         weights = np.zeros((0, n_cls))

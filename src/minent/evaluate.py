@@ -171,10 +171,15 @@ def localization_stats(
     overlaps for one class in one bag."""
     if not gt_boxes:
         raise ValueError("localization_stats requires at least one ground truth box")
-    probs = np.asarray(class_probs, dtype=float)
     overlaps = iou_matrix(
         np.asarray(boxes, dtype=float), np.array([b.as_list() for b in gt_boxes])
-    ).max(axis=1)
+    )
+    return _weighted_overlap_stats(class_probs, overlaps.max(axis=1))
+
+
+def _weighted_overlap_stats(class_probs: np.ndarray, overlaps: np.ndarray) -> tuple[float, float]:
+    """``localization_stats`` given each proposal's best ground-truth IoU."""
+    probs = np.asarray(class_probs, dtype=float)
     total = float(probs.sum())
     if total <= 0.0:
         warnings.warn("localization_stats: all-zero probabilities; using uniform weights")
@@ -195,14 +200,14 @@ def _bag_pairs(bag: Bag, probs: np.ndarray) -> list[_Pair]:
         gt = [box for c, box in bag.ground_truth or () if c == cls]
         if not gt:
             continue
+        table = iou_matrix(boxes, np.array([b.as_list() for b in gt]))  # (P, G)
         top = int(np.argmax(probs[:, cls]))
-        table = iou_matrix(boxes[top : top + 1], np.array([b.as_list() for b in gt]))
         cx, cy = Box(*boxes[top]).center
         pairs.append(_Pair(
             cls,
-            bool(table.max() >= 0.5),
+            bool(table[top].max() >= 0.5),
             any(b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2 for b in gt),
-            *localization_stats(probs[:, cls], boxes, gt),
+            *_weighted_overlap_stats(probs[:, cls], table.max(axis=1)),
         ))
     return pairs
 

@@ -43,6 +43,7 @@ from .entropy import (
     singleton_partition,
 )
 from .evaluate import dataset_loc_stats
+from .geometry import iou_matrix
 from .jsonio import read_json, write_json
 from .model import ModelParams, backward_head, forward, init_params
 
@@ -259,11 +260,14 @@ def _check_compat(state: TrainState, ds: Dataset) -> None:
         raise CheckpointError(f"checkpoint score state missing or mis-sized for bags: {bad[:3]}")
 
 
-def partition_step(params: ModelParams, cfg: TrainConfig, features, boxes, classes):
+def partition_step(
+    params: ModelParams, cfg: TrainConfig, features, boxes, classes, adjacency=None
+):
     """Discovery scores of one bag, their per-row softmax, and the tier's
     partition of the bag, with objectness the best probability over
     ``classes``.  Returns ``(scores, softmax, partition)``; without classes
-    there is nothing to discover, and the last two are None."""
+    there is nothing to discover, and the last two are None.  ``adjacency``
+    is the bag's cached ``iou_matrix(boxes, boxes) > cfg.tau``, if any."""
     disc_scores = forward(params, features, "disc")
     if not np.isfinite(disc_scores).all():
         raise TrainingDiverged("discovery scores non-finite")
@@ -272,20 +276,24 @@ def partition_step(params: ModelParams, cfg: TrainConfig, features, boxes, class
     q_disc = row_softmax(disc_scores)
     objectness = q_disc[:, classes].max(axis=1)
     if tier_switches(cfg).use_cliques:
-        partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k)
+        partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k, adjacency)
     else:
         partition = singleton_partition(boxes, objectness, cfg.top_k)
     return disc_scores, q_disc, partition
 
 
-def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, stats) -> None:
+def _bag_step(
+    state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, adjacency, stats
+) -> None:
     """One SGD step on one bag; appends report quantities to ``stats``."""
     params = state.params
     s = state.s_h[bag.id] if switches.use_feedback else None
     feats_eff = bag.features * s[:, None] if s is not None else bag.features
 
     positives = np.flatnonzero(bag.labels == 1)
-    disc_scores, q_disc, partition = partition_step(params, cfg, feats_eff, bag.boxes, positives)
+    disc_scores, q_disc, partition = partition_step(
+        params, cfg, feats_eff, bag.boxes, positives, adjacency
+    )
     disc_out, disc_grad = discovery_loss(bag.labels, partition, disc_scores)
     if not np.isfinite(disc_out.loss):
         raise TrainingDiverged("discovery loss non-finite")
@@ -380,6 +388,15 @@ def train(
     # the same order.
     visit_order = np.random.default_rng(cfg.seed).permutation(len(train_bags))
 
+    # Boxes and tau are fixed for the run, so each bag's tau-graph is too:
+    # one P x P bool table per bag the clique partition will run on.
+    adjacency = [
+        iou_matrix(bag.boxes, bag.boxes) > cfg.tau
+        if switches.use_cliques and (bag.labels == 1).any()
+        else None
+        for bag in train_bags
+    ]
+
     csv_file = None
     if csv_path is not None:
         header = csv_header(cfg.branches)
@@ -407,7 +424,7 @@ def train(
             for i in visit_order:
                 bag = train_bags[int(i)]
                 try:
-                    _bag_step(state, cfg, switches, bag, stats)
+                    _bag_step(state, cfg, switches, bag, adjacency[int(i)], stats)
                 except TrainingDiverged as e:
                     raise TrainingDiverged(f"{e} at epoch {epoch}, bag '{bag.id}'") from None
             state.epoch = epoch

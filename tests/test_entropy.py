@@ -55,6 +55,32 @@ def components_oracle(boxes, objectness, tau, top_k):
     return set(comps)
 
 
+def greedy_partition_oracle(boxes, objectness, tau, top_k):
+    """The seed-and-absorb loop ``partition_cliques`` once ran, kept as the
+    reference for clique order: seed with the best unassigned proposal,
+    absorb every unassigned proposal overlapping any member, to closure."""
+    order = np.argsort(-np.asarray(objectness), kind="stable")[: min(top_k, len(objectness))]
+    pool = [int(i) for i in order]
+    overlaps = iou_matrix(np.asarray(boxes)[pool], np.asarray(boxes)[pool]) > tau
+    unassigned = list(range(len(pool)))
+    cliques = []
+    while unassigned:
+        members = [unassigned.pop(0)]
+        grew = True
+        while grew:
+            grew = False
+            still = []
+            for pos in unassigned:
+                if overlaps[pos, members].any():
+                    members.append(pos)
+                    grew = True
+                else:
+                    still.append(pos)
+            unassigned = still
+        cliques.append(tuple(sorted(pool[pos] for pos in members)))
+    return cliques, tuple(sorted(pool))
+
+
 def ref_discovery_loss(labels, member_lists, scores):
     """Plain-loop re-implementation of the discovery objective (no gradients)."""
     scores = np.asarray(scores, dtype=float)
@@ -101,6 +127,19 @@ def random_boxes(rng, n):
         x1, y1 = rng.uniform(0, 0.7, size=2)
         out[i] = [x1, y1, x1 + rng.uniform(0.05, 0.3), y1 + rng.uniform(0.05, 0.3)]
     return out
+
+
+def random_partition_inputs(rng, count):
+    """``count`` random (boxes, objectness, tau, top_k) instances, including
+    one-proposal bags, objectness ties, and top_k below and above n."""
+    for trial in range(count):
+        n = 1 if trial % 25 == 0 else int(rng.integers(2, 30))
+        boxes = random_boxes(rng, n)
+        obj = rng.uniform(0, 1, size=n)
+        if trial % 2:
+            obj = np.round(obj * 3) / 3  # few distinct values: many ties
+        top_k = int(rng.integers(1, n + 1)) if trial % 3 else n + int(rng.integers(1, 5))
+        yield boxes, obj, float(rng.uniform(0.2, 0.8)), top_k
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +200,21 @@ class TestPartition:
             assert len(all_members) == len(set(all_members))
             assert set(all_members) == set(part.pool)
 
+    def test_order_matches_greedy_loop(self):
+        # clique order feeds ``selected`` and so the checkpoint bytes
+        for boxes, obj, tau, top_k in random_partition_inputs(np.random.default_rng(11), 500):
+            part = partition_cliques(boxes, obj, tau, top_k)
+            cliques, pool = greedy_partition_oracle(boxes, obj, tau, top_k)
+            assert [c.members for c in part.cliques] == cliques
+            assert part.pool == pool
+
+    def test_cached_adjacency_gives_same_partition(self):
+        for boxes, obj, tau, top_k in random_partition_inputs(np.random.default_rng(12), 100):
+            adjacency = iou_matrix(boxes, boxes) > tau
+            assert partition_cliques(boxes, obj, tau, top_k, adjacency) == partition_cliques(
+                boxes, obj, tau, top_k
+            )
+
     def test_singleton_partition(self):
         boxes = np.array([[0, 0, 1, 1], [0.01, 0, 1.01, 1.0], [3, 3, 4, 4.0]])
         part = singleton_partition(boxes, np.array([0.5, 0.9, 0.1]), 2)
@@ -173,8 +227,16 @@ class TestPartition:
         )
         assert part.clique_of(2) == 0
         assert part.clique_of(1) == 1
+        for outside in (9, 3, -1):
+            with pytest.raises(KeyError):
+                part.clique_of(outside)
+
+    def test_clique_of_outside_top_k_pool(self):
+        boxes = np.array([[0, 0, 1, 1], [0.05, 0, 1.05, 1.0], [5, 5, 6, 6.0], [8, 8, 9, 9.0]])
+        part = partition_cliques(boxes, np.array([0.9, 0.2, 0.5, 0.1]), 0.7, 3)
+        assert [part.clique_of(i) for i in (0, 1, 2)] == [0, 0, 1]
         with pytest.raises(KeyError):
-            part.clique_of(9)
+            part.clique_of(3)  # dropped by top_k
 
     def test_clique_validation(self):
         with pytest.raises(ValueError):

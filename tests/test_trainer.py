@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minent import trainer as trainer_module
 from minent.data import SynthConfig, generate_synthetic
 from minent.model import init_params
 from minent.trainer import (
@@ -239,6 +240,24 @@ class TestTrain:
         ]
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "1"
+
+    @pytest.mark.parametrize("ablation, per_positive_bag", [("base", 0), ("clique", 1), ("l-arl", 1)])
+    def test_adjacency_built_once_per_positive_bag(self, monkeypatch, ablation, per_positive_bag):
+        built = []
+        original = trainer_module.iou_matrix
+
+        def counted(a, b):
+            built.append(len(a))
+            return original(a, b)
+
+        monkeypatch.setattr(trainer_module, "iou_matrix", counted)
+        ds = small_ds()
+        positive_bags = sum(bool(bag.labels.sum()) for bag in ds.bags)
+        assert 0 < positive_bags < len(ds.bags)
+        state, _ = train(ds, small_cfg(epochs=3, ablation=ablation), stop_after=2)
+        assert len(built) == per_positive_bag * positive_bags
+        train(ds, small_cfg(epochs=3, ablation=ablation), state=state)
+        assert len(built) == 2 * per_positive_bag * positive_bags
 
     def test_empty_dataset_rejected(self):
         ds = small_ds()
