@@ -31,12 +31,11 @@ from .entropy import (
     clique_mean_scores,
     discovery_loss,
     hard_negatives,
+    localization_loss,
     row_softmax,
     select_object,
-    soft_weights,
 )
 from .evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate
-from .geometry import iou_matrix
 from .jsonio import dumps_canonical, read_json, write_json
 from .model import forward
 from .trainer import (
@@ -263,12 +262,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         ci = disc_out.selected[y]
         clique = partition.cliques[ci]
         h = select_object(clique, q_disc, y)
-        members = list(clique.members)
-        ious = iou_matrix(boxes[members], boxes[h : h + 1])[:, 0]
-        w = soft_weights(loc_probs[members, y], ious, cfg.kernel_a)
+        loc_out, _ = localization_loss(clique, h, loc_probs, boxes, cfg.kernel_a, y)
         selected[str(y)] = ci
         h_star[str(y)] = h
-        weights[str(y)] = [float(v) for v in w]
+        weights[str(y)] = [float(v) for v in loc_out.soft_weights]
         negatives[str(y)] = hard_negatives(clique, h, boxes)
 
     doc = {

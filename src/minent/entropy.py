@@ -51,13 +51,19 @@ class CliquePartition:
     cliques: tuple[Clique, ...]
     pool: tuple[int, ...]  # the top-k proposal indices the cliques cover
     tau: float
-    # derived from ``cliques``: each proposal's clique index, -1 outside them
+    # derived from ``cliques``: every member, clique after clique in member
+    # order; each clique's size; each proposal's clique index, -1 outside them
+    members: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
     label: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members = [m for c in self.cliques for m in c.members]
-        label = np.full(max(members, default=-1) + 1, -1)
-        label[members] = np.repeat(np.arange(len(self.cliques)), [len(c) for c in self.cliques])
+        members = np.array([m for c in self.cliques for m in c.members], dtype=int)
+        sizes = np.array([len(c) for c in self.cliques], dtype=int)
+        label = np.full(members.max(initial=-1) + 1, -1)
+        label[members] = np.repeat(np.arange(len(self.cliques)), sizes)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "label", label)
 
     def clique_of(self, proposal: int) -> int:
@@ -95,9 +101,11 @@ def partition_cliques(
 
     The best unassigned proposal seeds a clique, which absorbs every
     proposal chained to it above ``tau``; cliques come in the order of their
-    seeds, each with sorted members.  ``adjacency``, if given, is the whole
-    bag's ``iou_matrix(boxes, boxes) > tau`` table, which the pool slices
-    instead of recomputing its overlaps.
+    seeds, each with sorted members.  A proposal with no neighbour above
+    ``tau`` in the pool is a clique of its own without a search; IoU exactly
+    ``tau`` does not chain.  ``adjacency``, if given, is the whole bag's
+    ``iou_matrix(boxes, boxes) > tau`` table, which the pool slices instead
+    of recomputing its overlaps.
     """
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     objectness = np.asarray(objectness, dtype=float)
@@ -113,11 +121,16 @@ def partition_cliques(
         overlaps = iou_matrix(boxes[order], boxes[order]) > tau
     else:
         overlaps = adjacency[np.ix_(order, order)]
+    np.fill_diagonal(overlaps, False)  # a fresh table either way
+    isolated = ~overlaps.any(axis=1)
 
     assigned = np.zeros(len(order), dtype=bool)  # positions into order
     cliques: list[Clique] = []
-    for seed in range(len(order)):
+    for seed, proposal in enumerate(order.tolist()):
         if assigned[seed]:
+            continue
+        if isolated[seed]:
+            cliques.append(Clique(members=(proposal,)))
             continue
         frontier = np.zeros(len(order), dtype=bool)
         frontier[seed] = True
@@ -150,8 +163,17 @@ def row_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def clique_mean_scores(partition: CliquePartition, scores: np.ndarray) -> np.ndarray:
-    """(num_cliques, N) table of per-clique mean raw scores."""
-    return np.stack([scores[list(c.members)].mean(axis=0) for c in partition.cliques])
+    """(num_cliques, N) table of per-clique mean raw scores.
+
+    Each sum runs from 0.0 through the clique's rows in member order, the
+    order and bits of numpy's per-clique ``mean(axis=0)``.
+    """
+    if scores.shape[1] == 1:
+        # mean() sums a lone column pairwise, which a scatter cannot follow
+        return np.stack([scores[list(c.members)].mean(axis=0) for c in partition.cliques])
+    sums = np.zeros((len(partition.cliques), scores.shape[1]))
+    np.add.at(sums, partition.label[partition.members], scores[partition.members])
+    return sums / partition.sizes[:, None]
 
 
 def clique_class_probs(partition: CliquePartition, scores: np.ndarray) -> np.ndarray:
@@ -217,8 +239,7 @@ def discovery_loss(
             gm += (u[:, None] / a) * weights + probs
             gm[:, y] -= 2.0 * u / a
         rows = np.flatnonzero(partition.label >= 0)
-        sizes = np.array([len(c) for c in partition.cliques])
-        grad[rows] += (gm / sizes[:, None])[partition.label[rows]]
+        grad[rows] += (gm / partition.sizes[:, None])[partition.label[rows]]
     else:
         probs = np.zeros((0, n_cls))
         weights = np.zeros((0, n_cls))
@@ -263,14 +284,18 @@ def select_object(clique: Clique, proposal_probs: np.ndarray, cls: int) -> int:
     return members[int(np.argmax(proposal_probs[members, cls]))]
 
 
-def hard_negatives(clique: Clique, h_star: int, boxes: np.ndarray) -> list[int]:
-    """Clique members overlapping the selected object below 0.5 IoU."""
+def member_overlaps(clique: Clique, h_star: int, boxes: np.ndarray) -> np.ndarray:
+    """IoU of each clique member with the selected object, in member order."""
     if h_star not in clique.members:
         raise ValueError(f"h_star {h_star} not a member of the clique")
     boxes = np.asarray(boxes, dtype=float)
-    members = list(clique.members)
-    overlap = iou_matrix(boxes[members], boxes[h_star : h_star + 1])[:, 0]
-    return [m for m, o in zip(members, overlap) if o < 0.5]
+    return iou_matrix(boxes[list(clique.members)], boxes[h_star : h_star + 1])[:, 0]
+
+
+def hard_negatives(clique: Clique, h_star: int, boxes: np.ndarray) -> list[int]:
+    """Clique members overlapping the selected object below 0.5 IoU."""
+    overlap = member_overlaps(clique, h_star, boxes)
+    return [m for m, o in zip(clique.members, overlap) if o < 0.5]
 
 
 def localization_loss(
@@ -280,6 +305,8 @@ def localization_loss(
     boxes: np.ndarray,
     a: float,
     cls: int,
+    *,
+    ious: np.ndarray | None = None,
 ) -> tuple[LocalizationOutput, np.ndarray]:
     """Soft-weighted cross-entropy over the selected clique, plus gradient.
 
@@ -287,15 +314,17 @@ def localization_loss(
     factor w_h * p(cls,h) is a detached pseudo label: differentiation sees
     it as a constant, so the gradient per member row is that constant times
     (softmax row - onehot(cls)).  The returned gradient is w.r.t. the raw
-    localization scores (zero outside the clique).
+    localization scores (zero outside the clique).  ``ious``, if given, is
+    ``member_overlaps(clique, h_star, boxes)``, which a caller scoring the
+    same ``h_star`` on several branches computes once.
     """
     if h_star not in clique.members:
         raise ValueError(f"h_star {h_star} not a member of the clique")
+    if ious is None:
+        ious = member_overlaps(clique, h_star, boxes)
     probs = np.asarray(proposal_probs, dtype=float)
-    boxes = np.asarray(boxes, dtype=float)
     members = list(clique.members)
     member_probs = probs[members, cls]
-    ious = iou_matrix(boxes[members], boxes[h_star : h_star + 1])[:, 0]
     w = soft_weights(member_probs, ious, a)
     kappa = w * np.maximum(member_probs, EPS)  # detached pseudo labels
     loss = float(-(kappa * np.log(np.maximum(member_probs, EPS))).sum())
@@ -303,7 +332,7 @@ def localization_loss(
     grad = np.zeros_like(probs)
     onehot = np.zeros(probs.shape[1])
     onehot[cls] = 1.0
-    for m, k in zip(members, kappa):
-        grad[m] += k * (probs[m] - onehot)
+    # += onto zeros, as a per-member loop would: each cell is 0.0 + v
+    grad[members] += kappa[:, None] * (probs[members] - onehot)
 
     return LocalizationOutput(h_star=h_star, soft_weights=w, loss=loss), grad

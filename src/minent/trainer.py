@@ -37,6 +37,7 @@ from .data import Dataset, check_field_types
 from .entropy import (
     discovery_loss,
     localization_loss,
+    member_overlaps,
     partition_cliques,
     row_softmax,
     select_object,
@@ -304,20 +305,25 @@ def _bag_step(
         # pseudo objects accumulated across branches, per class
         inherited: dict[int, list[int]] = {int(y): [] for y in positives}
         pool = np.array(partition.pool)
+        # the partition and q_disc hold until sgd_step, so each class's first
+        # anchor, and each anchor's home clique and overlaps, serve every branch
+        first = {
+            y: select_object(partition.cliques[disc_out.selected[y]], q_disc, y)
+            for y in positives.tolist()
+        }
+        homes = {}
         for k in range(switches.active_branches):
             probs_k = row_softmax(forward(params, feats_eff, k))
             branch_grad = np.zeros_like(probs_k)
-            for y in positives:
-                y = int(y)
-                clique = partition.cliques[disc_out.selected[y]]
-                anchors = [select_object(clique, q_disc, y)]
-                for h_prev in inherited[y]:
-                    if h_prev not in anchors:
-                        anchors.append(h_prev)
+            for y, top in first.items():
+                anchors = [top] + [h for h in inherited[y] if h != top]
                 for h_star in anchors:
-                    home = partition.cliques[partition.clique_of(h_star)]
+                    if h_star not in homes:
+                        home = partition.cliques[partition.clique_of(h_star)]
+                        homes[h_star] = home, member_overlaps(home, h_star, bag.boxes)
+                    home, ious = homes[h_star]
                     loc_out, g = localization_loss(
-                        home, h_star, probs_k, bag.boxes, cfg.kernel_a, y
+                        home, h_star, probs_k, bag.boxes, cfg.kernel_a, y, ious=ious
                     )
                     if not np.isfinite(loc_out.loss):
                         raise TrainingDiverged(f"localization loss non-finite on branch {k + 1}")

@@ -8,12 +8,14 @@ from minent.entropy import (
     Clique,
     CliquePartition,
     clique_class_probs,
+    clique_mean_scores,
     clique_weights,
     discovery_loss,
     gaussian_kernel,
     global_entropy,
     hard_negatives,
     localization_loss,
+    member_overlaps,
     partition_cliques,
     row_softmax,
     select_clique,
@@ -129,6 +131,11 @@ def random_boxes(rng, n):
     return out
 
 
+def bits(a):
+    """The float64 bit patterns of ``a``, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 def random_partition_inputs(rng, count):
     """``count`` random (boxes, objectness, tau, top_k) instances, including
     one-proposal bags, objectness ties, and top_k below and above n."""
@@ -215,6 +222,73 @@ class TestPartition:
                 boxes, obj, tau, top_k
             )
 
+    def test_long_chain_matches_greedy_loop(self):
+        # each box overlaps the next at IoU 0.82 and the one after at 0.67,
+        # so at tau 0.7 the 200 boxes chain into one clique through
+        # neighbour links only, one breadth-first level per box
+        step = 0.18 / 1.82
+        boxes = np.array([[i * step, 0.0, i * step + 1.0, 1.0] for i in range(200)])
+        table = iou_matrix(boxes, boxes)
+        assert np.allclose(np.diagonal(table, 1), 0.82)
+        assert np.allclose(np.diagonal(table, 2), 1.46 / 2.18)
+        rng = np.random.default_rng(15)
+        for obj in (np.linspace(1.0, 0.0, 200), rng.uniform(size=200), np.zeros(200)):
+            for top_k in (200, 120, 7):
+                part = partition_cliques(boxes, obj, 0.7, top_k)
+                cliques, pool = greedy_partition_oracle(boxes, obj, 0.7, top_k)
+                assert [c.members for c in part.cliques] == cliques
+                assert part.pool == pool
+                if top_k == 200:
+                    assert cliques == [tuple(range(200))]
+
+    def test_isolated_proposals_match_greedy_loop(self):
+        # small boxes spread over a wide field, a few stacked into clusters:
+        # most of each pool has no neighbour above tau
+        rng = np.random.default_rng(16)
+        isolated = chained = 0
+        for trial in range(300):
+            n = 1 + trial % 60
+            boxes = random_boxes(rng, n) * 0.2
+            boxes += rng.uniform(0, 10, size=(n, 1)) * [1, 0, 1, 0]
+            stacked = rng.random(n) < 0.2
+            boxes[stacked] = boxes[0] + rng.uniform(-0.002, 0.002, size=(int(stacked.sum()), 4))
+            obj = rng.uniform(0, 1, size=n)
+            if trial % 2:
+                obj = np.round(obj * 3) / 3
+            tau = float(rng.uniform(0.3, 0.8))
+            top_k = n if trial % 3 else int(rng.integers(1, n + 1))
+            cliques, pool = greedy_partition_oracle(boxes, obj, tau, top_k)
+            for adjacency in (None, iou_matrix(boxes, boxes) > tau):
+                part = partition_cliques(boxes, obj, tau, top_k, adjacency)
+                assert [c.members for c in part.cliques] == cliques
+                assert part.pool == pool
+            isolated += sum(len(c) == 1 for c in cliques)
+            chained += sum(len(c) > 1 for c in cliques)
+        assert isolated > 5 * chained > 0
+
+    def test_iou_equal_to_tau_does_not_chain(self):
+        # A = [0,0,1,1] and B = [0,0,1,0.5] overlap at IoU exactly 0.5.  A
+        # chains to D and B to C above 0.5, so both sit in a breadth-first
+        # search; E, at exactly 0.5 with A too, has no other neighbour.
+        boxes = np.array([
+            [0.0, 0.0, 1.0, 1.0],  # A
+            [0.0, 0.0, 1.0, 0.5],  # B
+            [0.0, 0.0, 1.0, 0.45],  # C
+            [0.05, 0.0, 1.05, 1.0],  # D
+            [0.0, 0.5, 1.0, 1.0],  # E
+        ])
+        table = iou_matrix(boxes, boxes)
+        assert table[0, 1] == 0.5 and table[0, 4] == 0.5
+        assert table[0, 3] > 0.5 and table[1, 2] > 0.5
+        obj = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+        for tau, want in (
+            (0.5, [(0, 3), (1, 2), (4,)]),
+            (float(np.nextafter(0.5, 0.0)), [(0, 1, 2, 3, 4)]),
+        ):
+            for adjacency in (None, table > tau):
+                part = partition_cliques(boxes, obj, tau, 200, adjacency)
+                assert [c.members for c in part.cliques] == want
+
     def test_singleton_partition(self):
         boxes = np.array([[0, 0, 1, 1], [0.01, 0, 1.01, 1.0], [3, 3, 4, 4.0]])
         part = singleton_partition(boxes, np.array([0.5, 0.9, 0.1]), 2)
@@ -289,6 +363,48 @@ class TestCliqueProbs:
         probs = clique_class_probs(part, scores)
         e = math.exp(1.0)  # mean score (1, 0)
         np.testing.assert_allclose(probs, [[e / (e + 1), 1 / (e + 1)]], rtol=1e-12)
+
+
+class TestCliqueMeanScores:
+    def test_bitwise_equal_to_per_clique_mean(self):
+        rng = np.random.default_rng(17)
+        for trial in range(250):
+            n_cls = 1 + trial % 5
+            sizes = rng.integers(1, 151, size=int(rng.integers(1, 6)))
+            if trial % 4 == 0:
+                sizes[0] = 1
+            n_prop = int(sizes.sum()) + int(rng.integers(0, 5))  # some outside the pool
+            perm = rng.permutation(n_prop)
+            cliques, start = [], 0
+            for size in sizes:
+                members = perm[start : start + size].tolist()
+                start += size
+                # partition_cliques sorts members; the mean follows any order
+                cliques.append(Clique(tuple(sorted(members) if trial % 3 else members)))
+            pool = tuple(sorted(perm[:start].tolist()))
+            part = CliquePartition(cliques=tuple(cliques), pool=pool, tau=0.7)
+            # magnitudes over six decades, so that summation order shows
+            scale = 10.0 ** rng.uniform(-3, 3, size=(n_prop, 1))
+            scores = rng.normal(size=(n_prop, n_cls)) * scale
+            scores[rng.random(n_prop) < 0.1] = -0.0
+            if trial % 5 == 0:
+                scores[list(cliques[0].members)] = -0.0
+            want = np.stack([scores[list(c.members)].mean(axis=0) for c in cliques])
+            got = clique_mean_scores(part, scores)
+            assert got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_negative_zero_rows(self):
+        # numpy's mean starts each sum from 0.0, so even an all -0.0 clique
+        # averages to +0.0; the table must keep exactly those bits
+        part = CliquePartition(
+            cliques=(Clique((0, 1)), Clique((2,)), Clique((3, 4))), pool=(0, 1, 2, 3, 4), tau=0.7
+        )
+        for n_cls in (1, 2, 3):
+            scores = np.full((5, n_cls), -0.0)
+            scores[3] = 0.0
+            want = np.stack([scores[list(c.members)].mean(axis=0) for c in part.cliques])
+            assert np.array_equal(bits(clique_mean_scores(part, scores)), bits(want))
 
 
 class TestCliqueWeights:
@@ -525,6 +641,44 @@ class TestLocalizationLoss:
             num = fd_gradient(frozen, scores)
             worst = max(worst, rel_err(grad, num))
         assert worst < 1e-4
+
+    def test_gradient_bitwise_matches_per_member_loop(self):
+        rng = np.random.default_rng(18)
+        for trial in range(200):
+            n_prop = int(rng.integers(1, 40))
+            n_cls = int(rng.integers(1, 5))
+            probs = row_softmax(rng.normal(size=(n_prop, n_cls)) * 3)
+            probs[rng.random((n_prop, n_cls)) < 0.1] = -0.0  # 0.0 + -0.0 is 0.0
+            boxes = random_boxes(rng, n_prop)
+            size = int(rng.integers(1, n_prop + 1))
+            members = rng.choice(n_prop, size=size, replace=False).tolist()
+            clique = Clique(tuple(sorted(members) if trial % 2 else members))
+            cls = int(rng.integers(0, n_cls))
+            h_star = clique.members[int(rng.integers(0, size))]
+            out, grad = localization_loss(clique, h_star, probs, boxes, 4.0, cls)
+            kappa = out.soft_weights * np.maximum(probs[list(clique.members), cls], EPS)
+            want = np.zeros_like(probs)
+            onehot = np.zeros(n_cls)
+            onehot[cls] = 1.0
+            for m, k in zip(clique.members, kappa):
+                want[m] += k * (probs[m] - onehot)
+            assert np.array_equal(bits(grad), bits(want))
+
+    def test_cached_overlaps_give_same_output(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            n_prop = int(rng.integers(1, 12))
+            probs = row_softmax(rng.normal(size=(n_prop, 3)))
+            boxes = random_boxes(rng, n_prop)
+            clique = Clique(tuple(range(n_prop)))
+            h_star = int(rng.integers(0, n_prop))
+            ious = member_overlaps(clique, h_star, boxes)
+            want = iou_matrix(boxes, boxes[h_star : h_star + 1])[:, 0]
+            assert np.array_equal(ious, want)
+            out, grad = localization_loss(clique, h_star, probs, boxes, 4.0, 1)
+            out2, grad2 = localization_loss(clique, h_star, probs, boxes, 4.0, 1, ious=ious)
+            assert out2.loss == out.loss and np.array_equal(out2.soft_weights, out.soft_weights)
+            assert np.array_equal(grad2, grad)
 
     def test_h_star_must_be_member(self):
         probs = np.full((3, 2), 0.5)

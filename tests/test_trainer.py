@@ -259,6 +259,44 @@ class TestTrain:
         train(ds, small_cfg(epochs=3, ablation=ablation), state=state)
         assert len(built) == 2 * per_positive_bag * positive_bags
 
+    def test_overlaps_computed_once_per_anchor_per_visit(self, monkeypatch):
+        # every branch scores the same anchors against the same boxes, so
+        # each visit computes an anchor's member overlaps once and passes them
+        events = []
+        overlaps, loss, step = (
+            trainer_module.member_overlaps,
+            trainer_module.localization_loss,
+            trainer_module.sgd_step,
+        )
+
+        def counted_overlaps(clique, h_star, boxes):
+            events.append(("overlaps", h_star))
+            return overlaps(clique, h_star, boxes)
+
+        def counted_loss(*args, **kwargs):
+            assert kwargs["ious"] is not None
+            events.append(("loss", args[1]))
+            return loss(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            events.append(("step", None))
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "member_overlaps", counted_overlaps)
+        monkeypatch.setattr(trainer_module, "localization_loss", counted_loss)
+        monkeypatch.setattr(trainer_module, "sgd_step", counted_step)
+        train(small_ds(), small_cfg(branches=3))
+        visits, current = [], {"overlaps": [], "loss": []}
+        for kind, h_star in events:
+            if kind == "step":
+                visits.append(current)
+                current = {"overlaps": [], "loss": []}
+            else:
+                current[kind].append(h_star)
+        assert sum(len(v["loss"]) for v in visits) > sum(len(v["overlaps"]) for v in visits) > 0
+        for visit in visits:
+            assert sorted(visit["overlaps"]) == sorted(set(visit["loss"]))
+
     def test_empty_dataset_rejected(self):
         ds = small_ds()
         ds.bags = []
