@@ -150,9 +150,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(f"--stop-after must be >= 1, got {stop_after}")
 
     if state is not None:
+        # the shapes must fit, and a changed tier or seed would break
+        # "resumed equals uninterrupted"
         for name, theirs, ours in (
             ("branches", state.params.branches, cfg.branches),
             ("hidden_dim", state.params.hidden_dim, cfg.effective_hidden_dim()),
+            ("ablation", state.config.ablation, cfg.ablation),
+            ("seed", state.config.seed, cfg.seed),
         ):
             if ours != theirs:
                 raise UsageError(f"--resume cannot change {name} from {theirs} to {ours}")

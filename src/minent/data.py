@@ -13,6 +13,15 @@ prototype's support but at higher amplitude.  A per-proposal classifier
 therefore concentrates on the many high-scoring parts, while grouping
 overlapping boxes and scoring groups by their mean lets the near-object
 group win — the behavior the training objective is supposed to exhibit.
+
+The dataset is a fixed function of the config and its seed.  A positive
+bag's boxes are rejection-sampled in blocks of tries: each round draws the
+tries it may still need as one uniform block from the same stream, tests
+them all at once with ``iou_matrix``, and accepts them in order, which
+gives the boxes and stream position of testing one try at a time.  A
+negative bag keeps one draw per proposal, because each box's draw sits
+between the ``standard_normal`` draws of the features, and the ziggurat
+takes a variable share of the stream.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .geometry import Box, boxes_to_array, iou
+from .geometry import Box, iou_matrix
 from .jsonio import read_json, write_json
 
 
@@ -37,6 +46,8 @@ class GenerationError(RuntimeError):
 
 # rejection-sampling budget per generated box
 _MAX_TRIES = 1000
+# most tries one sampling round draws, which bounds its (k, k) IoU table
+_MAX_ROUND = 256
 
 
 def _frozen(values) -> np.ndarray:
@@ -300,46 +311,112 @@ _JITTER = 0.03
 # mutual-IoU floor among boxes of one group, so a group stays one clique
 # under the default overlap threshold 0.7
 _GROUP_COHESION = 0.72
+# [lo, hi) IoU with the object of near-object and part boxes
+_NEAR_BAND = (0.7, math.inf)
+_PART_BAND = (0.2, 0.5)
 
 
-def _jittered(rng: np.random.Generator, anchor: Box) -> Box | None:
+def _jittered(rng: np.random.Generator, anchor: Box, k: int) -> np.ndarray:
+    """``k`` corner jitters of ``anchor`` as a (k, 4) array.  Row t of the
+    one (k, 4) draw is try t's ``dx1, dx2, dy1, dy2``: the doubles, in the
+    order, that two ``size=2`` draws per try give."""
     w = anchor.x2 - anchor.x1
     h = anchor.y2 - anchor.y1
-    dx1, dx2 = rng.uniform(-_JITTER, _JITTER, size=2) * w
-    dy1, dy2 = rng.uniform(-_JITTER, _JITTER, size=2) * h
-    x1, y1 = anchor.x1 + dx1, anchor.y1 + dy1
-    x2, y2 = anchor.x2 + dx2, anchor.y2 + dy2
-    if x1 < 0 or y1 < 0 or x2 > 1 or y2 > 1 or x1 >= x2 or y1 >= y2:
-        return None
-    return Box(x1, y1, x2, y2)
+    u = rng.uniform(-_JITTER, _JITTER, size=(k, 4))
+    return np.column_stack([
+        anchor.x1 + u[:, 0] * w,
+        anchor.y1 + u[:, 2] * h,
+        anchor.x2 + u[:, 1] * w,
+        anchor.y2 + u[:, 3] * h,
+    ])
 
 
-def _sample_group(rng, anchor: Box, count: int, accept, bag_id: str, kind: str) -> list[Box]:
-    """Rejection-sample ``count`` jitters of ``anchor`` that pass ``accept``
-    and stay mutually tight (one clique's worth of boxes)."""
-    group: list[Box] = []
-    for _ in range(count):
-        for _try in range(_MAX_TRIES):
-            b = _jittered(rng, anchor)
-            if b is None or not accept(b):
-                continue
-            if all(iou(b, other) > _GROUP_COHESION for other in group):
-                group.append(b)
-                break
-        else:
-            raise GenerationError(f"bag '{bag_id}': could not place {kind} box {len(group)}")
-    return group
+def _on_canvas(boxes: np.ndarray) -> np.ndarray:
+    x1, y1, x2, y2 = boxes.T
+    return (x1 >= 0) & (y1 >= 0) & (x2 <= 1) & (y2 <= 1) & (x1 < x2) & (y1 < y2)
 
 
-def _sample_background(rng, obj: Box | None, bag_id: str) -> Box:
-    for _try in range(_MAX_TRIES):
-        w, h = rng.uniform(0.08, 0.25, size=2)
-        x1 = rng.uniform(0.0, 1.0 - w)
-        y1 = rng.uniform(0.0, 1.0 - h)
-        b = Box(x1, y1, x1 + w, y1 + h)
-        if obj is None or iou(b, obj) < 0.2:
-            return b
-    raise GenerationError(f"bag '{bag_id}': could not place background box")
+def _background_boxes(u: np.ndarray) -> np.ndarray:
+    """Background boxes from (k, 4) uniform [0, 1) draws: sides in
+    [0.08, 0.25), then a top-left corner that keeps the box on the canvas.
+    Each coordinate is spelled as ``Generator.uniform``'s
+    ``low + (high - low) * U``, so it equals the scalar draw bit for bit."""
+    w = 0.08 + (0.25 - 0.08) * u[:, 0]
+    h = 0.08 + (0.25 - 0.08) * u[:, 1]
+    x1 = 0.0 + (1.0 - w) * u[:, 2]
+    y1 = 0.0 + (1.0 - h) * u[:, 3]
+    return np.column_stack([x1, y1, x1 + w, y1 + h])
+
+
+def _accept_in_rounds(draw, count: int, cohesive: bool, failure) -> np.ndarray:
+    """Rejection-sample ``count`` boxes, in order, from rounds of tries.
+
+    ``draw(k)`` returns k tries as a (k, 4) array and the mask of those that
+    pass on their own.  With ``cohesive``, a try must also overlap every box
+    accepted before it at IoU above ``_GROUP_COHESION``: one (k, n) table
+    against the accepted boxes and one (k, k) table among the tries decide
+    that, and each accepted try ANDs its column into the mask.  A round
+    draws no more tries than boxes are still needed, so the stream never
+    runs past the try that accepts the last box.  ``_MAX_TRIES`` misses in
+    a row raise ``GenerationError(failure(boxes accepted so far))``.
+    """
+    boxes = np.empty((count, 4))
+    n = misses = 0
+    while n < count:
+        tries, ok = draw(min(count - n, _MAX_ROUND))
+        if cohesive:
+            ok &= (iou_matrix(tries, boxes[:n]) > _GROUP_COHESION).all(axis=1)
+            tight = iou_matrix(tries, tries) > _GROUP_COHESION
+        for t in range(len(tries)):
+            if ok[t]:
+                boxes[n] = tries[t]
+                n += 1
+                misses = 0
+                if cohesive:
+                    ok &= tight[:, t]
+            else:
+                misses += 1
+                if misses == _MAX_TRIES:
+                    raise GenerationError(failure(n))
+    return boxes
+
+
+def _sample_group(
+    rng, anchor: Box, obj: np.ndarray, band, count: int, bag_id: str, kind: str
+) -> np.ndarray:
+    """Rejection-sample ``count`` jitters of ``anchor`` whose IoU with the
+    object ``obj`` (a (1, 4) array) lies in ``band = (lo, hi)``, and that
+    stay mutually tight (one clique's worth of boxes).
+
+    Tries come in blocks: a round draws the k tries it may still need as one
+    (k, 4) uniform block, tests the whole block for the canvas, the band and
+    cohesion with ``iou_matrix`` (which does the scalar IoU's floating-point
+    operations), and accepts tries in order.  The accepted boxes and the
+    stream position are those of drawing and testing one try at a time.
+    """
+    lo, hi = band
+
+    def draw(k):
+        tries = _jittered(rng, anchor, k)
+        with_obj = iou_matrix(tries, obj)[:, 0]
+        return tries, _on_canvas(tries) & (lo <= with_obj) & (with_obj < hi)
+
+    return _accept_in_rounds(
+        draw, count, True, lambda n: f"bag '{bag_id}': could not place {kind} box {n}"
+    )
+
+
+def _sample_backgrounds(rng, obj: np.ndarray, count: int, bag_id: str) -> np.ndarray:
+    """``count`` background boxes with IoU below 0.2 against ``obj``, in
+    blocks of tries like ``_sample_group``."""
+
+    def draw(k):
+        tries = _background_boxes(rng.uniform(0.0, 1.0, size=(k, 4)))
+        return tries, iou_matrix(tries, obj)[:, 0] < 0.2
+
+    return _accept_in_rounds(
+        draw, count, False, lambda n: f"bag '{bag_id}': could not place background box"
+    )
 
 
 def _proposal_counts(cfg: SynthConfig) -> tuple[int, int, int]:
@@ -371,15 +448,12 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
             x1 = rng.uniform(0.0, 1.0 - w)
             y1 = rng.uniform(0.0, 1.0 - h)
             obj = Box(x1, y1, x1 + w, y1 + h)
+            obj_box = np.array([obj.as_list()])
             part_anchor = Box(x1, y1, x1 + _PART_SCALE * w, y1 + _PART_SCALE * h)
 
-            nears = [obj] + _sample_group(
-                rng, obj, n_near - 1, lambda b: iou(b, obj) >= 0.7, bag_id, "near"
-            )
-            parts = _sample_group(
-                rng, part_anchor, n_part, lambda b: 0.2 <= iou(b, obj) < 0.5, bag_id, "part"
-            )
-            bgs = [_sample_background(rng, obj, bag_id) for _ in range(n_bg)]
+            nears = _sample_group(rng, obj, obj_box, _NEAR_BAND, n_near - 1, bag_id, "near")
+            parts = _sample_group(rng, part_anchor, obj_box, _PART_BAND, n_part, bag_id, "part")
+            bgs = _sample_backgrounds(rng, obj_box, n_bg, bag_id)
 
             # rows: near-object boxes, then parts, then background
             features = noise(cfg.proposals_per_bag)
@@ -393,24 +467,26 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
                     id=bag_id,
                     labels=labels,
                     features=features,
-                    boxes=boxes_to_array(nears + parts + bgs),
+                    boxes=np.concatenate([obj_box, nears, parts, bgs]),
                     ground_truth=[(cls, obj)],
                 )
             )
 
     for i in range(cfg.negatives):
         bag_id = f"neg-{i:04d}"
-        # each box is drawn before its feature, so the two interleave in rng
-        boxes, features = [], []
-        for _ in range(cfg.proposals_per_bag):
-            boxes.append(_sample_background(rng, None, bag_id))
-            features.append(noise())
+        # each box's draw comes before its feature's, so the two interleave in
+        # rng; the ziggurat's variable use of the stream keeps this a loop
+        draws = np.empty((cfg.proposals_per_bag, 4))
+        features = np.empty((cfg.proposals_per_bag, d))
+        for j in range(cfg.proposals_per_bag):
+            draws[j] = rng.uniform(0.0, 1.0, size=4)
+            features[j] = noise()
         bags.append(
             Bag(
                 id=bag_id,
                 labels=np.zeros(n, dtype=int),
                 features=features,
-                boxes=boxes_to_array(boxes),
+                boxes=_background_boxes(draws),
             )
         )
 

@@ -8,8 +8,9 @@ positive (bag, class) pair with ground truth: the CorLoc hit (top proposal
 vs. ground truth at IoU 0.5, meant for the training set), the pointing hit
 (top proposal's center inside ground truth), and the probability-weighted
 mean and variance of every proposal's best IoU with ground truth.
-``corloc``, ``pointing`` and ``dataset_loc_stats`` aggregate those rows, so
-each alone equals what ``evaluate`` reports.
+``corloc`` and ``pointing`` aggregate those rows, and ``dataset_loc_stats``
+computes only the localization figures from the same IoU tables, so each
+alone equals what ``evaluate`` reports.
 
 The joint softmax matters: it ranks proposals by their class score, so a
 background row with a lopsided but tiny score pair cannot outrank a
@@ -191,16 +192,29 @@ def _weighted_overlap_stats(class_probs: np.ndarray, overlaps: np.ndarray) -> tu
     return acc, var
 
 
+def _pair_tables(bag: Bag) -> list[tuple[int, list[Box], np.ndarray]]:
+    """Each positive class of the bag that has ground truth, in class order,
+    with those ground-truth boxes and their (P, G) IoU table with the
+    proposals, cut from one table per bag.  This is the one place that
+    decides which pairs count."""
+    positive = bag.positive_classes().tolist()
+    gt = [(c, box) for c, box in bag.ground_truth or () if c in positive]
+    if not gt:
+        return []
+    table = iou_matrix(bag.box_array(), np.array([box.as_list() for _, box in gt]))
+    tables = []
+    for cls in positive:
+        cols = [j for j, (c, _) in enumerate(gt) if c == cls]
+        if cols:
+            tables.append((cls, [gt[j][1] for j in cols], table[:, cols]))
+    return tables
+
+
 def _bag_pairs(bag: Bag, probs: np.ndarray) -> list[_Pair]:
-    """One row per positive class of the bag that has ground truth, in class
-    order.  This is the one place that decides which pairs count."""
+    """One row per positive class of the bag that has ground truth."""
     boxes = bag.box_array()
     pairs: list[_Pair] = []
-    for cls in bag.positive_classes().tolist():
-        gt = [box for c, box in bag.ground_truth or () if c == cls]
-        if not gt:
-            continue
-        table = iou_matrix(boxes, np.array([b.as_list() for b in gt]))  # (P, G)
+    for cls, gt, table in _pair_tables(bag):
         top = int(np.argmax(probs[:, cls]))
         cx, cy = Box(*boxes[top]).center
         pairs.append(_Pair(
@@ -238,10 +252,11 @@ def _pointing_of(pairs: list[_Pair]) -> float:
     return sum(p.pointing_hit for p in pairs) / len(pairs)
 
 
-def _loc_stats_of(pairs: list[_Pair]) -> tuple[float, float]:
-    if not pairs:
+def _loc_stats_of(stats: list[tuple[float, float]]) -> tuple[float, float]:
+    if not stats:
         return 0.0, 0.0
-    return float(np.mean([p.loc_acc for p in pairs])), float(np.mean([p.loc_var for p in pairs]))
+    acc, var = zip(*stats)
+    return float(np.mean(acc)), float(np.mean(var))
 
 
 def corloc(params: ModelParams, ds: Dataset, head=None) -> tuple[list[float | None], float]:
@@ -256,10 +271,32 @@ def pointing(params: ModelParams, ds: Dataset, head=None) -> float:
     return _pointing_of(_dataset_pairs(params, ds, head))
 
 
-def dataset_loc_stats(params: ModelParams, ds: Dataset, head=None) -> tuple[float, float]:
+def best_gt_overlaps(ds: Dataset) -> list[tuple[Bag, list[tuple[int, np.ndarray]]]]:
+    """For each bag with a positive (bag, class) pair that carries ground
+    truth: per pair, the class and every proposal's best IoU with that
+    class's ground truth.  Boxes do not change, so a caller that scores
+    the same bags many times can compute this once."""
+    found = []
+    for bag in ds.bags:
+        rows = [(cls, table.max(axis=1)) for cls, _, table in _pair_tables(bag)]
+        if rows:
+            found.append((bag, rows))
+    return found
+
+
+def dataset_loc_stats(
+    params: ModelParams, ds: Dataset, head=None, overlaps=None
+) -> tuple[float, float]:
     """Mean localization accuracy/variance over all positive (bag, class)
-    pairs that carry ground truth."""
-    return _loc_stats_of(_dataset_pairs(params, ds, head))
+    pairs that carry ground truth.  ``overlaps`` is ``best_gt_overlaps(ds)``,
+    if the caller keeps it."""
+    if overlaps is None:
+        overlaps = best_gt_overlaps(ds)
+    stats = []
+    for bag, rows in overlaps:
+        probs = head_probs(params, bag.feature_matrix(), head)
+        stats += [_weighted_overlap_stats(probs[:, cls], best) for cls, best in rows]
+    return _loc_stats_of(stats)
 
 
 def evaluate(
@@ -288,7 +325,7 @@ def evaluate(
         for c in range(ds.num_classes)
     ]
     per_class_corloc, mean_corloc = _corloc_of(pairs, ds.num_classes)
-    loc_acc, loc_var = _loc_stats_of(pairs)
+    loc_acc, loc_var = _loc_stats_of([(p.loc_acc, p.loc_var) for p in pairs])
     return MetricsReport(
         per_class_ap=per_class_ap,
         mean_ap=float(np.mean(per_class_ap)) if per_class_ap else 0.0,

@@ -43,7 +43,7 @@ from .entropy import (
     select_object,
     singleton_partition,
 )
-from .evaluate import dataset_loc_stats
+from .evaluate import best_gt_overlaps, dataset_loc_stats
 from .geometry import iou_matrix
 from .jsonio import read_json, write_json
 from .model import ModelParams, backward_head, forward, init_params
@@ -402,6 +402,9 @@ def train(
         else None
         for bag in train_bags
     ]
+    # The per-epoch diagnostic reads each proposal's best ground-truth IoU,
+    # which is fixed for the run as well.
+    gt_overlaps = best_gt_overlaps(ds)
 
     csv_file = None
     if csv_path is not None:
@@ -436,7 +439,7 @@ def train(
             state.epoch = epoch
 
             loc_acc, loc_var = dataset_loc_stats(
-                state.params, ds, head=switches.detect_head
+                state.params, ds, head=switches.detect_head, overlaps=gt_overlaps
             )
             report = EpochReport(
                 epoch=epoch,

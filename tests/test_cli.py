@@ -134,6 +134,8 @@ class TestTrain:
     @pytest.mark.parametrize("flag, change", [
         (["--hidden-dim", "8"], "hidden_dim from 0 to 8"),
         (["--branches", "5"], "branches from 3 to 5"),
+        (["--ablation", "clique"], "ablation from l-arl to clique"),
+        (["--seed", "3"], "seed from 0 to 3"),
     ])
     def test_resume_rejects_shape_change(self, workspace, tmp_path, capsys, flag, change):
         out, csv = tmp_path / "ck.json", tmp_path / "ep.csv"
@@ -146,6 +148,18 @@ class TestTrain:
             f"error: --resume cannot change {change}"
         ]
         assert not out.exists() and not csv.exists()
+
+    def test_resume_accepts_the_checkpoints_own_values(self, workspace, tmp_path):
+        ds = str(workspace / "ds.json")
+        solid, half, done = tmp_path / "solid.json", tmp_path / "half.json", tmp_path / "done.json"
+        assert main(["train", "--data", ds, "--out-checkpoint", str(solid),
+                     "--epochs", "3", "--seed", "0", "--ablation", "clique"]) == 0
+        assert main(["train", "--data", ds, "--out-checkpoint", str(half),
+                     "--epochs", "3", "--seed", "0", "--ablation", "clique",
+                     "--stop-after", "1"]) == 0
+        assert main(["train", "--data", ds, "--resume", str(half), "--out-checkpoint",
+                     str(done), "--seed", "0", "--ablation", "clique"]) == 0
+        assert solid.read_bytes() == done.read_bytes()
 
     def test_csv_header_mismatch_is_runtime_error(self, workspace, tmp_path, capsys):
         csv = tmp_path / "ep.csv"

@@ -3,17 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from minent import data as data_module
+from minent.cli import main
 from minent.data import (
     Bag,
     DataError,
     Dataset,
+    GenerationError,
     SynthConfig,
     generate_synthetic,
     load_dataset,
     save_dataset,
     validate_dataset,
 )
-from minent.geometry import Box, iou_matrix
+from minent.geometry import Box, boxes_to_array, iou, iou_matrix
 
 
 def tiny_dataset():
@@ -265,3 +268,178 @@ class TestGenerator:
             assert ba.id == bb.id
             np.testing.assert_array_equal(ba.feature_matrix(), bb.feature_matrix())
             np.testing.assert_array_equal(ba.box_array(), bb.box_array())
+
+
+# ---------------------------------------------------------------------------
+# The one-try-at-a-time generator, kept as the reference for the block
+# sampler: each try draws its own uniforms and is tested with the scalar
+# ``iou`` before the next try is drawn.
+# ---------------------------------------------------------------------------
+
+def _ref_jittered(rng, anchor):
+    jitter = data_module._JITTER
+    w = anchor.x2 - anchor.x1
+    h = anchor.y2 - anchor.y1
+    dx1, dx2 = rng.uniform(-jitter, jitter, size=2) * w
+    dy1, dy2 = rng.uniform(-jitter, jitter, size=2) * h
+    x1, y1 = anchor.x1 + dx1, anchor.y1 + dy1
+    x2, y2 = anchor.x2 + dx2, anchor.y2 + dy2
+    if x1 < 0 or y1 < 0 or x2 > 1 or y2 > 1 or x1 >= x2 or y1 >= y2:
+        return None
+    return Box(x1, y1, x2, y2)
+
+
+def _ref_group(rng, anchor, count, accept, bag_id, kind):
+    group = []
+    for _ in range(count):
+        for _try in range(data_module._MAX_TRIES):
+            b = _ref_jittered(rng, anchor)
+            if b is None or not accept(b):
+                continue
+            if all(iou(b, other) > data_module._GROUP_COHESION for other in group):
+                group.append(b)
+                break
+        else:
+            raise GenerationError(f"bag '{bag_id}': could not place {kind} box {len(group)}")
+    return group
+
+
+def _ref_background(rng, obj, bag_id):
+    for _try in range(data_module._MAX_TRIES):
+        w, h = rng.uniform(0.08, 0.25, size=2)
+        x1 = rng.uniform(0.0, 1.0 - w)
+        y1 = rng.uniform(0.0, 1.0 - h)
+        b = Box(x1, y1, x1 + w, y1 + h)
+        if obj is None or iou(b, obj) < 0.2:
+            return b
+    raise GenerationError(f"bag '{bag_id}': could not place background box")
+
+
+def _reference_bags(cfg):
+    """(boxes, features) of every bag, in dataset order."""
+    rng = np.random.default_rng(cfg.seed)
+    n, d = cfg.num_classes, cfg.feature_dim
+    block = d // n
+    sub = max(1, block // 3)
+    n_near, n_part, n_bg = data_module._proposal_counts(cfg)
+    out = []
+    for cls in range(n):
+        lo = cls * block
+        for i in range(cfg.bags_per_class):
+            bag_id = f"pos-c{cls}-{i:04d}"
+            w, h = rng.uniform(0.25, 0.6, size=2)
+            x1 = rng.uniform(0.0, 1.0 - w)
+            y1 = rng.uniform(0.0, 1.0 - h)
+            obj = Box(x1, y1, x1 + w, y1 + h)
+            scale = data_module._PART_SCALE
+            part_anchor = Box(x1, y1, x1 + scale * w, y1 + scale * h)
+            nears = [obj] + _ref_group(
+                rng, obj, n_near - 1, lambda b: iou(b, obj) >= 0.7, bag_id, "near"
+            )
+            parts = _ref_group(
+                rng, part_anchor, n_part, lambda b: 0.2 <= iou(b, obj) < 0.5, bag_id, "part"
+            )
+            bgs = [_ref_background(rng, obj, bag_id) for _ in range(n_bg)]
+            features = cfg.noise_sigma * rng.standard_normal((cfg.proposals_per_bag, d))
+            features[:n_near, lo : lo + block] += data_module._NEAR_AMPLITUDE
+            features[n_near : n_near + n_part, lo : lo + sub] += data_module._PART_AMPLITUDE
+            out.append((boxes_to_array(nears + parts + bgs), features))
+    for i in range(cfg.negatives):
+        bag_id = f"neg-{i:04d}"
+        boxes, features = [], []
+        for _ in range(cfg.proposals_per_bag):
+            boxes.append(_ref_background(rng, None, bag_id))
+            features.append(cfg.noise_sigma * rng.standard_normal(d))
+        out.append((boxes_to_array(boxes), np.array(features)))
+    return out
+
+
+def _byte_config(seed, proposals, part_fraction, classes):
+    return SynthConfig(
+        num_classes=classes,
+        bags_per_class=2 if proposals == 300 else 4,
+        negatives=1 if proposals == 300 else 2,
+        proposals_per_bag=proposals,
+        part_fraction=part_fraction,
+        feature_dim=6 * classes,
+        seed=seed,
+    )
+
+
+BYTE_CONFIGS = [
+    (seed, proposals, part_fraction, classes)
+    for seed in (0, 7, 31)
+    for proposals in (3, 30, 300)
+    for part_fraction in (0.0, 0.4, 1.0)
+    for classes in (1, 2)
+]
+
+
+class TestBlockSampler:
+    def assert_matches_reference(self, cfg):
+        try:
+            ref = _reference_bags(cfg)
+        except GenerationError as failed:
+            with pytest.raises(GenerationError) as err:
+                generate_synthetic(cfg)
+            assert str(err.value) == str(failed)
+            return
+        ds = generate_synthetic(cfg)
+        assert len(ds.bags) == len(ref)
+        for bag, (boxes, features) in zip(ds.bags, ref):
+            assert np.array_equal(bag.boxes, boxes), bag.id
+            assert np.array_equal(bag.features, features), bag.id
+            if bag.ground_truth:
+                assert bag.ground_truth[0][1].as_list() == boxes[0].tolist()
+
+    @pytest.mark.parametrize("seed, proposals, part_fraction, classes", BYTE_CONFIGS)
+    def test_bitwise_equal_to_one_try_at_a_time(self, seed, proposals, part_fraction, classes):
+        self.assert_matches_reference(_byte_config(seed, proposals, part_fraction, classes))
+
+    @pytest.mark.parametrize("jitter", [0.06, 0.1])
+    @pytest.mark.parametrize("proposals, part_fraction", [(30, 0.4), (300, 1.0)])
+    def test_binding_cohesion_matches_reference(
+        self, monkeypatch, jitter, proposals, part_fraction
+    ):
+        # at the default jitter, two jitters of one anchor always overlap at
+        # IoU >= (0.94 / 1.06) ** 2, above the cohesion floor; wider jitter
+        # makes cohesion reject tries
+        monkeypatch.setattr(data_module, "_JITTER", jitter)
+        self.assert_matches_reference(_byte_config(7, proposals, part_fraction, 2))
+
+    @pytest.mark.parametrize("max_round", [1, 2, 7])
+    def test_capped_rounds_change_nothing(self, monkeypatch, max_round):
+        monkeypatch.setattr(data_module, "_MAX_ROUND", max_round)
+        self.assert_matches_reference(_byte_config(5, 30, 1.0, 2))
+
+
+# (max tries, seed, part fraction, the bag and box that cannot be placed)
+FAILING_RUNS = [
+    (3, 5, 0.0, "bag 'pos-c0-0001': could not place near box 8"),
+    (3, 51, 0.4, "bag 'pos-c0-0001': could not place part box 7"),
+    (3, 21, 1.0, "bag 'pos-c0-0001': could not place part box 27"),
+    (2, 52, 1.0, "bag 'pos-c0-0000': could not place part box 21"),
+    (5, 204, 1.0, "bag 'pos-c0-0002': could not place part box 13"),
+    (3, 6, 0.4, "bag 'pos-c0-0002': could not place background box"),
+]
+
+
+class TestGenerationError:
+    @pytest.mark.parametrize("max_tries, seed, part_fraction, message", FAILING_RUNS)
+    def test_same_message_as_reference(self, monkeypatch, max_tries, seed, part_fraction, message):
+        monkeypatch.setattr(data_module, "_MAX_TRIES", max_tries)
+        cfg = SynthConfig(num_classes=1, bags_per_class=3, negatives=0,
+                          part_fraction=part_fraction, feature_dim=6, seed=seed)
+        for generate in (generate_synthetic, _reference_bags):
+            with pytest.raises(GenerationError) as err:
+                generate(cfg)
+            assert str(err.value) == message
+
+    def test_gen_exits_1_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(data_module, "_MAX_TRIES", 1)
+        out = tmp_path / "ds.json"
+        assert main(["gen", "--seed", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: bag '")
+        assert "could not place" in err and "Traceback" not in err
+        assert not out.exists()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from minent import evaluate as evaluate_module
 from minent import trainer as trainer_module
 from minent.data import SynthConfig, generate_synthetic
+from minent.evaluate import dataset_loc_stats, evaluate
+from minent.geometry import Box
 from minent.model import init_params
 from minent.trainer import (
     CheckpointError,
@@ -30,6 +33,19 @@ def small_ds(seed=3):
             seed=seed,
         )
     )
+
+
+def mixed_pairs_ds():
+    """``small_ds`` with a bag positive for both classes, each with ground
+    truth, a positive bag without ground truth, and a negative bag with
+    ground truth."""
+    ds = small_ds()
+    both = ds.bags[0]
+    both.labels = np.array([1, 1])
+    both.ground_truth = both.ground_truth + [(1, Box(*both.boxes[-1]))]
+    ds.bags[1].ground_truth = None
+    ds.bags[-1].ground_truth = [(0, Box(*ds.bags[-1].boxes[0]))]  # a negative bag
+    return ds
 
 
 def small_cfg(**kw):
@@ -296,6 +312,38 @@ class TestTrain:
         assert sum(len(v["loss"]) for v in visits) > sum(len(v["overlaps"]) for v in visits) > 0
         for visit in visits:
             assert sorted(visit["overlaps"]) == sorted(set(visit["loss"]))
+
+    def test_ground_truth_overlaps_built_once_per_positive_bag(self, monkeypatch):
+        built = []
+        original = evaluate_module.iou_matrix
+
+        def counted(a, b):
+            built.append(len(a))
+            return original(a, b)
+
+        monkeypatch.setattr(evaluate_module, "iou_matrix", counted)
+        ds = mixed_pairs_ds()
+        with_pairs = sum(
+            any(bag.labels[c] for c, _ in bag.ground_truth or ()) for bag in ds.bags
+        )
+        assert 0 < with_pairs < len(ds.bags)
+        state, _ = train(ds, small_cfg(epochs=3), stop_after=2)
+        assert len(built) == with_pairs
+        train(ds, small_cfg(epochs=3), state=state)
+        assert len(built) == 2 * with_pairs
+
+    @pytest.mark.parametrize("ablation", ["clique", "l-arl"])
+    def test_epoch_loc_stats_equal_uncached(self, ablation):
+        ds = mixed_pairs_ds()
+        cfg = small_cfg(epochs=3, ablation=ablation)
+        head = tier_switches(cfg).detect_head
+        state = None
+        for epoch in range(1, cfg.epochs + 1):
+            state, [report] = train(ds, cfg, state=state, stop_after=epoch)
+            expected = dataset_loc_stats(state.params, ds, head=head)
+            assert (report.loc_acc, report.loc_var) == expected
+            metrics = evaluate(state.params, ds, head=head)
+            assert (metrics.loc_acc, metrics.loc_var) == expected
 
     def test_empty_dataset_rejected(self):
         ds = small_ds()
