@@ -46,8 +46,6 @@ class GenerationError(RuntimeError):
 
 # rejection-sampling budget per generated box
 _MAX_TRIES = 1000
-# most tries one sampling round draws, which bounds its (k, k) IoU table
-_MAX_ROUND = 256
 
 
 def _frozen(values) -> np.ndarray:
@@ -184,8 +182,8 @@ def validate_dataset(ds: Dataset) -> None:
     n = ds.num_classes
     if n < 1:
         raise DataError("dataset declares no classes")
-    if ds.feature_dim < 1:
-        raise DataError(f"feature_dim must be positive, got {ds.feature_dim}")
+    if not whole_number(ds.feature_dim) or ds.feature_dim < 1:
+        raise DataError(f"feature_dim must be a positive integer, got {ds.feature_dim!r}")
     if not ds.bags:
         raise DataError("dataset contains no bags")
     seen_ids = set()
@@ -217,9 +215,9 @@ def validate_dataset(ds: Dataset) -> None:
             raise DataError(f"bag '{bag.id}': boxes must be finite with x1 < x2 and y1 < y2")
         if bag.ground_truth is not None:
             for k, (cls, _box) in enumerate(bag.ground_truth):
-                if not 0 <= cls < n:
+                if not whole_number(cls) or not 0 <= cls < n:
                     raise DataError(
-                        f"bag '{bag.id}': ground_truth {k} class {cls} out of range [0, {n})"
+                        f"bag '{bag.id}': ground_truth {k} class {cls!r} out of range [0, {n})"
                     )
 
 
@@ -239,7 +237,7 @@ def _bag_to_record(bag: Bag) -> dict:
     return rec
 
 
-def _bag_from_record(rec: dict, num_classes: int) -> Bag:
+def _bag_from_record(rec: dict) -> Bag:
     bag_id = rec.get("id")
     if not isinstance(bag_id, str) or not bag_id:
         raise DataError(f"bag record missing string 'id': {rec.get('id')!r}")
@@ -252,12 +250,12 @@ def _bag_from_record(rec: dict, num_classes: int) -> Bag:
     gt = None
     if "ground_truth" in rec:
         try:
-            gt = [(int(g["class"]), Box.from_list(g["box"])) for g in rec["ground_truth"]]
+            gt = [(g["class"], Box.from_list(g["box"])) for g in rec["ground_truth"]]
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"bag '{bag_id}': malformed ground_truth: {e}") from e
     labels = rec.get("labels")
-    if not isinstance(labels, list):
-        raise DataError(f"bag '{bag_id}': missing labels list")
+    if not isinstance(labels, list) or not all(whole_number(v) for v in labels):
+        raise DataError(f"bag '{bag_id}': labels must be a list of integers, got {labels!r}")
     return Bag(id=bag_id, labels=labels, features=features, boxes=boxes, ground_truth=gt)
 
 
@@ -278,13 +276,15 @@ def load_dataset(path: str) -> Dataset:
     for key in ("classes", "feature_dim", "bags"):
         if key not in doc:
             raise DataError(f"dataset file missing '{key}'")
-    classes = doc["classes"]
+    classes, bags = doc["classes"], doc["bags"]
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
         raise DataError("'classes' must be a list of strings")
+    if not isinstance(bags, list) or not all(isinstance(rec, dict) for rec in bags):
+        raise DataError("'bags' must be a list of objects")
     ds = Dataset(
         classes=classes,
-        feature_dim=int(doc["feature_dim"]),
-        bags=[_bag_from_record(rec, len(classes)) for rec in doc["bags"]],
+        feature_dim=doc["feature_dim"],
+        bags=[_bag_from_record(rec) for rec in bags],
     )
     validate_dataset(ds)
     return ds
@@ -306,11 +306,12 @@ _NEAR_AMPLITUDE = 0.1575
 _PART_AMPLITUDE = 0.225
 # fraction of the object's width/height kept by the part anchor box
 _PART_SCALE = 0.55
-# corner jitter as a fraction of the anchor's side length
+# corner jitter as a fraction of the anchor's side length.  Each corner
+# moves by at most _JITTER x side, so any two jitters of one anchor overlap
+# at IoU >= ((1 - 2J) / (1 + 2J)) ** 2 = (0.94 / 1.06) ** 2 ~ 0.786, so
+# every near group and every part group is one clique under the default
+# overlap threshold 0.7 with no pairwise check while sampling
 _JITTER = 0.03
-# mutual-IoU floor among boxes of one group, so a group stays one clique
-# under the default overlap threshold 0.7
-_GROUP_COHESION = 0.72
 # [lo, hi) IoU with the object of near-object and part boxes
 _NEAR_BAND = (0.7, math.inf)
 _PART_BAND = (0.2, 0.5)
@@ -348,32 +349,24 @@ def _background_boxes(u: np.ndarray) -> np.ndarray:
     return np.column_stack([x1, y1, x1 + w, y1 + h])
 
 
-def _accept_in_rounds(draw, count: int, cohesive: bool, failure) -> np.ndarray:
+def _accept_in_rounds(draw, count: int, failure) -> np.ndarray:
     """Rejection-sample ``count`` boxes, in order, from rounds of tries.
 
     ``draw(k)`` returns k tries as a (k, 4) array and the mask of those that
-    pass on their own.  With ``cohesive``, a try must also overlap every box
-    accepted before it at IoU above ``_GROUP_COHESION``: one (k, n) table
-    against the accepted boxes and one (k, k) table among the tries decide
-    that, and each accepted try ANDs its column into the mask.  A round
-    draws no more tries than boxes are still needed, so the stream never
-    runs past the try that accepts the last box.  ``_MAX_TRIES`` misses in
-    a row raise ``GenerationError(failure(boxes accepted so far))``.
+    pass.  A round draws no more tries than boxes are still needed, so the
+    stream never runs past the try that accepts the last box.
+    ``_MAX_TRIES`` misses in a row raise
+    ``GenerationError(failure(boxes accepted so far))``.
     """
     boxes = np.empty((count, 4))
     n = misses = 0
     while n < count:
-        tries, ok = draw(min(count - n, _MAX_ROUND))
-        if cohesive:
-            ok &= (iou_matrix(tries, boxes[:n]) > _GROUP_COHESION).all(axis=1)
-            tight = iou_matrix(tries, tries) > _GROUP_COHESION
+        tries, ok = draw(count - n)
         for t in range(len(tries)):
             if ok[t]:
                 boxes[n] = tries[t]
                 n += 1
                 misses = 0
-                if cohesive:
-                    ok &= tight[:, t]
             else:
                 misses += 1
                 if misses == _MAX_TRIES:
@@ -385,12 +378,11 @@ def _sample_group(
     rng, anchor: Box, obj: np.ndarray, band, count: int, bag_id: str, kind: str
 ) -> np.ndarray:
     """Rejection-sample ``count`` jitters of ``anchor`` whose IoU with the
-    object ``obj`` (a (1, 4) array) lies in ``band = (lo, hi)``, and that
-    stay mutually tight (one clique's worth of boxes).
+    object ``obj`` (a (1, 4) array) lies in ``band = (lo, hi)``.
 
     Tries come in blocks: a round draws the k tries it may still need as one
-    (k, 4) uniform block, tests the whole block for the canvas, the band and
-    cohesion with ``iou_matrix`` (which does the scalar IoU's floating-point
+    (k, 4) uniform block, tests the whole block for the canvas and the band
+    with ``iou_matrix`` (which does the scalar IoU's floating-point
     operations), and accepts tries in order.  The accepted boxes and the
     stream position are those of drawing and testing one try at a time.
     """
@@ -402,7 +394,7 @@ def _sample_group(
         return tries, _on_canvas(tries) & (lo <= with_obj) & (with_obj < hi)
 
     return _accept_in_rounds(
-        draw, count, True, lambda n: f"bag '{bag_id}': could not place {kind} box {n}"
+        draw, count, lambda n: f"bag '{bag_id}': could not place {kind} box {n}"
     )
 
 
@@ -415,7 +407,7 @@ def _sample_backgrounds(rng, obj: np.ndarray, count: int, bag_id: str) -> np.nda
         return tries, iou_matrix(tries, obj)[:, 0] < 0.2
 
     return _accept_in_rounds(
-        draw, count, False, lambda n: f"bag '{bag_id}': could not place background box"
+        draw, count, lambda n: f"bag '{bag_id}': could not place background box"
     )
 
 

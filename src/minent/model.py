@@ -97,13 +97,14 @@ def init_params(
     )
 
 
-def _head_arrays(params: ModelParams, head) -> tuple[np.ndarray, np.ndarray, str]:
+def _head_arrays(params: ModelParams, head) -> tuple[np.ndarray, np.ndarray, str, str]:
+    """The selected head's weight and bias, and their ``named_arrays`` names."""
     if head == "disc":
-        return params.disc_w, params.disc_b, "disc"
+        return params.disc_w, params.disc_b, "disc_w", "disc_b"
     if isinstance(head, int):
         if not 0 <= head < params.branches:
             raise ValueError(f"branch index {head} out of range [0, {params.branches})")
-        return params.loc_w[head], params.loc_b[head], f"loc.{head}"
+        return params.loc_w[head], params.loc_b[head], f"loc_w.{head}", f"loc_b.{head}"
     raise ValueError(f"unknown head selector: {head!r}")
 
 
@@ -122,7 +123,7 @@ def forward(params: ModelParams, features: np.ndarray, head) -> np.ndarray:
         raise ValueError(
             f"features must be (num_proposals, {params.feature_dim}), got {features.shape}"
         )
-    w, b, _ = _head_arrays(params, head)
+    w, b, _, _ = _head_arrays(params, head)
     x, _ = _hidden_forward(params, features)
     return x @ w + b
 
@@ -140,16 +141,12 @@ def backward_head(
     """
     features = np.asarray(features, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
-    w, b, head_name = _head_arrays(params, head)
+    w, _, w_key, b_key = _head_arrays(params, head)
     x, z = _hidden_forward(params, features)
     if upstream.shape != (features.shape[0], params.num_classes):
         raise ValueError(
             f"upstream must be (num_proposals, {params.num_classes}), got {upstream.shape}"
         )
-    if head == "disc":
-        w_key, b_key = "disc_w", "disc_b"
-    else:
-        w_key, b_key = f"loc_w.{head}", f"loc_b.{head}"
     grads = {w_key: x.T @ upstream, b_key: upstream.sum(axis=0)}
     if params.hidden_w is not None:
         gx = (upstream @ w.T) * (z > 0.0)

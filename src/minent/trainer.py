@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, check_field_types
+from .data import Dataset, check_field_types, whole_number
 from .entropy import (
     discovery_loss,
     localization_loss,
@@ -152,7 +152,6 @@ class TrainState:
     buffers: dict[str, np.ndarray]
     s_h: dict[str, np.ndarray]
     epoch: int  # completed epochs
-    rng: np.random.Generator
     config: TrainConfig
 
 
@@ -227,14 +226,7 @@ def init_state(ds: Dataset, cfg: TrainConfig) -> TrainState:
     )
     buffers = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
     s_h = {bag.id: np.ones(bag.num_proposals) for bag in ds.bags}
-    return TrainState(
-        params=params,
-        buffers=buffers,
-        s_h=s_h,
-        epoch=0,
-        rng=np.random.default_rng(cfg.seed),
-        config=cfg,
-    )
+    return TrainState(params=params, buffers=buffers, s_h=s_h, epoch=0, config=cfg)
 
 
 def check_dims(params: ModelParams, ds: Dataset) -> None:
@@ -465,6 +457,13 @@ def train(
 # checkpointing
 # ---------------------------------------------------------------------------
 
+def _seed_rng_state(seed: int) -> dict:
+    """Format v1's ``rng_state``: the bit-generator state of ``seed``.  The
+    visit order is recomputed from the seed, so no generator state carries
+    over between runs; the key stays until the format drops it."""
+    return np.random.default_rng(seed).bit_generator.state
+
+
 def save_checkpoint(state: TrainState, path: str) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -478,7 +477,7 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         "params": {name: arr.tolist() for name, arr in state.params.named_arrays()},
         "buffers": {name: arr.tolist() for name, arr in state.buffers.items()},
         "s_h": {bag_id: arr.tolist() for bag_id, arr in state.s_h.items()},
-        "rng_state": state.rng.bit_generator.state,
+        "rng_state": _seed_rng_state(state.config.seed),
     }
     write_json(doc, path)
 
@@ -523,17 +522,10 @@ def load_checkpoint(path: str) -> TrainState:
             if s.ndim != 1 or not np.isfinite(s).all():
                 raise ValueError(f"s_h of bag '{bag_id}' must be a finite vector")
         epoch = doc["epoch"]
-        if not isinstance(epoch, int) or epoch < 0:
+        if not whole_number(epoch) or epoch < 0:
             raise ValueError(f"epoch must be a count of epochs, got {epoch!r}")
-        rng = np.random.default_rng()
-        rng.bit_generator.state = doc["rng_state"]
-        return TrainState(
-            params=params,
-            buffers=buffers,
-            s_h=s_h,
-            epoch=epoch,
-            rng=rng,
-            config=cfg,
-        )
+        if doc["rng_state"] != _seed_rng_state(cfg.seed):
+            raise ValueError(f"rng_state is not the state of seed {cfg.seed}")
+        return TrainState(params=params, buffers=buffers, s_h=s_h, epoch=epoch, config=cfg)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from e

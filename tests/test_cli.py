@@ -331,8 +331,12 @@ class TestCorruptCheckpoint:
         lambda d: d.update(s_h=[]),
         lambda d: d.update(epoch=-3),
         lambda d: d["config"].update(top_k=2.5),
+        lambda d: d.update(epoch=True),
+        lambda d: d.update(rng_state=np.random.default_rng(1).bit_generator.state),
+        lambda d: d.update(rng_state="junk"),
     ], ids=["no-buffer", "extra-buffer", "buffer-shape", "param-shape", "s_h-matrix",
-            "s_h-nan", "config-branches", "s_h-list", "epoch", "config-type"])
+            "s_h-nan", "config-branches", "s_h-list", "epoch", "config-type", "epoch-bool",
+            "rng_state-other-seed", "rng_state-junk"])
     def test_every_command_rejects_it(self, workspace, tmp_path, capsys, edit):
         ck = self.edited(workspace, tmp_path, edit)
         data = str(workspace / "ds.json")
@@ -345,6 +349,7 @@ class TestCorruptCheckpoint:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: corrupt checkpoint") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
 
     def test_score_state_length_must_match_bag(self, workspace, tmp_path, capsys):
         ck = self.edited(workspace, tmp_path, lambda d: d["s_h"].update({"pos-c0-0000": [1.0]}))

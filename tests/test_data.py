@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,10 @@ from minent.data import (
     validate_dataset,
 )
 from minent.geometry import Box, boxes_to_array, iou, iou_matrix
+
+# mutual-IoU floor of a near or part group: one clique under the default
+# overlap threshold 0.7, with a margin
+GROUP_COHESION = 0.72
 
 
 def tiny_dataset():
@@ -168,6 +173,37 @@ class TestSchema:
         with pytest.raises(DataError, match="bagZ"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(feature_dim=None),
+        lambda d: d.update(feature_dim=[8]),
+        lambda d: d.update(feature_dim=8.9),
+        lambda d: d.update(bags=5),
+        lambda d: d.update(bags=[5]),
+        lambda d: d["bags"][0].update(labels=[0.5, 1]),
+        lambda d: d["bags"][0].update(labels=[True, False]),
+        lambda d: d["bags"][0]["ground_truth"][0].update({"class": 1.7}),
+    ], ids=["feature_dim-null", "feature_dim-list", "feature_dim-float", "bags-number",
+            "bags-of-numbers", "labels-float", "labels-bool", "gt-class-float"])
+    def test_train_rejects_bad_value_at_load(self, tmp_path, capsys, edit):
+        path = tmp_path / "ds.json"
+        save_dataset(generate_synthetic(SynthConfig(
+            num_classes=2, bags_per_class=1, negatives=1, proposals_per_bag=4, feature_dim=8,
+        )), str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            load_dataset(str(path))
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["train", "--data", str(path), "--out-checkpoint", str(out / "ck.json"),
+                   "--epochs", "1", "--csv", str(out / "epochs.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_bag_by_id(self):
         ds = tiny_dataset()
         assert ds.bag_by_id("b0") is ds.bags[0]
@@ -296,7 +332,7 @@ def _ref_group(rng, anchor, count, accept, bag_id, kind):
             b = _ref_jittered(rng, anchor)
             if b is None or not accept(b):
                 continue
-            if all(iou(b, other) > data_module._GROUP_COHESION for other in group):
+            if all(iou(b, other) > GROUP_COHESION for other in group):
                 group.append(b)
                 break
         else:
@@ -396,21 +432,36 @@ class TestBlockSampler:
     def test_bitwise_equal_to_one_try_at_a_time(self, seed, proposals, part_fraction, classes):
         self.assert_matches_reference(_byte_config(seed, proposals, part_fraction, classes))
 
-    @pytest.mark.parametrize("jitter", [0.06, 0.1])
-    @pytest.mark.parametrize("proposals, part_fraction", [(30, 0.4), (300, 1.0)])
-    def test_binding_cohesion_matches_reference(
-        self, monkeypatch, jitter, proposals, part_fraction
-    ):
-        # at the default jitter, two jitters of one anchor always overlap at
-        # IoU >= (0.94 / 1.06) ** 2, above the cohesion floor; wider jitter
-        # makes cohesion reject tries
-        monkeypatch.setattr(data_module, "_JITTER", jitter)
-        self.assert_matches_reference(_byte_config(7, proposals, part_fraction, 2))
 
-    @pytest.mark.parametrize("max_round", [1, 2, 7])
-    def test_capped_rounds_change_nothing(self, monkeypatch, max_round):
-        monkeypatch.setattr(data_module, "_MAX_ROUND", max_round)
-        self.assert_matches_reference(_byte_config(5, 30, 1.0, 2))
+class TestGroupCohesion:
+    """The generator tests no cohesion: the jitter bound alone keeps each
+    near group and each part group one clique."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("proposals, part_fraction", [
+        (30, 0.4), (30, 1.0), (300, 0.4), (300, 1.0),
+    ])
+    def test_groups_are_pairwise_tight(self, seed, proposals, part_fraction):
+        cfg = _byte_config(seed, proposals, part_fraction, 2)
+        n_near, n_part, _ = data_module._proposal_counts(cfg)
+        for bag in generate_synthetic(cfg).bags:
+            if not bag.ground_truth:
+                continue
+            # rows: the object, the other near boxes, then the parts
+            for group in (bag.boxes[:n_near], bag.boxes[n_near : n_near + n_part]):
+                assert (iou_matrix(group, group) > GROUP_COHESION).all(), bag.id
+
+    def test_corner_jitters_of_one_anchor_are_tight(self):
+        # the extremes of the jitter: every corner moved by +-_JITTER x side
+        jitter = data_module._JITTER
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x1, y1 = rng.uniform(0.0, 0.5, size=2)
+            w, h = rng.uniform(0.02, 0.5, size=2)
+            anchor = np.array([x1, y1, x1 + w, y1 + h])
+            corners = anchor + signs * jitter * np.array([w, h, w, h])
+            assert (iou_matrix(corners, corners) > GROUP_COHESION).all()
 
 
 # (max tries, seed, part fraction, the bag and box that cannot be placed)
