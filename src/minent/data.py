@@ -134,6 +134,25 @@ def finite_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def number_array(values, what: str) -> np.ndarray:
+    """``values``, nested lists of JSON numbers, as a float array.  Raises
+    ValueError when a cell is a string, a boolean or null, or when the
+    nesting is ragged."""
+    arr = np.array(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold JSON numbers only")
+    # numpy reads [true, 0.5] as [1.0, 0.5], so a boolean can hide only in a
+    # cell that reads 0 or 1.  |x - 0.5| == 0.5 flags those (and any value
+    # that rounds onto them), and only flagged cells are looked up in the source
+    for index in np.argwhere(np.abs(arr - 0.5) == 0.5).tolist():
+        cell = values
+        for i in index:
+            cell = cell[i]
+        if isinstance(cell, bool):
+            raise ValueError(f"{what} must hold JSON numbers only, got {cell!r}")
+    return arr.astype(float, copy=False)
+
+
 def check_field_types(cfg, error: type[Exception]) -> None:
     """Raise ``error`` unless every ``int`` field of the config dataclass
     holds an int (not a bool) and every ``float`` field a finite number."""
@@ -243,14 +262,15 @@ def _bag_from_record(rec: dict) -> Bag:
         raise DataError(f"bag record missing string 'id': {rec.get('id')!r}")
     try:
         proposals = rec["proposals"]
-        features = np.array([p["feature"] for p in proposals], dtype=float)
-        boxes = np.array([p["box"] for p in proposals], dtype=float)
+        features = number_array([p["feature"] for p in proposals], "features")
+        boxes = number_array([p["box"] for p in proposals], "boxes")
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"bag '{bag_id}': malformed proposal: {e}") from e
     gt = None
     if "ground_truth" in rec:
         try:
-            gt = [(g["class"], Box.from_list(g["box"])) for g in rec["ground_truth"]]
+            gt = [(g["class"], Box.from_list(number_array(g["box"], "box")))
+                  for g in rec["ground_truth"]]
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"bag '{bag_id}': malformed ground_truth: {e}") from e
     labels = rec.get("labels")
@@ -415,7 +435,6 @@ def _proposal_counts(cfg: SynthConfig) -> tuple[int, int, int]:
     p = cfg.proposals_per_bag
     n_part = min(int(round(cfg.part_fraction * p)), p - 2)
     n_near = max(1, (p - n_part) // 3)
-    n_near = min(n_near, p - n_part)
     return n_near, n_part, p - n_part - n_near
 
 

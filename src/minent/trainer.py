@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, check_field_types, whole_number
+from .data import Dataset, check_field_types, number_array, whole_number
 from .entropy import (
     discovery_loss,
     localization_loss,
@@ -45,7 +45,7 @@ from .entropy import (
 )
 from .evaluate import best_gt_overlaps, dataset_loc_stats
 from .geometry import iou_matrix
-from .jsonio import read_json, write_json
+from .jsonio import dumps_canonical, read_json, write_json
 from .model import ModelParams, backward_head, forward, init_params
 
 ABLATION_TIERS = ("base", "clique", "d", "l", "l-rl", "l-arl")
@@ -69,7 +69,7 @@ class TrainConfig:
     lr_late: float = 5e-4
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    batch_size: int = 1
+    batch_size = 1  # bags per SGD step: a class constant, not a field
     loc_weight: float = 1.0  # balance of localization vs discovery loss
     tau: float = 0.7
     top_k: int = 200
@@ -77,8 +77,7 @@ class TrainConfig:
     branches: int = 3
     seed: int = 0
     ablation: str = "l-arl"
-    hidden_dim: int = 0
-    shared_hidden: bool = True
+    hidden_dim: int = 0  # width of the shared hidden layer; 0 = linear heads
     init_scale: float = 0.01
 
     def validate(self) -> None:
@@ -90,8 +89,6 @@ class TrainConfig:
             raise ValueError("learning rates must be >= 0")
         if self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("momentum and weight_decay must be >= 0")
-        if self.batch_size != 1:
-            raise ValueError("only batch_size=1 is supported")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.top_k < 1:
@@ -108,10 +105,6 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
         if self.init_scale < 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
-
-    def effective_hidden_dim(self) -> int:
-        # a hidden layer only exists when it can be shared by all heads
-        return self.hidden_dim if self.shared_hidden else 0
 
     def lr_for_epoch(self, epoch: int) -> float:
         """Step schedule: the early rate for roughly the first three
@@ -220,7 +213,7 @@ def init_state(ds: Dataset, cfg: TrainConfig) -> TrainState:
         feature_dim=ds.feature_dim,
         num_classes=ds.num_classes,
         branches=cfg.branches,
-        hidden_dim=cfg.effective_hidden_dim(),
+        hidden_dim=cfg.hidden_dim,
         seed=cfg.seed,
         scale=cfg.init_scale,
     )
@@ -244,10 +237,19 @@ def check_dims(params: ModelParams, ds: Dataset) -> None:
         )
 
 
-def _check_compat(state: TrainState, ds: Dataset) -> None:
-    """``check_dims``, plus a score state s(h) of the right length for
-    every bag, which only training reads."""
+def _check_shape(cfg: TrainConfig, params: ModelParams) -> None:
+    """Raise CheckpointError unless ``cfg``'s branches and hidden_dim fit ``params``."""
+    for name in ("branches", "hidden_dim"):
+        ours, theirs = getattr(cfg, name), getattr(params, name)
+        if ours != theirs:
+            raise CheckpointError(f"config {name} {ours} does not fit the parameters' {theirs}")
+
+
+def _check_compat(state: TrainState, cfg: TrainConfig, ds: Dataset) -> None:
+    """``check_dims`` and ``_check_shape``, plus a score state s(h) of the
+    right length for every bag, which only training reads."""
     check_dims(state.params, ds)
+    _check_shape(cfg, state.params)
     bad = [bag.id for bag in ds.bags if len(state.s_h.get(bag.id, ())) != bag.num_proposals]
     if bad:
         raise CheckpointError(f"checkpoint score state missing or mis-sized for bags: {bad[:3]}")
@@ -364,7 +366,8 @@ def train(
     epochs are complete (the schedule still derives from ``cfg.epochs``).
     Passing a loaded checkpoint as ``state`` resumes exactly where it left
     off — an interrupted run and an uninterrupted one produce identical
-    report series (wall time aside).
+    report series (wall time aside).  The state then carries ``cfg``, so a
+    checkpoint saved from it records the config it was trained with.
     """
     cfg.validate()
     if not ds.bags:
@@ -373,7 +376,7 @@ def train(
     if state is None:
         state = init_state(ds, cfg)
     else:
-        _check_compat(state, ds)
+        _check_compat(state, cfg, ds)
     last_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, stop_after)
 
     # learning path sees the stripped view; diagnostics read the original
@@ -411,6 +414,7 @@ def train(
         if not found:
             csv_file.write(header + "\n")
 
+    state.config = cfg  # every check has passed; this is the config trained
     reports: list[EpochReport] = []
     try:
         for epoch in range(state.epoch + 1, last_epoch + 1):
@@ -464,6 +468,10 @@ def _seed_rng_state(seed: int) -> dict:
     return np.random.default_rng(seed).bit_generator.state
 
 
+# format v1's config keys for two settings that are gone; v2 drops them
+_V1_FIXED_CONFIG = {"batch_size": 1, "shared_hidden": True}
+
+
 def save_checkpoint(state: TrainState, path: str) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -473,7 +481,7 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         "hidden_dim": state.params.hidden_dim,
         "branches": state.params.branches,
         "epoch": state.epoch,
-        "config": asdict(state.config),
+        "config": {**asdict(state.config), **_V1_FIXED_CONFIG},
         "params": {name: arr.tolist() for name, arr in state.params.named_arrays()},
         "buffers": {name: arr.tolist() for name, arr in state.buffers.items()},
         "s_h": {bag_id: arr.tolist() for bag_id, arr in state.s_h.items()},
@@ -495,37 +503,44 @@ def load_checkpoint(path: str) -> TrainState:
             f"(expected {CHECKPOINT_VERSION})"
         )
     try:
-        cfg = TrainConfig(**doc["config"])
-        raw = {name: np.array(v, dtype=float) for name, v in doc["params"].items()}
-        hidden = doc["hidden_dim"]
+        cfg_doc = {**doc["config"]}
+        fixed = {key: cfg_doc.pop(key, None) for key in _V1_FIXED_CONFIG}
+        # compared as JSON text, so that true is not 1, nor 1 1.0
+        if dumps_canonical(fixed) != dumps_canonical(_V1_FIXED_CONFIG):
+            raise ValueError(f"config must hold {_V1_FIXED_CONFIG} in format v1, got {fixed}")
+        cfg = TrainConfig(**cfg_doc)
+        raw = {name: number_array(v, f"params '{name}'") for name, v in doc["params"].items()}
         params = ModelParams(
             feature_dim=doc["feature_dim"],
             num_classes=doc["num_classes"],
-            hidden_w=raw["hidden_w"] if hidden else None,
-            hidden_b=raw["hidden_b"] if hidden else None,
+            hidden_w=raw["hidden_w"] if doc["hidden_dim"] else None,
+            hidden_b=raw["hidden_b"] if doc["hidden_dim"] else None,
             disc_w=raw["disc_w"],
             disc_b=raw["disc_b"],
             loc_w=[raw[f"loc_w.{k}"] for k in range(doc["branches"])],
             loc_b=[raw[f"loc_b.{k}"] for k in range(doc["branches"])],
         )
+        for key in ("feature_dim", "num_classes", "hidden_dim", "branches"):
+            if not whole_number(doc[key]) or doc[key] != getattr(params, key):
+                raise ValueError(f"{key} {doc[key]!r} is not a count that fits the parameters")
         params.validate()
         cfg.validate()
-        if (cfg.branches, cfg.effective_hidden_dim()) != (params.branches, params.hidden_dim):
-            raise ValueError("config branches or hidden_dim disagree with the parameters")
-        buffers = {name: np.array(v, dtype=float) for name, v in doc["buffers"].items()}
-        if {name: buf.shape for name, buf in buffers.items()} != {
-            name: arr.shape for name, arr in params.named_arrays()
-        }:
-            raise ValueError("buffers must match the parameters' names and shapes")
-        s_h = {bag_id: np.array(v, dtype=float) for bag_id, v in doc["s_h"].items()}
+        _check_shape(cfg, params)
+        buffers = {name: number_array(v, f"buffer '{name}'") for name, v in doc["buffers"].items()}
+        shapes = {name: arr.shape for name, arr in params.named_arrays()}
+        if {name: buf.shape for name, buf in buffers.items()} != shapes or set(raw) != set(shapes):
+            raise ValueError("params and buffers must hold exactly the model's names and shapes")
+        if not all(np.isfinite(buf).all() for buf in buffers.values()):
+            raise ValueError("buffers must be finite")
+        s_h = {bag: number_array(v, f"s_h of bag '{bag}'") for bag, v in doc["s_h"].items()}
         for bag_id, s in s_h.items():
             if s.ndim != 1 or not np.isfinite(s).all():
                 raise ValueError(f"s_h of bag '{bag_id}' must be a finite vector")
         epoch = doc["epoch"]
         if not whole_number(epoch) or epoch < 0:
             raise ValueError(f"epoch must be a count of epochs, got {epoch!r}")
-        if doc["rng_state"] != _seed_rng_state(cfg.seed):
+        if dumps_canonical(doc["rng_state"]) != dumps_canonical(_seed_rng_state(cfg.seed)):
             raise ValueError(f"rng_state is not the state of seed {cfg.seed}")
         return TrainState(params=params, buffers=buffers, s_h=s_h, epoch=epoch, config=cfg)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, CheckpointError) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from e

@@ -5,7 +5,9 @@ import pytest
 
 from minent.cli import main
 from minent.data import Bag, Dataset, load_dataset, save_dataset
+from minent.entropy import Clique, localization_loss, row_softmax
 from minent.geometry import Box
+from minent.model import forward
 from minent.trainer import load_checkpoint
 
 GEN = [
@@ -130,6 +132,45 @@ class TestTrain:
                    "--out-checkpoint", str(done)])
         assert rc == 0
         assert solid.read_bytes() == done.read_bytes()
+
+    def test_hidden_layer_stop_and_resume_matches_single_run(self, workspace, tmp_path):
+        ds = str(workspace / "ds.json")
+        run = ["train", "--data", ds, "--epochs", "3", "--ablation", "l-arl",
+               "--hidden-dim", "8"]
+        solid, half, done = tmp_path / "solid.json", tmp_path / "half.json", tmp_path / "done.json"
+        solid_csv, split_csv = tmp_path / "solid.csv", tmp_path / "split.csv"
+        assert main(run + ["--out-checkpoint", str(solid), "--csv", str(solid_csv)]) == 0
+        assert main(run + ["--out-checkpoint", str(half), "--csv", str(split_csv),
+                           "--stop-after", "1"]) == 0
+        assert main(["train", "--data", ds, "--resume", str(half), "--out-checkpoint",
+                     str(done), "--csv", str(split_csv)]) == 0
+        assert solid.read_bytes() == done.read_bytes()
+
+        def without_seconds(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        assert without_seconds(solid_csv) == without_seconds(split_csv)
+        assert len(without_seconds(solid_csv)) == 1 + 3
+        assert load_checkpoint(str(done)).params.hidden_dim == 8
+        assert main(["eval", "--data", ds, "--checkpoint", str(done)]) == 0
+
+    @pytest.mark.parametrize("config", [
+        {"shared_hidden": False, "hidden_dim": 8},
+        {"shared_hidden": "no"},
+        {"shared_hidden": []},
+        {"batch_size": 1},
+    ], ids=json.dumps)
+    def test_unknown_config_key_is_usage_error(self, workspace, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "ck.json"
+        rc = main(["train", "--data", str(workspace / "ds.json"), "--out-checkpoint", str(out),
+                   "--epochs", "1", "--config", str(cfg)])
+        assert rc == 2
+        key = next(k for k in config if k in ("shared_hidden", "batch_size"))
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert err == [f"error: unknown config key(s) in {cfg}: {key}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, change", [
         (["--hidden-dim", "8"], "hidden_dim from 0 to 8"),
@@ -311,6 +352,27 @@ class TestInspect:
         assert doc["h_star"] == {"0": 0}
         assert doc["weights"]["0"] == [1.0]
 
+    def test_branchless_tier_weights_come_from_discovery(self, workspace, tmp_path, capsys):
+        data = str(workspace / "ds.json")
+        ck = tmp_path / "clique.json"
+        assert main(["train", "--data", data, "--out-checkpoint", str(ck),
+                     "--epochs", "1", "--ablation", "clique"]) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--data", data, "--checkpoint", str(ck),
+                     "--bag", "pos-c1-0000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["labels"] == [0, 1]
+        members = doc["cliques"][doc["selected"]["1"]]["members"]
+        h = doc["h_star"]["1"]
+        assert h in members
+        # a tier without branches weighs the clique by discovery probabilities
+        state = load_checkpoint(str(ck))
+        bag = load_dataset(data).bag_by_id("pos-c1-0000")
+        q_disc = row_softmax(forward(state.params, bag.features, "disc"))
+        clique = Clique(tuple(members))
+        out, _ = localization_loss(clique, h, q_disc, bag.boxes, state.config.kernel_a, 1)
+        assert doc["weights"]["1"] == [float(v) for v in out.soft_weights]
+
 
 class TestCorruptCheckpoint:
     def edited(self, workspace, tmp_path, edit):
@@ -334,9 +396,33 @@ class TestCorruptCheckpoint:
         lambda d: d.update(epoch=True),
         lambda d: d.update(rng_state=np.random.default_rng(1).bit_generator.state),
         lambda d: d.update(rng_state="junk"),
+        lambda d: d["config"].update(shared_hidden=False),
+        lambda d: d["config"].update(shared_hidden="no"),
+        lambda d: d["config"].update(shared_hidden=1),
+        lambda d: d["config"].update(batch_size=2),
+        lambda d: d["config"].update(batch_size=True),
+        lambda d: d["config"].pop("shared_hidden"),
+        lambda d: d["config"].pop("batch_size"),
+        lambda d: d["params"].update(disc_b=[True, False]),
+        lambda d: d["params"].update(disc_b=["0.5", "1e-3"]),
+        lambda d: d["params"].update(disc_b=[True, 0.5]),
+        lambda d: d["params"]["disc_w"][0].__setitem__(0, True),
+        lambda d: d["buffers"].update(disc_b=[None, 0.5]),
+        lambda d: d["buffers"]["disc_b"].__setitem__(0, float("nan")),
+        lambda d: d["s_h"].update({"neg-0000": [True] * 10}),
+        lambda d: d.update(feature_dim=8.0),
+        lambda d: d.update(num_classes=2.0),
+        lambda d: d.update(hidden_dim=False),
+        lambda d: d["rng_state"].update(has_uint32=False),
+        lambda d: d["params"].update(extra=[0.0]),
     ], ids=["no-buffer", "extra-buffer", "buffer-shape", "param-shape", "s_h-matrix",
             "s_h-nan", "config-branches", "s_h-list", "epoch", "config-type", "epoch-bool",
-            "rng_state-other-seed", "rng_state-junk"])
+            "rng_state-other-seed", "rng_state-junk", "shared_hidden-false",
+            "shared_hidden-string", "shared_hidden-one", "batch_size-two", "batch_size-bool",
+            "no-shared_hidden", "no-batch_size", "param-bools", "param-strings",
+            "param-mixed-bool", "param-matrix-bool", "buffer-null", "buffer-nan", "s_h-bools",
+            "feature_dim-float", "num_classes-float", "hidden_dim-bool", "rng_state-bool",
+            "extra-param"])
     def test_every_command_rejects_it(self, workspace, tmp_path, capsys, edit):
         ck = self.edited(workspace, tmp_path, edit)
         data = str(workspace / "ds.json")

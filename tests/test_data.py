@@ -182,8 +182,17 @@ class TestSchema:
         lambda d: d["bags"][0].update(labels=[0.5, 1]),
         lambda d: d["bags"][0].update(labels=[True, False]),
         lambda d: d["bags"][0]["ground_truth"][0].update({"class": 1.7}),
+        lambda d: d["bags"][0]["proposals"][0]["feature"].__setitem__(0, "0.5"),
+        lambda d: d["bags"][0]["proposals"][0]["feature"].__setitem__(0, True),
+        lambda d: d["bags"][0]["proposals"][0]["feature"].__setitem__(0, None),
+        lambda d: d["bags"][0]["proposals"][0].update(box=[0, 0, True, 1]),
+        lambda d: d["bags"][-1]["proposals"][1].update(box=[False, 0.1, 0.5, 0.5]),
+        lambda d: d["bags"][0]["ground_truth"][0].update(box=[0, 0, True, 1]),
+        lambda d: d["bags"][0]["ground_truth"][0].update(box=["0", "0", "1", "1"]),
     ], ids=["feature_dim-null", "feature_dim-list", "feature_dim-float", "bags-number",
-            "bags-of-numbers", "labels-float", "labels-bool", "gt-class-float"])
+            "bags-of-numbers", "labels-float", "labels-bool", "gt-class-float",
+            "feature-string", "feature-bool", "feature-null", "box-bool", "box-false",
+            "gt-box-bool", "gt-box-strings"])
     def test_train_rejects_bad_value_at_load(self, tmp_path, capsys, edit):
         path = tmp_path / "ds.json"
         save_dataset(generate_synthetic(SynthConfig(

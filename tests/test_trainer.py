@@ -1,4 +1,6 @@
 import json
+from dataclasses import asdict, fields
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -72,7 +74,6 @@ class TestConfig:
         {"lr": -1e-3},
         {"momentum": -0.1},
         {"weight_decay": -1.0},
-        {"batch_size": 2},
         {"tau": 0.0},
         {"tau": 1.0},
         {"top_k": 0},
@@ -81,6 +82,7 @@ class TestConfig:
         {"branches": 0},
         {"ablation": "everything"},
         {"hidden_dim": -2},
+        {"init_scale": -1.0},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -99,10 +101,16 @@ class TestConfig:
     def test_lr_schedule_single_epoch_uses_early_rate(self):
         assert TrainConfig(epochs=1).lr_for_epoch(1) == 5e-3
 
-    def test_shared_hidden_off_forces_linear(self):
-        cfg = TrainConfig(hidden_dim=8, shared_hidden=False)
-        assert cfg.effective_hidden_dim() == 0
-        assert TrainConfig(hidden_dim=8).effective_hidden_dim() == 8
+    @pytest.mark.parametrize("kw", [{"batch_size": 2}, {"shared_hidden": False}])
+    def test_removed_knobs_are_not_settable(self, kw):
+        with pytest.raises(TypeError):
+            TrainConfig(**kw)
+
+    def test_batch_size_is_a_constant(self):
+        names = {f.name for f in fields(TrainConfig)}
+        assert len(names) == 14
+        assert not names & {"batch_size", "shared_hidden"}
+        assert TrainConfig().batch_size == 1
 
 
 class TestTierSwitches:
@@ -277,6 +285,37 @@ class TestTrain:
         train(ds, small_cfg(epochs=3, ablation=ablation), state=state)
         assert len(built) == 2 * per_positive_bag * positive_bags
 
+    def test_hidden_gradient_sums_every_head_in_order(self, monkeypatch):
+        # the shared hidden layer's gradient is the discovery head's plus each
+        # branch's, added in head order, bit for bit
+        events = []
+        backward, step = trainer_module.backward_head, trainer_module.sgd_step
+
+        def recorded_backward(params, features, head, upstream):
+            grads = backward(params, features, head, upstream)
+            events.append(("backward", head, {k: v.copy() for k, v in grads.items()}))
+            return grads
+
+        def recorded_step(params, grads, *args):
+            events.append(("step", None, {k: v.copy() for k, v in grads.items()}))
+            return step(params, grads, *args)
+
+        monkeypatch.setattr(trainer_module, "backward_head", recorded_backward)
+        monkeypatch.setattr(trainer_module, "sgd_step", recorded_step)
+        train(small_ds(), small_cfg(epochs=1, branches=3, hidden_dim=5))
+        visits, calls = 0, []
+        for kind, head, grads in events:
+            if kind == "backward":
+                calls.append((head, grads))
+                continue
+            assert calls[0][0] == "disc"
+            for name in ("hidden_w", "hidden_b"):
+                want = reduce(np.add, [g[name] for _, g in calls])
+                assert np.array_equal(grads[name], want)
+            visits += [h for h, _ in calls] == ["disc", 0, 1, 2]
+            calls = []
+        assert visits == 8  # every positive bag trains all three branches
+
     def test_overlaps_computed_once_per_anchor_per_visit(self, monkeypatch):
         # every branch scores the same anchors against the same boxes, so
         # each visit computes an anchor's member overlaps once and passes them
@@ -370,8 +409,13 @@ class TestCheckpoint:
             np.testing.assert_array_equal(back.s_h[bag_id], state.s_h[bag_id])
         # format v1 keeps the key; it holds the seed's state, since the
         # visit order is recomputed from the seed
-        saved = json.loads(path.read_text())["rng_state"]
-        assert saved == np.random.default_rng(state.config.seed).bit_generator.state
+        saved = json.loads(path.read_text())
+        assert saved["rng_state"] == np.random.default_rng(state.config.seed).bit_generator.state
+        # format v1 also keeps two fixed config keys for settings that are gone
+        assert set(saved["config"]) == {f.name for f in fields(TrainConfig)} | {
+            "batch_size", "shared_hidden"
+        }
+        assert saved["config"] == {**asdict(state.config), "batch_size": 1, "shared_hidden": True}
 
     def test_save_is_byte_stable(self, tmp_path):
         ds = small_ds()
@@ -394,6 +438,55 @@ class TestCheckpoint:
         assert [r.key() for r in first + rest] == [r.key() for r in full]
         full_state, _ = train(ds, cfg)
         assert params_equal(resumed_state.params, full_state.params)
+
+    @pytest.mark.parametrize("change", [
+        {"ablation": "clique"},
+        {"seed": 5},
+        {"epochs": 3},
+        {"epochs": 4, "ablation": "clique", "seed": 5},
+    ], ids=json.dumps)
+    def test_resume_saves_the_config_it_trained_with(self, tmp_path, change):
+        ds = small_ds()
+        state, _ = train(ds, small_cfg(epochs=2))
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        cfg = small_cfg(**change)
+        resumed, reports = train(ds, cfg, state=load_checkpoint(str(path)))
+        assert resumed.config == cfg
+        assert [r.epoch for r in reports] == list(range(3, cfg.epochs + 1))
+        save_checkpoint(resumed, str(path))
+        back = load_checkpoint(str(path))
+        assert back.config == cfg and back.epoch == cfg.epochs
+
+    def test_resume_that_fails_its_checks_keeps_the_config(self, tmp_path):
+        ds = small_ds()
+        state, _ = train(ds, small_cfg(epochs=3), stop_after=1)
+        csv = tmp_path / "ep.csv"
+        csv.write_text("not,a,header\n")
+        with pytest.raises(ValueError, match="header"):
+            train(ds, small_cfg(epochs=3, seed=5), state=state, csv_path=str(csv))
+        assert state.config == small_cfg(epochs=3) and state.epoch == 1
+
+    @pytest.mark.parametrize("change", [{"branches": 5}, {"branches": 1}, {"hidden_dim": 4}],
+                             ids=json.dumps)
+    def test_resume_rejects_a_shape_change(self, tmp_path, monkeypatch, change):
+        ds, base = small_ds(), dict(epochs=2, branches=3)
+        state, _ = train(ds, small_cfg(**base), stop_after=1)
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+
+        def no_visit(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(trainer_module, "_bag_step", no_visit)
+        csv = tmp_path / "ep.csv"
+        loaded = load_checkpoint(str(path))
+        name = next(iter(change))
+        with pytest.raises(CheckpointError, match=f"config {name}"):
+            train(ds, small_cfg(**{**base, **change}), state=loaded, csv_path=str(csv))
+        assert not csv.exists()
+        assert loaded.epoch == 1 and loaded.config == small_cfg(**base)
+        assert params_equal(loaded.params, state.params)
 
     def test_feature_dim_mismatch_rejected(self, tmp_path):
         ds = small_ds()
