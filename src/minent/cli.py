@@ -202,10 +202,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if merged["score_floor"] < 0.0:
         raise UsageError(f"--score-floor must be >= 0, got {merged['score_floor']}")
 
+    state = _load_ckpt(args.checkpoint)
     ds = _load_ds(args.data)
     if not ds.has_ground_truth():
         raise RuntimeError("evaluation requires ground-truth boxes; the dataset has none")
-    state = _load_ckpt(args.checkpoint)
     check_dims(state.params, ds)
 
     head = tier_switches(state.config).detect_head
@@ -224,8 +224,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    ds = _load_ds(args.data)
     state = _load_ckpt(args.checkpoint)
+    ds = _load_ds(args.data)
     check_dims(state.params, ds)
     try:
         bag = ds.bag_by_id(args.bag)

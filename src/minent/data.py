@@ -14,6 +14,11 @@ therefore concentrates on the many high-scoring parts, while grouping
 overlapping boxes and scoring groups by their mean lets the near-object
 group win — the behavior the training objective is supposed to exhibit.
 
+``save_dataset`` writes the canonical JSON and, beside it, a binary sidecar
+``<path>.npz`` with the same arrays, keyed by the SHA-256 of the JSON bytes.
+``load_dataset`` reads the sidecar in place of parsing the JSON only when
+that hash matches the JSON file; the JSON stays the one format.
+
 The dataset is a fixed function of the config and its seed.  A positive
 bag's boxes are rejection-sampled in blocks of tries: each round draws the
 tries it may still need as one uniform block from the same stream, tests
@@ -26,14 +31,17 @@ takes a variable share of the stream.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
 
 from .geometry import Box, iou_matrix
-from .jsonio import read_json, write_json
+from .jsonio import dumps_canonical, read_json, write_atomic
 
 
 class DataError(ValueError):
@@ -46,6 +54,11 @@ class GenerationError(RuntimeError):
 
 # rejection-sampling budget per generated box
 _MAX_TRIES = 1000
+
+# the binary sidecar of dataset file ``path`` is ``path + SIDECAR_SUFFIX``
+SIDECAR_SUFFIX = ".npz"
+# bytes read per step while hashing a dataset file
+_HASH_BLOCK = 1 << 20
 
 
 def _frozen(values) -> np.ndarray:
@@ -233,11 +246,13 @@ def validate_dataset(ds: Dataset) -> None:
         if not (np.isfinite(bag.boxes).all() and (bag.boxes[:, :2] < bag.boxes[:, 2:]).all()):
             raise DataError(f"bag '{bag.id}': boxes must be finite with x1 < x2 and y1 < y2")
         if bag.ground_truth is not None:
-            for k, (cls, _box) in enumerate(bag.ground_truth):
+            for k, (cls, box) in enumerate(bag.ground_truth):
                 if not whole_number(cls) or not 0 <= cls < n:
                     raise DataError(
                         f"bag '{bag.id}': ground_truth {k} class {cls!r} out of range [0, {n})"
                     )
+                if not all(math.isfinite(v) for v in box.as_list()):
+                    raise DataError(f"bag '{bag.id}': ground_truth {k} box must be finite")
 
 
 def _bag_to_record(bag: Bag) -> dict:
@@ -256,16 +271,21 @@ def _bag_to_record(bag: Bag) -> dict:
     return rec
 
 
-def _bag_from_record(rec: dict) -> Bag:
+def _bag_from_record(rec: dict, arrays=None) -> Bag:
+    """The bag of one dataset record.  ``arrays`` is its (features, boxes)
+    pair from the sidecar; without it they are read from the record's
+    ``proposals``."""
     bag_id = rec.get("id")
     if not isinstance(bag_id, str) or not bag_id:
         raise DataError(f"bag record missing string 'id': {rec.get('id')!r}")
-    try:
-        proposals = rec["proposals"]
-        features = number_array([p["feature"] for p in proposals], "features")
-        boxes = number_array([p["box"] for p in proposals], "boxes")
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"bag '{bag_id}': malformed proposal: {e}") from e
+    if arrays is None:
+        try:
+            proposals = rec["proposals"]
+            arrays = (number_array([p["feature"] for p in proposals], "features"),
+                      number_array([p["box"] for p in proposals], "boxes"))
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"bag '{bag_id}': malformed proposal: {e}") from e
+    features, boxes = arrays
     gt = None
     if "ground_truth" in rec:
         try:
@@ -279,18 +299,10 @@ def _bag_from_record(rec: dict) -> Bag:
     return Bag(id=bag_id, labels=labels, features=features, boxes=boxes, ground_truth=gt)
 
 
-def save_dataset(ds: Dataset, path: str) -> None:
-    validate_dataset(ds)
-    doc = {
-        "classes": list(ds.classes),
-        "feature_dim": int(ds.feature_dim),
-        "bags": [_bag_to_record(b) for b in ds.bags],
-    }
-    write_json(doc, path)
-
-
-def load_dataset(path: str) -> Dataset:
-    doc = read_json(path)
+def _dataset_from_doc(doc, arrays=None) -> Dataset:
+    """The validated dataset of a parsed dataset document.  ``arrays``
+    holds each bag's (features, boxes) pair, for a document whose bag
+    records carry no ``proposals``."""
     if not isinstance(doc, dict):
         raise DataError("dataset file must contain a JSON object")
     for key in ("classes", "feature_dim", "bags"):
@@ -301,13 +313,84 @@ def load_dataset(path: str) -> Dataset:
         raise DataError("'classes' must be a list of strings")
     if not isinstance(bags, list) or not all(isinstance(rec, dict) for rec in bags):
         raise DataError("'bags' must be a list of objects")
+    if arrays is None:
+        arrays = [None] * len(bags)
     ds = Dataset(
         classes=classes,
         feature_dim=doc["feature_dim"],
-        bags=[_bag_from_record(rec) for rec in bags],
+        bags=[_bag_from_record(rec, a) for rec, a in zip(bags, arrays, strict=True)],
     )
     validate_dataset(ds)
     return ds
+
+
+def save_dataset(ds: Dataset, path: str) -> None:
+    """Write ``ds`` to ``path`` as canonical JSON, and its sidecar to
+    ``path + SIDECAR_SUFFIX``: the bags' concatenated features and boxes,
+    each bag's proposal count, the document without ``proposals``, and the
+    SHA-256 of the JSON bytes."""
+    validate_dataset(ds)
+    head = {"classes": list(ds.classes), "feature_dim": int(ds.feature_dim)}
+    records = [_bag_to_record(b) for b in ds.bags]
+    data = dumps_canonical({**head, "bags": records}).encode()
+    meta = dumps_canonical({**head, "bags": [
+        {k: v for k, v in rec.items() if k != "proposals"} for rec in records
+    ]}).encode()
+    sha256 = hashlib.sha256(data).hexdigest()
+    # a sidecar whose hash matches no JSON is ignored, so either order is safe
+    write_atomic(path + SIDECAR_SUFFIX, lambda f: np.savez(
+        f,
+        sha256=np.array(sha256),
+        doc=np.frombuffer(meta, dtype=np.uint8),
+        counts=np.array([b.num_proposals for b in ds.bags]),
+        features=np.concatenate([b.features for b in ds.bags]),
+        boxes=np.concatenate([b.boxes for b in ds.bags]),
+    ))
+    write_atomic(path, lambda f: f.write(data))
+
+
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _load_sidecar(path: str) -> Dataset | None:
+    """The dataset from the sidecar of ``path``, or None when there is no
+    sidecar, it holds the hash of other JSON bytes, or it is unreadable,
+    malformed or fails a check; the caller then parses the JSON."""
+    sidecar = path + SIDECAR_SUFFIX
+    if not os.path.isfile(sidecar):
+        return None
+    try:
+        sha256 = _file_sha256(path)
+        with np.load(sidecar, allow_pickle=False) as z:
+            if str(z["sha256"]) != sha256:
+                return None
+            doc = json.loads(z["doc"].tobytes())
+            counts, features, boxes = z["counts"], z["features"], z["boxes"]
+        if (counts.dtype.kind not in "iu" or features.dtype != np.float64
+                or boxes.dtype != np.float64 or counts.sum() != len(features)
+                or len(boxes) != len(features)):
+            return None
+        ends = np.cumsum(counts).tolist()
+        # each bag gets its own copy, as parsing gives it its own array
+        arrays = [(features[a:b].copy(), boxes[a:b].copy())
+                  for a, b in zip([0] + ends[:-1], ends)]
+        return _dataset_from_doc(doc, arrays)
+    except Exception:  # any fault in the sidecar falls back to the JSON
+        return None
+
+
+def load_dataset(path: str) -> Dataset:
+    """The dataset in the JSON file ``path``, taken from its sidecar when
+    that holds the SHA-256 of the file's bytes, else parsed from the JSON.
+    Both give the same dataset, after the same checks, and only the JSON
+    path raises."""
+    ds = _load_sidecar(path)
+    return ds if ds is not None else _dataset_from_doc(read_json(path))
 
 
 # ---------------------------------------------------------------------------

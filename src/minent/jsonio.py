@@ -17,19 +17,25 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def write_json(obj, path: str) -> None:
-    """Atomically write ``obj`` to ``path`` as canonical JSON."""
-    data = dumps_canonical(obj)
+def write_atomic(path: str, write) -> None:
+    """Atomically create or replace ``path``: ``write(f)`` fills a binary
+    temp file in the target directory, which is then renamed onto ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(data)
+        with os.fdopen(fd, "wb") as f:
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(obj, path: str) -> None:
+    """Atomically write ``obj`` to ``path`` as canonical JSON."""
+    data = dumps_canonical(obj).encode()
+    write_atomic(path, lambda f: f.write(data))
 
 
 def read_json(path: str):

@@ -1,10 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from minent import cli
+from minent import data as data_module
 from minent.cli import main
-from minent.data import Bag, Dataset, load_dataset, save_dataset
+from minent.data import SIDECAR_SUFFIX, Bag, Dataset, load_dataset, save_dataset
 from minent.entropy import Clique, localization_loss, row_softmax
 from minent.geometry import Box
 from minent.model import forward
@@ -488,6 +491,117 @@ class TestBadValues:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestLoadOrder:
+    """``eval`` and ``inspect`` open the checkpoint before the dataset."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+        real = cli.load_dataset
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_dataset", counting)
+        return calls
+
+    @staticmethod
+    def argv(command, data, ck):
+        extra = ["--bag", "neg-0000"] if command == "inspect" else []
+        return [command, "--data", data, "--checkpoint", ck, *extra]
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_bad_checkpoint_fails_before_any_dataset_load(
+            self, workspace, tmp_path, capsys, loads, command):
+        data = str(workspace / "ds.json")
+        missing = str(tmp_path / "missing.json")
+        assert main(self.argv(command, data, missing)) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read checkpoint {missing}: "
+            f"[Errno 2] No such file or directory: '{missing}'\n"
+        )
+        doc = json.loads((workspace / "ck.json").read_text())
+        doc["params"]["disc_b"] = [0.0]
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text(json.dumps(doc))
+        assert main(self.argv(command, data, str(corrupt))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt checkpoint") and err.count("\n") == 1
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_bad_dataset_message_is_unchanged(
+            self, workspace, tmp_path, capsys, loads, command):
+        ck = str(workspace / "ck.json")
+        missing = str(tmp_path / "absent.json")
+        assert main(self.argv(command, missing, ck)) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read dataset {missing}: "
+            f"[Errno 2] No such file or directory: '{missing}'\n"
+        )
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"classes": ["a"], "bags": []}))
+        assert main(self.argv(command, str(bad), ck)) == 1
+        assert capsys.readouterr().err == "error: dataset file missing 'feature_dim'\n"
+        assert loads == [missing, str(bad)]
+
+
+class TestSidecarByteIdentity:
+    """Every output is the same whether the dataset loads through its
+    sidecar or through its JSON, and loading writes nothing."""
+
+    @pytest.mark.parametrize("tier", [
+        ["--ablation", "clique"],
+        ["--ablation", "l-arl"],
+        ["--ablation", "l-arl", "--hidden-dim", "8"],
+    ], ids=" ".join)
+    def test_outputs_equal_without_sidecar(self, tmp_path, capsys, monkeypatch, tier):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        ds = data_dir / "ds.json"
+        assert main(GEN + ["--out", str(ds)]) == 0
+        parses = []
+        real = data_module.read_json
+
+        def counting(path):
+            parses.append(path)
+            return real(path)
+
+        monkeypatch.setattr(data_module, "read_json", counting)
+
+        def listing():
+            return sorted((p.name, p.stat().st_mtime_ns) for p in data_dir.iterdir())
+
+        def run(out):
+            out.mkdir()
+            ck, csv, metrics = out / "ck.json", out / "epochs.csv", out / "metrics.json"
+            assert main(["train", "--data", str(ds), "--out-checkpoint", str(ck),
+                         "--csv", str(csv), "--epochs", "2", "--seed", "0", *tier]) == 0
+            assert main(["eval", "--data", str(ds), "--checkpoint", str(ck),
+                         "--out", str(metrics)]) == 0
+            capsys.readouterr()
+            assert main(["inspect", "--data", str(ds), "--checkpoint", str(ck),
+                         "--bag", "pos-c1-0001"]) == 0
+            inspected = capsys.readouterr().out
+            rows = [line.split(",") for line in csv.read_text().splitlines()]
+            col = rows[0].index("seconds")
+            rows = [row[:col] + row[col + 1:] for row in rows]
+            return ck.read_bytes(), rows, metrics.read_bytes(), inspected
+
+        before = listing()
+        assert [name for name, _ in before] == ["ds.json", "ds.json" + SIDECAR_SUFFIX]
+        with_sidecar = run(tmp_path / "with")
+        assert listing() == before
+        assert parses == []
+        os.unlink(str(ds) + SIDECAR_SUFFIX)
+        before = listing()
+        without = run(tmp_path / "without")
+        assert listing() == before
+        assert parses == [str(ds)] * 3
+        assert with_sidecar == without
 
 
 class TestMain:

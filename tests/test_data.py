@@ -1,5 +1,9 @@
+import hashlib
 import itertools
 import json
+import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from minent import data as data_module
 from minent.cli import main
 from minent.data import (
+    SIDECAR_SUFFIX,
     Bag,
     DataError,
     Dataset,
@@ -106,7 +111,7 @@ class TestSchema:
         target = tmp_path / "never.json"
         with pytest.raises(DataError):
             save_dataset(ds, str(target))
-        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_bag_without_proposals_rejected(self):
         ds = Dataset(
@@ -189,10 +194,12 @@ class TestSchema:
         lambda d: d["bags"][-1]["proposals"][1].update(box=[False, 0.1, 0.5, 0.5]),
         lambda d: d["bags"][0]["ground_truth"][0].update(box=[0, 0, True, 1]),
         lambda d: d["bags"][0]["ground_truth"][0].update(box=["0", "0", "1", "1"]),
+        lambda d: d["bags"][0]["ground_truth"][0]["box"].__setitem__(2, float("inf")),
+        lambda d: d["bags"][0]["ground_truth"][0]["box"].__setitem__(0, float("-inf")),
     ], ids=["feature_dim-null", "feature_dim-list", "feature_dim-float", "bags-number",
             "bags-of-numbers", "labels-float", "labels-bool", "gt-class-float",
             "feature-string", "feature-bool", "feature-null", "box-bool", "box-false",
-            "gt-box-bool", "gt-box-strings"])
+            "gt-box-bool", "gt-box-strings", "gt-box-infinity", "gt-box-minus-infinity"])
     def test_train_rejects_bad_value_at_load(self, tmp_path, capsys, edit):
         path = tmp_path / "ds.json"
         save_dataset(generate_synthetic(SynthConfig(
@@ -212,6 +219,26 @@ class TestSchema:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    def test_eval_rejects_infinite_ground_truth_naming_bag(self, tmp_path, capsys):
+        path = tmp_path / "ds.json"
+        save_dataset(generate_synthetic(SynthConfig(
+            num_classes=2, bags_per_class=1, negatives=1, proposals_per_bag=4, feature_dim=8,
+        )), str(path))
+        ck = tmp_path / "ck.json"
+        assert main(["train", "--data", str(path), "--out-checkpoint", str(ck),
+                     "--epochs", "1"]) == 0
+        doc = json.loads(path.read_text())
+        doc["bags"][0]["ground_truth"][0]["box"][2] = float("inf")
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        capsys.readouterr()
+        out = tmp_path / "metrics.json"
+        rc = main(["eval", "--data", str(path), "--checkpoint", str(ck), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: bag 'pos-c0-0000': ground_truth 0 box must be finite\n"
+        assert not out.exists()
 
     def test_bag_by_id(self):
         ds = tiny_dataset()
@@ -313,6 +340,216 @@ class TestGenerator:
             assert ba.id == bb.id
             np.testing.assert_array_equal(ba.feature_matrix(), bb.feature_matrix())
             np.testing.assert_array_equal(ba.box_array(), bb.box_array())
+
+
+# ---------------------------------------------------------------------------
+# The binary sidecar: loading through it gives what parsing the JSON gives,
+# and anything but a current, well-formed sidecar falls back to the JSON.
+# ---------------------------------------------------------------------------
+
+def _small(seed=0, classes=2, proposals=6, negatives=2):
+    return generate_synthetic(SynthConfig(
+        num_classes=classes, bags_per_class=2, negatives=negatives,
+        proposals_per_bag=proposals, feature_dim=3 * classes, seed=seed,
+    ))
+
+
+def _sidecar(path):
+    return str(path) + SIDECAR_SUFFIX
+
+
+def _json_only(path, tmp_path):
+    """``load_dataset`` of a copy of ``path`` that has no sidecar."""
+    bare = tmp_path / "bare"
+    bare.mkdir(exist_ok=True)
+    copy = bare / os.path.basename(str(path))
+    shutil.copyfile(path, copy)
+    return load_dataset(str(copy))
+
+
+def _members(path) -> dict:
+    with np.load(_sidecar(path), allow_pickle=False) as z:
+        return {k: z[k] for k in z.files}
+
+
+def _rewrite_sidecar(path, **changes):
+    members = {**_members(path), **changes}
+    with open(_sidecar(path), "wb") as f:
+        np.savez(f, **{k: v for k, v in members.items() if v is not None})
+
+
+def _assert_same(a: Dataset, b: Dataset):
+    assert a.classes == b.classes and a.feature_dim == b.feature_dim
+    assert [bag.id for bag in a.bags] == [bag.id for bag in b.bags]
+    for x, y in zip(a.bags, b.bags):
+        assert x.labels.dtype == y.labels.dtype and np.array_equal(x.labels, y.labels)
+        for u, v in ((x.features, y.features), (x.boxes, y.boxes)):
+            assert u.dtype == v.dtype == np.float64 and u.shape == v.shape
+            assert np.array_equal(u, v) and u.tobytes() == v.tobytes()
+            assert not u.flags.writeable and not v.flags.writeable
+            assert u.flags.c_contiguous and v.flags.c_contiguous
+        assert (x.ground_truth is None) == (y.ground_truth is None)
+        for (ca, ba), (cb, bb) in zip(x.ground_truth or [], y.ground_truth or []):
+            assert ca == cb and type(ca) is type(cb)
+            assert ba.as_list() == bb.as_list()
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts the dataset JSON parses ``load_dataset`` makes."""
+    calls = []
+    real = data_module.read_json
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(data_module, "read_json", counting)
+    return calls
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("seed, classes, proposals, negatives", [
+        (0, 1, 3, 2), (7, 2, 3, 0), (0, 2, 300, 1), (7, 1, 300, 3),
+    ])
+    def test_equals_the_json_path(self, tmp_path, parses, seed, classes, proposals, negatives):
+        path = tmp_path / "ds.json"
+        ds = _small(seed, classes, proposals, negatives)
+        save_dataset(ds, str(path))
+        assert os.path.isfile(_sidecar(path))
+        via_sidecar = load_dataset(str(path))
+        assert parses == []
+        via_json = _json_only(path, tmp_path)
+        assert len(parses) == 1
+        _assert_same(via_sidecar, via_json)
+        _assert_same(via_sidecar, ds)
+
+    def test_dataset_without_ground_truth(self, tmp_path, parses):
+        path = tmp_path / "ds.json"
+        save_dataset(_small(seed=1).training_view(), str(path))
+        via_sidecar = load_dataset(str(path))
+        assert parses == []
+        assert not via_sidecar.has_ground_truth()
+        _assert_same(via_sidecar, _json_only(path, tmp_path))
+
+    def test_sidecar_holds_the_json_hash_and_arrays(self, tmp_path):
+        path = tmp_path / "ds.json"
+        ds = _small(proposals=5)
+        save_dataset(ds, str(path))
+        z = _members(path)
+        assert set(z) == {"sha256", "doc", "counts", "features", "boxes"}
+        assert str(z["sha256"]) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert z["counts"].tolist() == [5] * len(ds.bags)
+        assert z["features"].dtype == z["boxes"].dtype == np.float64
+        assert np.array_equal(z["features"], np.concatenate([b.features for b in ds.bags]))
+        assert np.array_equal(z["boxes"], np.concatenate([b.boxes for b in ds.bags]))
+        doc = json.loads(z["doc"].tobytes())
+        assert all("proposals" not in rec for rec in doc["bags"])
+        full = json.loads(path.read_text())
+        for rec in full["bags"]:
+            rec.pop("proposals")
+        assert doc == full
+
+    def test_load_writes_nothing(self, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(_small(), str(path))
+
+        def listing():
+            return sorted((p.name, p.stat().st_mtime_ns, p.stat().st_size)
+                          for p in tmp_path.iterdir())
+
+        before = listing()
+        load_dataset(str(path))  # hit
+        assert listing() == before
+        path.write_text(path.read_text().replace('"labels":[1', '"labels":[0', 1))
+        before = listing()
+        load_dataset(str(path))  # stale
+        assert listing() == before and len(before) == 2
+        os.unlink(_sidecar(path))
+        before = listing()
+        load_dataset(str(path))  # no sidecar
+        assert listing() == before and len(before) == 1
+
+    def test_stale_after_resave_with_another_seed(self, tmp_path, parses):
+        path = tmp_path / "ds.json"
+        save_dataset(_small(seed=0), str(path))
+        old = tmp_path / "old.npz"
+        shutil.copyfile(_sidecar(path), old)
+        save_dataset(_small(seed=1), str(path))
+        shutil.copyfile(old, _sidecar(path))
+        loaded = load_dataset(str(path))
+        assert len(parses) == 1
+        _assert_same(loaded, _json_only(path, tmp_path))
+        _assert_same(loaded, _small(seed=1))
+
+    def test_stale_after_one_byte_edit(self, tmp_path, parses):
+        path = tmp_path / "ds.json"
+        save_dataset(_small(), str(path))
+        text = path.read_text()
+        edited = text.replace('"labels":[1', '"labels":[0', 1)
+        assert len(edited) == len(text) and edited != text
+        path.write_text(edited)
+        loaded = load_dataset(str(path))
+        assert len(parses) == 1
+        assert loaded.bags[0].labels.tolist() == [0, 0]
+        _assert_same(loaded, _json_only(path, tmp_path))
+
+    def test_stale_sidecar_gives_the_json_error(self, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(_small(), str(path))
+        path.write_text(path.read_text().replace('"labels":[1', '"labels":[2', 1))
+        with pytest.raises(DataError) as with_sidecar:
+            load_dataset(str(path))
+        with pytest.raises(DataError) as bare:
+            _json_only(path, tmp_path)
+        assert str(with_sidecar.value) == str(bare.value)
+        assert "labels must be 0 or 1" in str(bare.value)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda path: _truncate(_sidecar(path)),
+        lambda path: Path(_sidecar(path)).write_bytes(b"not a zip file"),
+        lambda path: _rewrite_sidecar(path, boxes=None),
+        lambda path: _rewrite_sidecar(path, counts=None),
+        lambda path: _rewrite_sidecar(
+            path, doc=np.array([json.loads(_members(path)["doc"].tobytes())], dtype=object)),
+        lambda path: _rewrite_sidecar(path, features=_nan_first(_members(path)["features"])),
+        lambda path: _rewrite_sidecar(path, doc=_duplicate_first_id(_members(path)["doc"])),
+        lambda path: _rewrite_sidecar(path, counts=_members(path)["counts"][:-1]),
+        lambda path: _rewrite_sidecar(path, features=_members(path)["features"].astype(np.float32)),
+    ], ids=["truncated", "not-a-zip", "no-boxes", "no-counts", "pickled-doc", "nan-feature",
+            "duplicate-id", "short-counts", "float32-features"])
+    def test_malformed_sidecar_falls_back(self, tmp_path, parses, spoil):
+        path = tmp_path / "ds.json"
+        save_dataset(_small(), str(path))
+        spoil(path)
+        loaded = load_dataset(str(path))
+        assert len(parses) == 1
+        _assert_same(loaded, _json_only(path, tmp_path))
+        _assert_same(loaded, _small())
+
+    def test_sidecar_without_json_is_never_read(self, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(_small(), str(path))
+        os.unlink(path)
+        with pytest.raises(FileNotFoundError):
+            load_dataset(str(path))
+
+
+def _truncate(name):
+    with open(name, "r+b") as f:
+        f.truncate(os.path.getsize(name) // 2)
+
+
+def _nan_first(features):
+    features = features.copy()
+    features[0, 0] = np.nan
+    return features
+
+
+def _duplicate_first_id(doc_bytes):
+    doc = json.loads(doc_bytes.tobytes())
+    doc["bags"][1]["id"] = doc["bags"][0]["id"]
+    return np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -502,4 +739,4 @@ class TestGenerationError:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: bag '")
         assert "could not place" in err and "Traceback" not in err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # neither the JSON nor its sidecar
