@@ -207,6 +207,8 @@ class SynthConfig:
             raise DataError("part_fraction must lie in [0, 1]")
         if self.noise_sigma < 0:
             raise DataError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def validate_dataset(ds: Dataset) -> None:
@@ -255,20 +257,24 @@ def validate_dataset(ds: Dataset) -> None:
                     raise DataError(f"bag '{bag.id}': ground_truth {k} box must be finite")
 
 
-def _bag_to_record(bag: Bag) -> dict:
-    rec = {
-        "id": bag.id,
-        "labels": [int(v) for v in bag.labels],
-        "proposals": [
-            {"box": box, "feature": feature}
-            for box, feature in zip(bag.boxes.tolist(), bag.features.tolist())
-        ],
-    }
+def _bag_meta(bag: Bag) -> dict:
+    """The record of ``bag`` without its ``proposals``: the sidecar's ``doc``."""
+    rec = {"id": bag.id, "labels": [int(v) for v in bag.labels]}
     if bag.ground_truth is not None:
         rec["ground_truth"] = [
             {"class": int(cls), "box": box.as_list()} for cls, box in bag.ground_truth
         ]
     return rec
+
+
+def _bag_to_record(bag: Bag) -> dict:
+    return {
+        **_bag_meta(bag),
+        "proposals": [
+            {"box": box, "feature": feature}
+            for box, feature in zip(bag.boxes.tolist(), bag.features.tolist())
+        ],
+    }
 
 
 def _bag_from_record(rec: dict, arrays=None) -> Bag:
@@ -324,29 +330,130 @@ def _dataset_from_doc(doc, arrays=None) -> Dataset:
     return ds
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _encode_bags(bags: list[Bag]) -> bytes:
+    """The canonical JSON of the records of ``bags``, comma-separated, as
+    they sit inside the dataset document's ``bags`` list."""
+    return dumps_canonical([_bag_to_record(b) for b in bags])[1:-2].encode()
+
+
+def _slice_bounds(bags: list[Bag], n: int) -> list[int]:
+    """Bounds of ``n <= len(bags)`` contiguous, non-empty slices of ``bags``
+    with near-equal float counts: a bag joins the slice that holds the
+    middle of its floats."""
+    floats = np.array([b.features.size + b.boxes.size for b in bags], dtype=float)
+    middles = np.cumsum(floats) - floats / 2
+    total = floats.sum()
+    bounds = [0]
+    for k in range(1, n):
+        end = int(np.searchsorted(middles, total * k / n))
+        bounds.append(min(max(end, bounds[-1] + 1), len(bags) - (n - k)))
+    return bounds + [len(bags)]
+
+
+def _encode_child(conn, bags: list[Bag]) -> None:
+    """A worker of ``_encode_records``: sends its slice's bytes and exits 0,
+    or sends the error that stopped it and exits 1."""
+    try:
+        part = _encode_bags(bags)
+    except Exception as e:
+        conn.send_bytes(f"{type(e).__name__}: {e}".encode())
+        raise SystemExit(1)
+    conn.send_bytes(part)
+
+
+def _receive(index: int, proc, conn) -> bytes:
+    """Worker ``index``'s slice; a RuntimeError if it sent none."""
+    try:
+        part = conn.recv_bytes()
+    except EOFError:
+        part = None
+    proc.join()
+    if part is not None and proc.exitcode == 0:
+        return part
+    if part is not None and proc.exitcode == 1:
+        why = part.decode(errors="replace")
+    else:
+        why = f"exit code {proc.exitcode}" + (", nothing sent" if part is None else "")
+    raise RuntimeError(f"dataset encoding worker {index} failed: {why}")
+
+
+def _encode_records(bags: list[Bag]) -> list[bytes]:
+    """``_encode_bags`` of contiguous slices of ``bags``, one slice per
+    usable CPU and never more slices than bags.  The caller's process
+    encodes the first slice while forked workers encode the others and send
+    them back through pipes; with one CPU, or where ``fork`` is missing,
+    the one slice is all of ``bags``.  The bytes do not depend on the count.
+
+    Fork is safe here: a worker only formats JSON from arrays it inherited,
+    and never calls into BLAS, whose threads it does not inherit.
+    ``multiprocessing`` (not a bare ``os.fork``) flushes stdio before it
+    forks, so no buffered output is written twice.  No worker outlives the
+    call, whether it returns or raises.
+    """
+    import multiprocessing  # here, so that train and eval do not import it
+
+    fork = (multiprocessing.get_context("fork")
+            if "fork" in multiprocessing.get_all_start_methods() else None)
+    bounds = _slice_bounds(bags, min(_usable_cpus(), len(bags)) if fork else 1)
+    workers = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            conn, child_conn = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_encode_child, args=(child_conn, bags[lo:hi]),
+                                daemon=True)
+            proc.start()
+            child_conn.close()
+            workers.append((proc, conn))
+        parts = [_encode_bags(bags[: bounds[1]])]
+        parts += [_receive(i, proc, conn) for i, (proc, conn) in enumerate(workers, 1)]
+        return parts
+    finally:
+        for proc, conn in workers:
+            conn.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+
+
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write ``ds`` to ``path`` as canonical JSON, and its sidecar to
     ``path + SIDECAR_SUFFIX``: the bags' concatenated features and boxes,
     each bag's proposal count, the document without ``proposals``, and the
-    SHA-256 of the JSON bytes."""
+    SHA-256 of the JSON bytes.  The bag records are encoded on every usable
+    CPU (``_encode_records``); the bytes are those of ``dumps_canonical``
+    of the whole document."""
     validate_dataset(ds)
     head = {"classes": list(ds.classes), "feature_dim": int(ds.feature_dim)}
-    records = [_bag_to_record(b) for b in ds.bags]
-    data = dumps_canonical({**head, "bags": records}).encode()
-    meta = dumps_canonical({**head, "bags": [
-        {k: v for k, v in rec.items() if k != "proposals"} for rec in records
-    ]}).encode()
-    sha256 = hashlib.sha256(data).hexdigest()
-    # a sidecar whose hash matches no JSON is ignored, so either order is safe
+    # "bags" sorts first, so the document is this opening, the records
+    # joined by commas, and the rest of the document with no bags
+    opening = b'{"bags":['
+    pieces = [opening]
+    for part in _encode_records(ds.bags):
+        pieces += [part, b","]
+    pieces[-1] = dumps_canonical({**head, "bags": []}).encode()[len(opening) :]
+    sha256 = hashlib.sha256()
+    for piece in pieces:
+        sha256.update(piece)
+    meta = dumps_canonical({**head, "bags": [_bag_meta(b) for b in ds.bags]}).encode()
+    # the JSON goes first, so a failed write leaves no sidecar behind; a
+    # sidecar that is missing or holds another file's hash is never read
+    write_atomic(path, lambda f: f.writelines(pieces))
     write_atomic(path + SIDECAR_SUFFIX, lambda f: np.savez(
         f,
-        sha256=np.array(sha256),
+        sha256=np.array(sha256.hexdigest()),
         doc=np.frombuffer(meta, dtype=np.uint8),
         counts=np.array([b.num_proposals for b in ds.bags]),
         features=np.concatenate([b.features for b in ds.bags]),
         boxes=np.concatenate([b.boxes for b in ds.bags]),
     ))
-    write_atomic(path, lambda f: f.write(data))
 
 
 def _file_sha256(path: str) -> str:

@@ -19,16 +19,20 @@ def dumps_canonical(obj) -> str:
 
 def write_atomic(path: str, write) -> None:
     """Atomically create or replace ``path``: ``write(f)`` fills a binary
-    temp file in the target directory, which is then renamed onto ``path``."""
+    temp file in the target directory, which is then renamed onto ``path``.
+    An OSError names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             write(f)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, path) from e
         raise
 
 

@@ -105,6 +105,8 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
         if self.init_scale < 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def lr_for_epoch(self, epoch: int) -> float:
         """Step schedule: the early rate for roughly the first three

@@ -493,6 +493,75 @@ class TestBadValues:
         assert list((tmp_path / "out").iterdir()) == []
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    @pytest.mark.parametrize("how, seed", [("flag", -1), ("config", -3)])
+    def test_exits_two_naming_the_seed(self, workspace, tmp_path, capsys, command, how, seed):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "gen": ["gen", "--out", str(out / "ds.json")],
+            "train": ["train", "--data", str(workspace / "ds.json"),
+                      "--out-checkpoint", str(out / "ck.json"), "--csv", str(out / "ep.csv")],
+        }[command]
+        if how == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"seed": seed}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"error: seed must be >= 0, got {seed}"
+        assert list(out.iterdir()) == []
+
+
+class TestUnwritableOutput:
+    """A path that cannot be written is exit 1 with one ``error:`` line that
+    names that path, and leaves no file behind."""
+
+    def _tree(self, root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+    def _one_error_naming(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert repr(str(path)) in err and ".tmp" not in err
+
+    @pytest.mark.parametrize("kind", ["directory", "missing parent"])
+    def test_gen_writes_no_dataset_and_no_sidecar(self, tmp_path, capsys, kind):
+        out = tmp_path / "d.json"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out = tmp_path / "absent" / "d.json"
+        before = self._tree(tmp_path)
+        assert main(GEN + ["--out", str(out)]) == 1
+        self._one_error_naming(capsys, out)
+        assert self._tree(tmp_path) == before
+
+    def test_gen_to_empty_path_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(GEN + ["--out", ""]) == 1
+        self._one_error_naming(capsys, "")
+        assert self._tree(tmp_path) == ["work"]
+
+    def test_train_names_the_checkpoint(self, workspace, tmp_path, capsys):
+        out = tmp_path / "absent" / "ck.json"
+        assert main(["train", "--data", str(workspace / "ds.json"),
+                     "--out-checkpoint", str(out), "--epochs", "1"]) == 1
+        self._one_error_naming(capsys, out)
+        assert self._tree(tmp_path) == []
+
+    def test_eval_names_the_metrics_file(self, workspace, tmp_path, capsys):
+        out = tmp_path / "absent" / "metrics.json"
+        assert main(["eval", "--data", str(workspace / "ds.json"),
+                     "--checkpoint", str(workspace / "ck.json"), "--out", str(out)]) == 1
+        self._one_error_naming(capsys, out)
+        assert self._tree(tmp_path) == []
+
+
 class TestLoadOrder:
     """``eval`` and ``inspect`` open the checkpoint before the dataset."""
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import shutil
 from pathlib import Path
@@ -23,6 +24,7 @@ from minent.data import (
     validate_dataset,
 )
 from minent.geometry import Box, boxes_to_array, iou, iou_matrix
+from minent.jsonio import dumps_canonical
 
 # mutual-IoU floor of a near or part group: one clique under the default
 # overlap threshold 0.7, with a margin
@@ -261,6 +263,7 @@ class TestSynthConfig:
             {"feature_dim": 5, "num_classes": 2},
             {"part_fraction": 1.5},
             {"noise_sigma": -0.1},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs(self, kw):
@@ -740,3 +743,154 @@ class TestGenerationError:
         assert err.count("\n") == 1 and err.startswith("error: bag '")
         assert "could not place" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # neither the JSON nor its sidecar
+
+
+def _odd_dataset(bags=7, seed=0) -> Dataset:
+    """Bags of unequal sizes, ids with quotes and non-ASCII characters,
+    positive bags with ground truth, negatives without, and one positive
+    bag without."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(bags):
+        p = 1 + (i * 5) % 9
+        xy = rng.uniform(0.0, 0.5, size=(p, 2))
+        positive = i % 3 != 2
+        out.append(Bag(
+            id=f'b"{i}\u00e9\u4e2d' if i % 2 else f"bag-{i}",
+            labels=[int(positive), 0],
+            features=rng.standard_normal((p, 4)) * 10.0 ** rng.integers(-8, 8, size=(p, 4)),
+            boxes=np.hstack([xy, xy + rng.uniform(0.01, 0.5, size=(p, 2))]),
+            ground_truth=[(0, Box(0.1, 0.2, 0.3, 0.4 + i))] if positive and i != 4 else None,
+        ))
+    return Dataset(classes=["c\"0", "c1"], feature_dim=4, bags=out)
+
+
+def _reference_bytes(ds: Dataset) -> bytes:
+    """``dumps_canonical`` of the whole dataset document, built here."""
+    records = []
+    for b in ds.bags:
+        rec = {"id": b.id, "labels": b.labels.tolist(), "proposals": [
+            {"box": box, "feature": feat}
+            for box, feat in zip(b.boxes.tolist(), b.features.tolist())]}
+        if b.ground_truth is not None:
+            rec["ground_truth"] = [{"class": c, "box": box.as_list()}
+                                   for c, box in b.ground_truth]
+        records.append(rec)
+    doc = {"bags": records, "classes": ds.classes, "feature_dim": ds.feature_dim}
+    return dumps_canonical(doc).encode()
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(data_module, "_usable_cpus", lambda: n)
+
+
+def _fails_in_worker(monkeypatch, action):
+    """Make ``_encode_bags`` run ``action()`` in encoding workers only."""
+    parent, real = os.getpid(), data_module._encode_bags
+
+    def encode(bags):
+        if os.getpid() != parent:
+            action()
+        return real(bags)
+
+    monkeypatch.setattr(data_module, "_encode_bags", encode)
+
+
+def _raise():
+    raise MemoryError("out of memory in the worker")
+
+
+def _exit_silently():
+    os._exit(0)
+
+
+def _killed():
+    os._exit(9)
+
+
+class TestParallelEncoder:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7, 50])
+    def test_bytes_equal_one_dumps_of_the_document(self, monkeypatch, tmp_path, cpus):
+        ds = _odd_dataset()
+        _cpus(monkeypatch, cpus)
+        path = tmp_path / "ds.json"
+        save_dataset(ds, str(path))
+        assert path.read_bytes() == _reference_bytes(ds)
+        assert str(_members(path)["sha256"]) == hashlib.sha256(path.read_bytes()).hexdigest()
+        _assert_same(load_dataset(str(path)), ds)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_generated_dataset_is_identical_whatever_the_cpu_count(
+        self, monkeypatch, tmp_path, cpus
+    ):
+        ds = _small(seed=3, proposals=9, negatives=3)
+        _cpus(monkeypatch, 1)
+        save_dataset(ds, str(tmp_path / "one.json"))
+        _cpus(monkeypatch, cpus)
+        save_dataset(ds, str(tmp_path / "many.json"))
+        assert (tmp_path / "one.json").read_bytes() == (tmp_path / "many.json").read_bytes()
+        assert (tmp_path / "one.json").read_bytes() == _reference_bytes(ds)
+
+    def test_single_bag(self, monkeypatch, tmp_path):
+        ds = _odd_dataset(bags=1)
+        _cpus(monkeypatch, 4)
+        save_dataset(ds, str(tmp_path / "ds.json"))
+        assert (tmp_path / "ds.json").read_bytes() == _reference_bytes(ds)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_slices_are_contiguous_nonempty_and_balanced(self, n):
+        bags = _odd_dataset(bags=9).bags
+        bounds = data_module._slice_bounds(bags, n)
+        assert bounds[0] == 0 and bounds[-1] == len(bags) and len(bounds) == n + 1
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        floats = [b.features.size + b.boxes.size for b in bags]
+        largest = max(floats)
+        for a, b in zip(bounds, bounds[1:]):
+            assert abs(sum(floats[a:b]) - sum(floats) / n) <= largest
+
+    def test_equal_bags_split_evenly(self):
+        bags = _small(proposals=6, negatives=2).bags  # 6 equal bags
+        assert data_module._slice_bounds(bags, 2) == [0, 3, 6]
+        assert data_module._slice_bounds(bags, 3) == [0, 2, 4, 6]
+
+    @pytest.mark.parametrize("action, message", [
+        (_raise, "dataset encoding worker 1 failed: MemoryError: out of memory in the worker"),
+        (_exit_silently, "dataset encoding worker 1 failed: exit code 0, nothing sent"),
+        (_killed, "dataset encoding worker 1 failed: exit code 9, nothing sent"),
+    ])
+    def test_failed_worker_raises_one_line_and_writes_nothing(
+        self, monkeypatch, tmp_path, action, message
+    ):
+        _cpus(monkeypatch, 2)
+        _fails_in_worker(monkeypatch, action)
+        with pytest.raises(RuntimeError) as err:
+            save_dataset(_odd_dataset(), str(tmp_path / "ds.json"))
+        assert str(err.value) == message
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_failed_worker_makes_gen_exit_1(self, monkeypatch, tmp_path, capsys):
+        _cpus(monkeypatch, 3)
+        _fails_in_worker(monkeypatch, _raise)
+        out = tmp_path / "ds.json"
+        assert main(["gen", "--bags", "4", "--negatives", "2", "--seed", "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: dataset encoding worker 1 failed: " \
+                      "MemoryError: out of memory in the worker\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_in_the_caller_stops_every_worker(self, monkeypatch, tmp_path):
+        _cpus(monkeypatch, 3)
+        parent, real = os.getpid(), data_module._encode_bags
+
+        def encode(bags):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(bags)
+
+        monkeypatch.setattr(data_module, "_encode_bags", encode)
+        with pytest.raises(KeyboardInterrupt):
+            save_dataset(_odd_dataset(), str(tmp_path / "ds.json"))
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
