@@ -22,6 +22,7 @@ epsilon-floored at ``EPS``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,25 +47,32 @@ class Clique:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliquePartition:
-    cliques: tuple[Clique, ...]
-    pool: tuple[int, ...]  # the top-k proposal indices the cliques cover
+    """Top-k proposals split into cliques: ``members`` lists every member,
+    clique after clique, each clique ascending, and ``sizes`` each clique's
+    size.  ``label``, each proposal's clique index (-1 outside them), and
+    ``pool`` and ``cliques`` derive from them; no ``Clique`` exists until read."""
+
+    members: np.ndarray
+    sizes: np.ndarray
     tau: float
-    # derived from ``cliques``: every member, clique after clique in member
-    # order; each clique's size; each proposal's clique index, -1 outside them
-    members: np.ndarray = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    label: np.ndarray = field(init=False, repr=False, compare=False)
+    label: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        members = np.array([m for c in self.cliques for m in c.members], dtype=int)
-        sizes = np.array([len(c) for c in self.cliques], dtype=int)
-        label = np.full(members.max(initial=-1) + 1, -1)
-        label[members] = np.repeat(np.arange(len(self.cliques)), sizes)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "sizes", sizes)
+        label = np.full(self.members.max(initial=-1) + 1, -1)
+        label[self.members] = np.repeat(np.arange(len(self.sizes)), self.sizes)
         object.__setattr__(self, "label", label)
+
+    @property
+    def pool(self) -> tuple[int, ...]:
+        """The top-k proposal indices the cliques cover, ascending."""
+        return tuple(np.flatnonzero(self.label >= 0).tolist())
+
+    @cached_property
+    def cliques(self) -> tuple[Clique, ...]:
+        members, ends = self.members.tolist(), np.cumsum(self.sizes).tolist()
+        return tuple(Clique(tuple(members[a:b])) for a, b in zip([0] + ends, ends))
 
     def clique_of(self, proposal: int) -> int:
         """Index of the clique containing ``proposal``."""
@@ -75,8 +83,6 @@ class CliquePartition:
 
 @dataclass
 class DiscoveryOutput:
-    clique_probs: np.ndarray  # (num_cliques, N), sums to 1 over the whole table
-    clique_weights: np.ndarray  # (num_cliques, N), rows sum to 1
     selected: dict[int, int]  # positive class -> discovered clique index
     entropies: dict[int, float]  # positive class -> global entropy value
     loss: float
@@ -84,7 +90,6 @@ class DiscoveryOutput:
 
 @dataclass
 class LocalizationOutput:
-    h_star: int
     soft_weights: np.ndarray  # per clique member, aligned with clique.members
     loss: float
 
@@ -124,35 +129,32 @@ def partition_cliques(
     np.fill_diagonal(overlaps, False)  # a fresh table either way
     isolated = ~overlaps.any(axis=1)
 
-    assigned = np.zeros(len(order), dtype=bool)  # positions into order
-    cliques: list[Clique] = []
-    for seed, proposal in enumerate(order.tolist()):
-        if assigned[seed]:
+    clique = np.full(len(order), -1)  # each pool position's, numbered in seed order
+    count = 0
+    for seed, alone in enumerate(isolated.tolist()):
+        if clique[seed] >= 0:
             continue
-        if isolated[seed]:
-            cliques.append(Clique(members=(proposal,)))
-            continue
-        frontier = np.zeros(len(order), dtype=bool)
-        frontier[seed] = True
-        component = frontier.copy()
-        while True:  # one level of breadth-first search per pass
-            frontier = overlaps[frontier].any(axis=0) & ~component
-            if not frontier.any():
-                break
-            component |= frontier
-        assigned |= component
-        cliques.append(Clique(members=tuple(np.sort(order[component]).tolist())))
-    return CliquePartition(cliques=tuple(cliques), pool=tuple(np.sort(order).tolist()), tau=tau)
+        component = seed
+        if not alone:
+            frontier = np.zeros(len(order), dtype=bool)
+            frontier[seed] = True
+            component = frontier.copy()
+            while True:  # one level of breadth-first search per pass
+                frontier = overlaps[frontier].any(axis=0) & ~component
+                if not frontier.any():
+                    break
+                component |= frontier
+        clique[component] = count
+        count += 1
+    members = order[np.lexsort((order, clique))]
+    return CliquePartition(members=members, sizes=np.bincount(clique), tau=tau)
 
 
-def singleton_partition(boxes: np.ndarray, objectness: np.ndarray, top_k: int) -> CliquePartition:
+def singleton_partition(objectness: np.ndarray, top_k: int) -> CliquePartition:
     """Each top-k proposal forms its own clique (the no-grouping ablation)."""
     objectness = np.asarray(objectness, dtype=float)
-    order = np.argsort(-objectness, kind="stable")[: min(top_k, len(objectness))]
-    pool = sorted(int(i) for i in order)
-    return CliquePartition(
-        cliques=tuple(Clique(members=(i,)) for i in pool), pool=tuple(pool), tau=0.0
-    )
+    pool = np.sort(np.argsort(-objectness, kind="stable")[:top_k])
+    return CliquePartition(members=pool, sizes=np.ones(len(pool), dtype=int), tau=0.0)
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
@@ -170,8 +172,9 @@ def clique_mean_scores(partition: CliquePartition, scores: np.ndarray) -> np.nda
     """
     if scores.shape[1] == 1:
         # mean() sums a lone column pairwise, which a scatter cannot follow
-        return np.stack([scores[list(c.members)].mean(axis=0) for c in partition.cliques])
-    sums = np.zeros((len(partition.cliques), scores.shape[1]))
+        rows, ends = scores[partition.members], np.cumsum(partition.sizes).tolist()
+        return np.stack([rows[a:b].mean(axis=0) for a, b in zip([0] + ends, ends)])
+    sums = np.zeros((len(partition.sizes), scores.shape[1]))
     np.add.at(sums, partition.label[partition.members], scores[partition.members])
     return sums / partition.sizes[:, None]
 
@@ -240,9 +243,6 @@ def discovery_loss(
             gm[:, y] -= 2.0 * u / a
         rows = np.flatnonzero(partition.label >= 0)
         grad[rows] += (gm / partition.sizes[:, None])[partition.label[rows]]
-    else:
-        probs = np.zeros((0, n_cls))
-        weights = np.zeros((0, n_cls))
 
     negatives = np.flatnonzero(labels == 0)
     if negatives.size:
@@ -254,14 +254,7 @@ def discovery_loss(
             g_q[:, y] = 1.0 / comp
         grad += q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
 
-    out = DiscoveryOutput(
-        clique_probs=probs,
-        clique_weights=weights,
-        selected=selected,
-        entropies=entropies,
-        loss=float(loss),
-    )
-    return out, grad
+    return DiscoveryOutput(selected=selected, entropies=entropies, loss=float(loss)), grad
 
 
 def gaussian_kernel(o, a: float):
@@ -335,4 +328,4 @@ def localization_loss(
     # += onto zeros, as a per-member loop would: each cell is 0.0 + v
     grad[members] += kappa[:, None] * (probs[members] - onehot)
 
-    return LocalizationOutput(h_star=h_star, soft_weights=w, loss=loss), grad
+    return LocalizationOutput(soft_weights=w, loss=loss), grad

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 
 
 def dumps_canonical(obj) -> str:
@@ -20,11 +20,13 @@ def dumps_canonical(obj) -> str:
 def write_atomic(path: str, write) -> None:
     """Atomically create or replace ``path``: ``write(f)`` fills a binary
     temp file in the target directory, which is then renamed onto ``path``.
-    An OSError names ``path``, not the temp file."""
+    Its mode is 0o666 less the umask.  An OSError names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        name = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # only a file this call created is removed on failure
         with os.fdopen(fd, "wb") as f:
             write(f)
         os.replace(tmp, path)

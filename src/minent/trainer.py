@@ -275,7 +275,7 @@ def partition_step(
     if tier_switches(cfg).use_cliques:
         partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k, adjacency)
     else:
-        partition = singleton_partition(boxes, objectness, cfg.top_k)
+        partition = singleton_partition(objectness, cfg.top_k)
     return disc_scores, q_disc, partition
 
 
@@ -419,40 +419,45 @@ def train(
     state.config = cfg  # every check has passed; this is the config trained
     reports: list[EpochReport] = []
     try:
-        for epoch in range(state.epoch + 1, last_epoch + 1):
-            started = time.perf_counter()
-            stats = {
-                "lr": cfg.lr_for_epoch(epoch),
-                "disc_losses": [],
-                "loc_losses": [[] for _ in range(cfg.branches)],
-                "global_entropy_terms": [],
-                "local_entropy_terms": [],
-            }
-            for i in visit_order:
-                bag = train_bags[int(i)]
-                try:
-                    _bag_step(state, cfg, switches, bag, adjacency[int(i)], stats)
-                except TrainingDiverged as e:
-                    raise TrainingDiverged(f"{e} at epoch {epoch}, bag '{bag.id}'") from None
-            state.epoch = epoch
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite checks catch these
+            for epoch in range(state.epoch + 1, last_epoch + 1):
+                started = time.perf_counter()
+                stats = {
+                    "lr": cfg.lr_for_epoch(epoch),
+                    "disc_losses": [],
+                    "loc_losses": [[] for _ in range(cfg.branches)],
+                    "global_entropy_terms": [],
+                    "local_entropy_terms": [],
+                }
+                for i in visit_order:
+                    bag = train_bags[int(i)]
+                    try:
+                        _bag_step(state, cfg, switches, bag, adjacency[int(i)], stats)
+                    except TrainingDiverged as e:
+                        raise TrainingDiverged(f"{e} at epoch {epoch}, bag '{bag.id}'") from None
+                # the checks above miss an update that overflows on the last visit
+                arrays = [a for _, a in state.params.named_arrays()] + list(state.s_h.values())
+                if not all(np.isfinite(a).all() for a in arrays):
+                    raise TrainingDiverged(f"model state non-finite at epoch {epoch}")
+                state.epoch = epoch
 
-            loc_acc, loc_var = dataset_loc_stats(
-                state.params, ds, head=switches.detect_head, overlaps=gt_overlaps
-            )
-            report = EpochReport(
-                epoch=epoch,
-                disc_loss=float(np.mean(stats["disc_losses"])),
-                loc_losses=tuple(_mean_or_zero(v) for v in stats["loc_losses"]),
-                global_entropy=_mean_or_zero(stats["global_entropy_terms"]),
-                local_entropy=_mean_or_zero(stats["local_entropy_terms"]),
-                loc_acc=loc_acc,
-                loc_var=loc_var,
-                seconds=time.perf_counter() - started,
-            )
-            reports.append(report)
-            if csv_file is not None:
-                csv_file.write(report.csv_row() + "\n")
-                csv_file.flush()
+                loc_acc, loc_var = dataset_loc_stats(
+                    state.params, ds, head=switches.detect_head, overlaps=gt_overlaps
+                )
+                report = EpochReport(
+                    epoch=epoch,
+                    disc_loss=float(np.mean(stats["disc_losses"])),
+                    loc_losses=tuple(_mean_or_zero(v) for v in stats["loc_losses"]),
+                    global_entropy=_mean_or_zero(stats["global_entropy_terms"]),
+                    local_entropy=_mean_or_zero(stats["local_entropy_terms"]),
+                    loc_acc=loc_acc,
+                    loc_var=loc_var,
+                    seconds=time.perf_counter() - started,
+                )
+                reports.append(report)
+                if csv_file is not None:
+                    csv_file.write(report.csv_row() + "\n")
+                    csv_file.flush()
     finally:
         if csv_file is not None:
             csv_file.close()

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from minent.data import SIDECAR_SUFFIX, Bag, Dataset, load_dataset, save_dataset
 from minent.entropy import Clique, localization_loss, row_softmax
 from minent.geometry import Box
 from minent.model import forward
-from minent.trainer import load_checkpoint
+from minent.trainer import csv_header, load_checkpoint
 
 GEN = [
     "gen", "--classes", "2", "--bags", "6", "--negatives", "3",
@@ -217,13 +218,38 @@ class TestTrain:
         assert capsys.readouterr().err.count("\n") == 1
         assert csv.read_text() == before
 
-    def test_divergence_is_runtime_error(self, workspace, tmp_path):
-        rc = main([
-            "train", "--data", str(workspace / "ds.json"),
-            "--out-checkpoint", str(tmp_path / "ck.json"),
+    def _diverges(self, capsys, argv):
+        """Run ``argv``, which diverges: exit 1 with one stderr line and no
+        numpy warning; returns that line."""
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        return err
+
+    def test_divergence_is_runtime_error(self, workspace, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        self._diverges(capsys, [
+            "train", "--data", str(workspace / "ds.json"), "--out-checkpoint", str(ck),
             "--epochs", "1", "--lr", "1e150", "--seed", "0",
         ])
-        assert rc == 1
+        assert not ck.exists()
+
+    def test_divergence_on_the_last_update(self, tmp_path, capsys):
+        # the last visit's update overflows, which no per-visit check sees
+        ds, ck, csv = tmp_path / "ds.json", tmp_path / "ck.json", tmp_path / "e.csv"
+        assert main(["gen", "--classes", "2", "--bags", "2", "--negatives", "0",
+                     "--proposals", "5", "--seed", "3", "--out", str(ds)]) == 0
+        err = self._diverges(capsys, [
+            "train", "--data", str(ds), "--out-checkpoint", str(ck),
+            "--lr", "1e300", "--epochs", "1", "--csv", str(csv),
+        ])
+        assert err == "error: model state non-finite at epoch 1\n"
+        assert not ck.exists()
+        assert csv.read_text() == csv_header(3) + "\n"  # no row for the diverged epoch
 
 
 class TestEval:

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from minent.data import (
     validate_dataset,
 )
 from minent.geometry import Box, boxes_to_array, iou, iou_matrix
-from minent.jsonio import dumps_canonical
+from minent.jsonio import dumps_canonical, write_json
 
 # mutual-IoU floor of a near or part group: one clique under the default
 # overlap threshold 0.7, with a margin
@@ -536,6 +537,20 @@ class TestSidecar:
         os.unlink(path)
         with pytest.raises(FileNotFoundError):
             load_dataset(str(path))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_outputs_are_created_with_the_umask(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        save_dataset(_small(), str(tmp_path / "ds.json"))
+        write_json({"a": 1}, str(tmp_path / "m.json"))
+    finally:
+        os.umask(previous)
+    names = ["ds.json", "ds.json" + SIDECAR_SUFFIX, "m.json"]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    for name in names:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
 
 def _truncate(name):

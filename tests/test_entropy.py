@@ -136,6 +136,13 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
+def partition_of(cliques, tau=0.7):
+    """The partition whose cliques are ``cliques``, as member tuples."""
+    members = [m for c in cliques for m in c]
+    return CliquePartition(members=np.array(members, dtype=int),
+                           sizes=np.array([len(c) for c in cliques], dtype=int), tau=tau)
+
+
 def random_partition_inputs(rng, count):
     """``count`` random (boxes, objectness, tau, top_k) instances, including
     one-proposal bags, objectness ties, and top_k below and above n."""
@@ -218,9 +225,11 @@ class TestPartition:
     def test_cached_adjacency_gives_same_partition(self):
         for boxes, obj, tau, top_k in random_partition_inputs(np.random.default_rng(12), 100):
             adjacency = iou_matrix(boxes, boxes) > tau
-            assert partition_cliques(boxes, obj, tau, top_k, adjacency) == partition_cliques(
-                boxes, obj, tau, top_k
-            )
+            cached = partition_cliques(boxes, obj, tau, top_k, adjacency)
+            fresh = partition_cliques(boxes, obj, tau, top_k)
+            assert np.array_equal(cached.members, fresh.members)
+            assert np.array_equal(cached.sizes, fresh.sizes)
+            assert [c.members for c in cached.cliques] == [c.members for c in fresh.cliques]
 
     def test_long_chain_matches_greedy_loop(self):
         # each box overlaps the next at IoU 0.82 and the one after at 0.67,
@@ -290,15 +299,39 @@ class TestPartition:
                 assert [c.members for c in part.cliques] == want
 
     def test_singleton_partition(self):
-        boxes = np.array([[0, 0, 1, 1], [0.01, 0, 1.01, 1.0], [3, 3, 4, 4.0]])
-        part = singleton_partition(boxes, np.array([0.5, 0.9, 0.1]), 2)
+        part = singleton_partition(np.array([0.5, 0.9, 0.1]), 2)
         assert part.pool == (0, 1)
         assert [c.members for c in part.cliques] == [(0,), (1,)]
 
+    def test_partitions_build_no_clique(self, built_cliques):
+        for boxes, obj, tau, top_k in random_partition_inputs(np.random.default_rng(18), 50):
+            partition_cliques(boxes, obj, tau, top_k)
+            singleton_partition(obj, top_k)
+        assert built_cliques == []
+        part = partition_cliques(boxes, obj, tau, top_k)
+        assert part.cliques is part.cliques  # built once, on the first read
+        assert built_cliques == [c.members for c in part.cliques]
+
+    @pytest.mark.parametrize("cliques, pool", [
+        ([(4,), (1,), (7,), (0,)], (0, 1, 4, 7)),  # isolated proposals
+        ([(2, 5, 6), (0,), (1, 3)], (0, 1, 2, 3, 5, 6)),  # chained ones
+        ([], ()),  # an empty pool
+    ])
+    def test_derived_views_agree(self, cliques, pool):
+        part = partition_of(cliques)
+        assert [c.members for c in part.cliques] == cliques
+        assert part.pool == pool
+        assert part.sizes.tolist() == [len(c) for c in cliques]
+        assert np.flatnonzero(part.label >= 0).tolist() == list(pool)
+        for i, c in enumerate(cliques):
+            assert part.label[list(c)].tolist() == [i] * len(c)
+            assert [part.clique_of(m) for m in c] == [i] * len(c)
+        for outside in set(range(-1, 9)) - set(pool):
+            with pytest.raises(KeyError):
+                part.clique_of(outside)
+
     def test_clique_of(self):
-        part = CliquePartition(
-            cliques=(Clique((0, 2)), Clique((1,))), pool=(0, 1, 2), tau=0.7
-        )
+        part = partition_of([(0, 2), (1,)])
         assert part.clique_of(2) == 0
         assert part.clique_of(1) == 1
         for outside in (9, 3, -1):
@@ -324,12 +357,12 @@ class TestPartition:
 # ---------------------------------------------------------------------------
 
 def two_singleton_partition():
-    return CliquePartition(cliques=(Clique((0,)), Clique((1,))), pool=(0, 1), tau=0.7)
+    return partition_of([(0,), (1,)])
 
 
 class TestCliqueProbs:
     def test_single_clique_equal_means(self):
-        part = CliquePartition(cliques=(Clique((0, 1)),), pool=(0, 1), tau=0.7)
+        part = partition_of([(0, 1)])
         probs = clique_class_probs(part, np.zeros((2, 2)))
         np.testing.assert_allclose(probs, [[0.5, 0.5]])
 
@@ -338,7 +371,7 @@ class TestCliqueProbs:
         np.testing.assert_allclose(probs, 0.25)
 
     def test_single_clique_means_one_zero(self):
-        part = CliquePartition(cliques=(Clique((0,)),), pool=(0,), tau=0.7)
+        part = partition_of([(0,)])
         probs = clique_class_probs(part, np.array([[1.0, 0.0]]))
         e = math.e
         np.testing.assert_allclose(probs, [[e / (e + 1), 1 / (e + 1)]], rtol=1e-12)
@@ -349,16 +382,14 @@ class TestCliqueProbs:
             n_prop = int(rng.integers(1, 8))
             n_cls = int(rng.integers(1, 4))
             scores = rng.normal(size=(n_prop, n_cls)) * 3
-            part = singleton_partition(
-                random_boxes(rng, n_prop), rng.uniform(0, 1, n_prop), n_prop
-            )
+            part = singleton_partition(rng.uniform(0, 1, n_prop), n_prop)
             probs = clique_class_probs(part, scores)
             assert abs(probs.sum() - 1.0) < 1e-9
             shifted = clique_class_probs(part, scores + 17.3)
             np.testing.assert_allclose(probs, shifted, atol=1e-12)
 
     def test_mean_uses_member_count(self):
-        part = CliquePartition(cliques=(Clique((0, 1, 2)),), pool=(0, 1, 2), tau=0.7)
+        part = partition_of([(0, 1, 2)])
         scores = np.array([[3.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         probs = clique_class_probs(part, scores)
         e = math.exp(1.0)  # mean score (1, 0)
@@ -380,16 +411,15 @@ class TestCliqueMeanScores:
                 members = perm[start : start + size].tolist()
                 start += size
                 # partition_cliques sorts members; the mean follows any order
-                cliques.append(Clique(tuple(sorted(members) if trial % 3 else members)))
-            pool = tuple(sorted(perm[:start].tolist()))
-            part = CliquePartition(cliques=tuple(cliques), pool=pool, tau=0.7)
+                cliques.append(tuple(sorted(members) if trial % 3 else members))
+            part = partition_of(cliques)
             # magnitudes over six decades, so that summation order shows
             scale = 10.0 ** rng.uniform(-3, 3, size=(n_prop, 1))
             scores = rng.normal(size=(n_prop, n_cls)) * scale
             scores[rng.random(n_prop) < 0.1] = -0.0
             if trial % 5 == 0:
-                scores[list(cliques[0].members)] = -0.0
-            want = np.stack([scores[list(c.members)].mean(axis=0) for c in cliques])
+                scores[list(cliques[0])] = -0.0
+            want = np.stack([scores[list(c)].mean(axis=0) for c in cliques])
             got = clique_mean_scores(part, scores)
             assert got.shape == want.shape
             assert np.array_equal(bits(got), bits(want))
@@ -397,9 +427,7 @@ class TestCliqueMeanScores:
     def test_negative_zero_rows(self):
         # numpy's mean starts each sum from 0.0, so even an all -0.0 clique
         # averages to +0.0; the table must keep exactly those bits
-        part = CliquePartition(
-            cliques=(Clique((0, 1)), Clique((2,)), Clique((3, 4))), pool=(0, 1, 2, 3, 4), tau=0.7
-        )
+        part = partition_of([(0, 1), (2,), (3, 4)])
         for n_cls in (1, 2, 3):
             scores = np.full((5, n_cls), -0.0)
             scores[3] = 0.0
@@ -473,7 +501,7 @@ class TestDiscoveryLoss:
     def test_positive_term_is_global_entropy(self):
         rng = np.random.default_rng(5)
         scores = rng.normal(size=(4, 2))
-        part = singleton_partition(random_boxes(rng, 4), rng.uniform(0, 1, 4), 4)
+        part = singleton_partition(rng.uniform(0, 1, 4), 4)
         out, _ = discovery_loss(np.array([1, 1]), part, scores)
         probs = clique_class_probs(part, scores)
         weights = clique_weights(probs)
@@ -514,14 +542,6 @@ class TestDiscoveryLoss:
             num = fd_gradient(lambda s: ref_discovery_loss(labels, member_lists, s), scores)
             worst = max(worst, rel_err(grad, num))
         assert worst < 1e-4
-
-    def test_normalization_outputs(self):
-        rng = np.random.default_rng(10)
-        scores = rng.normal(size=(5, 3))
-        part = partition_cliques(random_boxes(rng, 5), rng.uniform(0, 1, 5), 0.6, 5)
-        out, _ = discovery_loss(np.array([1, 0, 1]), part, scores)
-        assert abs(out.clique_probs.sum() - 1.0) < 1e-9
-        np.testing.assert_allclose(out.clique_weights.sum(axis=1), 1.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

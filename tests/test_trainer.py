@@ -244,7 +244,6 @@ class TestTrain:
         assert reports[0].global_entropy == 0.0
         assert reports[0].disc_loss > 0
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_aborts_with_context(self):
         ds = small_ds()
         bad = ds.bags[0]
@@ -284,6 +283,16 @@ class TestTrain:
         assert len(built) == per_positive_bag * positive_bags
         train(ds, small_cfg(epochs=3, ablation=ablation), state=state)
         assert len(built) == 2 * per_positive_bag * positive_bags
+
+    @pytest.mark.parametrize("classes", [1, 2])
+    def test_base_tier_builds_no_clique(self, built_cliques, classes):
+        # the singleton partition and the discovery loss read arrays only
+        ds = generate_synthetic(SynthConfig(num_classes=classes, bags_per_class=4, negatives=2,
+                                            proposals_per_bag=8, feature_dim=6, seed=3))
+        train(ds, small_cfg(ablation="base"))
+        assert built_cliques == []
+        train(ds, small_cfg(ablation="l-arl"))
+        assert built_cliques  # the localization tiers still read cliques
 
     def test_hidden_gradient_sums_every_head_in_order(self, monkeypatch):
         # the shared hidden layer's gradient is the discovery head's plus each
