@@ -113,7 +113,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     merged.setdefault("feature_dim", 12 * classes)
     try:
         cfg = SynthConfig(**merged)
-        cfg.validate()
     except (TypeError, DataError) as e:
         raise UsageError(str(e)) from e
     ds = generate_synthetic(cfg)
@@ -138,7 +137,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     merged = {**base, **file_cfg, **provided}
     try:
         cfg = TrainConfig(**merged)
-        cfg.validate()
     except (TypeError, ValueError) as e:
         raise UsageError(str(e)) from e
 
@@ -240,7 +238,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     # without positive labels there is nothing to discover; the partition is
     # still shown over all-class objectness
     classes = positives if positives.size else np.arange(ds.num_classes)
-    disc_scores, q_disc, partition = partition_step(state.params, cfg, features, boxes, classes)
+    disc_scores, q_disc, partition = partition_step(
+        state.params, cfg, switches.use_cliques, features, boxes, classes
+    )
     disc_out, _ = discovery_loss(bag.labels, partition, disc_scores)
     mean_scores = clique_mean_scores(partition, disc_scores)
 

@@ -5,7 +5,7 @@ a joint softmax over every (proposal, class) cell) and feeds it to two
 readers: detection (a score floor and per-class greedy NMS, no score
 feedback, ranked into AP/mAP), and ``_bag_pairs``, which gives one row per
 positive (bag, class) pair with ground truth: the CorLoc hit (top proposal
-vs. ground truth at IoU 0.5, meant for the training set), the pointing hit
+vs. ground truth at ``HIT_IOU``, meant for the training set), the pointing hit
 (top proposal's center inside ground truth), and the probability-weighted
 mean and variance of every proposal's best IoU with ground truth.
 ``corloc`` and ``pointing`` aggregate those rows, and ``dataset_loc_stats``
@@ -32,6 +32,9 @@ from .model import ModelParams, forward
 
 DEFAULT_NMS_IOU = 0.4
 DEFAULT_SCORE_FLOOR = 1e-3
+# a detection (AP) or a bag's top proposal (CorLoc) hits a ground-truth box
+# when their IoU is at least this
+HIT_IOU = 0.5
 
 
 @dataclass(frozen=True)
@@ -112,16 +115,12 @@ def detect(
     return _detections(bag, head_probs(params, bag.feature_matrix(), head), nms_iou, score_floor)
 
 
-def average_precision(
-    detections: list[Detection],
-    gts: dict[str, list[Box]],
-    iou_threshold: float = 0.5,
-) -> float:
+def average_precision(detections: list[Detection], gts: dict[str, list[Box]]) -> float:
     """All-points-interpolated AP for one class.
 
     Detections are ranked by descending score (stable under ties); each
     matches the highest-IoU still-unmatched ground truth of its bag at
-    IoU >= ``iou_threshold``, else counts as a false positive.  Duplicates
+    IoU >= ``HIT_IOU``, else counts as a false positive.  Duplicates
     on an already-matched ground truth are false positives.
     """
     npos = sum(len(v) for v in gts.values())
@@ -146,7 +145,7 @@ def average_precision(
                 np.array([det.box.as_list()]), np.array([b.as_list() for b in cand])
             )[0]
             for j in range(len(cand)):
-                if not matched[det.bag_id][j] and table[j] >= iou_threshold and table[j] > best_iou:
+                if not matched[det.bag_id][j] and table[j] >= HIT_IOU and table[j] > best_iou:
                     best_iou, best_j = float(table[j]), j
         if best_j >= 0:
             matched[det.bag_id][best_j] = True
@@ -219,7 +218,7 @@ def _bag_pairs(bag: Bag, probs: np.ndarray) -> list[_Pair]:
         cx, cy = Box(*boxes[top]).center
         pairs.append(_Pair(
             cls,
-            bool(table[top].max() >= 0.5),
+            bool(table[top].max() >= HIT_IOU),
             any(b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2 for b in gt),
             *_weighted_overlap_stats(probs[:, cls], table.max(axis=1)),
         ))
@@ -261,7 +260,7 @@ def _loc_stats_of(stats: list[tuple[float, float]]) -> tuple[float, float]:
 
 def corloc(params: ModelParams, ds: Dataset, head=None) -> tuple[list[float | None], float]:
     """Fraction of positive bags whose top-scored proposal hits ground
-    truth at IoU >= 0.5, per class and averaged over non-empty classes."""
+    truth at IoU >= ``HIT_IOU``, per class and averaged over non-empty classes."""
     return _corloc_of(_dataset_pairs(params, ds, head), ds.num_classes)
 
 
@@ -305,7 +304,6 @@ def evaluate(
     head=None,
     nms_iou: float = DEFAULT_NMS_IOU,
     score_floor: float = DEFAULT_SCORE_FLOOR,
-    iou_threshold: float = 0.5,
 ) -> MetricsReport:
     """Every metric from one pass: each bag's probability table is computed
     once and feeds both its detections and its pair rows."""
@@ -320,10 +318,8 @@ def evaluate(
         for cls, box in bag.ground_truth or ():
             gts_by_class[cls].setdefault(bag.id, []).append(box)
 
-    per_class_ap = [
-        average_precision(dets_by_class[c], gts_by_class[c], iou_threshold)
-        for c in range(ds.num_classes)
-    ]
+    per_class_ap = [average_precision(dets_by_class[c], gts_by_class[c])
+                    for c in range(ds.num_classes)]
     per_class_corloc, mean_corloc = _corloc_of(pairs, ds.num_classes)
     loc_acc, loc_var = _loc_stats_of([(p.loc_acc, p.loc_var) for p in pairs])
     return MetricsReport(

@@ -80,7 +80,7 @@ class TrainConfig:
     hidden_dim: int = 0  # width of the shared hidden layer; 0 = linear heads
     init_scale: float = 0.01
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_field_types(self, ValueError)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -118,7 +118,6 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TierSwitches:
     use_cliques: bool
-    train_loc: bool
     use_feedback: bool
     active_branches: int
     detect_head: object  # "disc" or a branch index
@@ -127,17 +126,17 @@ class TierSwitches:
 def tier_switches(cfg: TrainConfig) -> TierSwitches:
     tier = cfg.ablation
     if tier == "base":
-        return TierSwitches(False, False, False, 0, "disc")
+        return TierSwitches(False, False, 0, "disc")
     if tier == "clique":
-        return TierSwitches(True, False, False, 0, "disc")
+        return TierSwitches(True, False, 0, "disc")
     if tier == "d":
-        return TierSwitches(True, True, False, 1, "disc")
+        return TierSwitches(True, False, 1, "disc")
     if tier == "l":
-        return TierSwitches(True, True, False, 1, 0)
+        return TierSwitches(True, False, 1, 0)
     if tier == "l-rl":
-        return TierSwitches(True, True, True, 1, 0)
+        return TierSwitches(True, True, 1, 0)
     if tier == "l-arl":
-        return TierSwitches(True, True, True, cfg.branches, cfg.branches - 1)
+        return TierSwitches(True, True, cfg.branches, cfg.branches - 1)
     raise ValueError(f"unknown ablation tier {tier!r}")
 
 
@@ -210,7 +209,6 @@ def sgd_step(
 
 
 def init_state(ds: Dataset, cfg: TrainConfig) -> TrainState:
-    cfg.validate()
     params = init_params(
         feature_dim=ds.feature_dim,
         num_classes=ds.num_classes,
@@ -258,13 +256,15 @@ def _check_compat(state: TrainState, cfg: TrainConfig, ds: Dataset) -> None:
 
 
 def partition_step(
-    params: ModelParams, cfg: TrainConfig, features, boxes, classes, adjacency=None
+    params: ModelParams, cfg: TrainConfig, use_cliques: bool, features, boxes, classes,
+    adjacency=None,
 ):
-    """Discovery scores of one bag, their per-row softmax, and the tier's
-    partition of the bag, with objectness the best probability over
-    ``classes``.  Returns ``(scores, softmax, partition)``; without classes
-    there is nothing to discover, and the last two are None.  ``adjacency``
-    is the bag's cached ``iou_matrix(boxes, boxes) > cfg.tau``, if any."""
+    """Discovery scores of one bag, their per-row softmax, and its clique
+    partition (singletons unless ``use_cliques``, the tier's switch), with
+    objectness the best probability over ``classes``.  Returns ``(scores,
+    softmax, partition)``; without classes there is nothing to discover,
+    and the last two are None.  ``adjacency`` is the bag's cached
+    ``iou_matrix(boxes, boxes) > cfg.tau``, if any."""
     disc_scores = forward(params, features, "disc")
     if not np.isfinite(disc_scores).all():
         raise TrainingDiverged("discovery scores non-finite")
@@ -272,7 +272,7 @@ def partition_step(
         return disc_scores, None, None
     q_disc = row_softmax(disc_scores)
     objectness = q_disc[:, classes].max(axis=1)
-    if tier_switches(cfg).use_cliques:
+    if use_cliques:
         partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k, adjacency)
     else:
         partition = singleton_partition(objectness, cfg.top_k)
@@ -289,7 +289,7 @@ def _bag_step(
 
     positives = np.flatnonzero(bag.labels == 1)
     disc_scores, q_disc, partition = partition_step(
-        params, cfg, feats_eff, bag.boxes, positives, adjacency
+        params, cfg, switches.use_cliques, feats_eff, bag.boxes, positives, adjacency
     )
     disc_out, disc_grad = discovery_loss(bag.labels, partition, disc_scores)
     if not np.isfinite(disc_out.loss):
@@ -297,7 +297,7 @@ def _bag_step(
     grads = backward_head(params, feats_eff, "disc", disc_grad)
 
     bag_loc_losses = [0.0] * cfg.branches
-    if switches.train_loc and positives.size:
+    if switches.active_branches and positives.size:
         # pseudo objects accumulated across branches, per class
         inherited: dict[int, list[int]] = {int(y): [] for y in positives}
         pool = np.array(partition.pool)
@@ -369,9 +369,9 @@ def train(
     Passing a loaded checkpoint as ``state`` resumes exactly where it left
     off — an interrupted run and an uninterrupted one produce identical
     report series (wall time aside).  The state then carries ``cfg``, so a
-    checkpoint saved from it records the config it was trained with.
+    checkpoint saved from it records the config it was trained with.  A
+    state already past ``cfg.epochs`` raises CheckpointError.
     """
-    cfg.validate()
     if not ds.bags:
         raise ValueError("dataset has no bags")
     switches = tier_switches(cfg)
@@ -379,6 +379,10 @@ def train(
         state = init_state(ds, cfg)
     else:
         _check_compat(state, cfg, ds)
+        if cfg.epochs < state.epoch:
+            raise CheckpointError(
+                f"cannot train to epoch {cfg.epochs}: the checkpoint is at epoch {state.epoch}"
+            )
     last_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, stop_after)
 
     # learning path sees the stripped view; diagnostics read the original
@@ -531,7 +535,6 @@ def load_checkpoint(path: str) -> TrainState:
             if not whole_number(doc[key]) or doc[key] != getattr(params, key):
                 raise ValueError(f"{key} {doc[key]!r} is not a count that fits the parameters")
         params.validate()
-        cfg.validate()
         _check_shape(cfg, params)
         buffers = {name: number_array(v, f"buffer '{name}'") for name, v in doc["buffers"].items()}
         shapes = {name: arr.shape for name, arr in params.named_arrays()}
@@ -546,6 +549,8 @@ def load_checkpoint(path: str) -> TrainState:
         epoch = doc["epoch"]
         if not whole_number(epoch) or epoch < 0:
             raise ValueError(f"epoch must be a count of epochs, got {epoch!r}")
+        if epoch > cfg.epochs:
+            raise ValueError(f"epoch {epoch} is past the config's epochs {cfg.epochs}")
         if dumps_canonical(doc["rng_state"]) != dumps_canonical(_seed_rng_state(cfg.seed)):
             raise ValueError(f"rng_state is not the state of seed {cfg.seed}")
         return TrainState(params=params, buffers=buffers, s_h=s_h, epoch=epoch, config=cfg)

@@ -206,6 +206,20 @@ class TestTrain:
                      str(done), "--seed", "0", "--ablation", "clique"]) == 0
         assert solid.read_bytes() == done.read_bytes()
 
+    def test_resume_with_fewer_epochs_than_the_checkpoint(self, workspace, tmp_path, capsys):
+        out, csv = tmp_path / "ck.json", tmp_path / "ep.csv"
+        resume = ["train", "--data", str(workspace / "ds.json"), "--resume",
+                  str(workspace / "ck.json"), "--out-checkpoint", str(out), "--csv", str(csv)]
+        capsys.readouterr()
+        assert main(resume + ["--epochs", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot train to epoch 1: the checkpoint is at epoch 2\n"
+        )
+        assert not out.exists() and not csv.exists()
+        assert main(resume + ["--epochs", "2"]) == 0
+        assert "nothing to train: checkpoint already at epoch 2 of 2" in capsys.readouterr().out
+        assert out.read_bytes() == (workspace / "ck.json").read_bytes()
+
     def test_csv_header_mismatch_is_runtime_error(self, workspace, tmp_path, capsys):
         csv = tmp_path / "ep.csv"
         base = ["train", "--data", str(workspace / "ds.json"),
@@ -444,6 +458,7 @@ class TestCorruptCheckpoint:
         lambda d: d.update(hidden_dim=False),
         lambda d: d["rng_state"].update(has_uint32=False),
         lambda d: d["params"].update(extra=[0.0]),
+        lambda d: d.update(epoch=3),
     ], ids=["no-buffer", "extra-buffer", "buffer-shape", "param-shape", "s_h-matrix",
             "s_h-nan", "config-branches", "s_h-list", "epoch", "config-type", "epoch-bool",
             "rng_state-other-seed", "rng_state-junk", "shared_hidden-false",
@@ -451,7 +466,7 @@ class TestCorruptCheckpoint:
             "no-shared_hidden", "no-batch_size", "param-bools", "param-strings",
             "param-mixed-bool", "param-matrix-bool", "buffer-null", "buffer-nan", "s_h-bools",
             "feature_dim-float", "num_classes-float", "hidden_dim-bool", "rng_state-bool",
-            "extra-param"])
+            "extra-param", "epoch-past-config"])
     def test_every_command_rejects_it(self, workspace, tmp_path, capsys, edit):
         ck = self.edited(workspace, tmp_path, edit)
         data = str(workspace / "ds.json")

@@ -53,6 +53,13 @@ class TestAveragePrecision:
         dets = [det("b", 0.9, Box(0.0, 0.0, 0.4, 1.0))]  # IoU 0.4
         assert average_precision(dets, {"b": [BOX_A]}) == pytest.approx(0.0)
 
+    def test_hit_threshold_is_half(self):
+        assert evaluate_module.HIT_IOU == 0.5
+        at_half = det("b", 0.9, Box(0.0, 0.0, 0.5, 1.0))  # IoU exactly 0.5
+        below = det("b", 0.9, Box(0.0, 0.0, 0.49, 1.0))
+        assert average_precision([at_half], {"b": [BOX_A]}) == pytest.approx(1.0)
+        assert average_precision([below], {"b": [BOX_A]}) == 0.0
+
     def test_hand_computed_tp_fp_tp(self):
         gts = {"b1": [BOX_A], "b2": [BOX_A]}
         dets = [

@@ -67,7 +67,8 @@ def params_equal(a, b):
 
 class TestConfig:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
+        assert not hasattr(TrainConfig, "validate")
 
     @pytest.mark.parametrize("kw", [
         {"epochs": 0},
@@ -86,7 +87,7 @@ class TestConfig:
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
-            TrainConfig(**kw).validate()
+            TrainConfig(**kw)
 
     def test_lr_schedule_default_split(self):
         cfg = TrainConfig(epochs=20)
@@ -116,18 +117,29 @@ class TestConfig:
 class TestTierSwitches:
     def test_mapping(self):
         rows = {
-            "base": (False, False, False, 0, "disc"),
-            "clique": (True, False, False, 0, "disc"),
-            "d": (True, True, False, 1, "disc"),
-            "l": (True, True, False, 1, 0),
-            "l-rl": (True, True, True, 1, 0),
-            "l-arl": (True, True, True, 3, 2),
+            "base": (False, False, 0, "disc"),
+            "clique": (True, False, 0, "disc"),
+            "d": (True, False, 1, "disc"),
+            "l": (True, False, 1, 0),
+            "l-rl": (True, True, 1, 0),
+            "l-arl": (True, True, 3, 2),
         }
         for tier, want in rows.items():
             s = tier_switches(TrainConfig(ablation=tier, branches=3))
-            got = (s.use_cliques, s.train_loc, s.use_feedback,
-                   s.active_branches, s.detect_head)
+            got = (s.use_cliques, s.use_feedback, s.active_branches, s.detect_head)
             assert got == want, tier
+
+    def test_resolved_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return tier_switches(cfg)
+
+        monkeypatch.setattr(trainer_module, "tier_switches", counting)
+        cfg = small_cfg(epochs=2, ablation="clique")
+        train(small_ds(), cfg)
+        assert calls == [cfg]
 
 
 class TestSgdStep:
@@ -496,6 +508,30 @@ class TestCheckpoint:
         assert not csv.exists()
         assert loaded.epoch == 1 and loaded.config == small_cfg(**base)
         assert params_equal(loaded.params, state.params)
+
+    def test_resume_past_the_configs_epochs_is_rejected(self, tmp_path):
+        ds = small_ds()
+        state, _ = train(ds, small_cfg(epochs=3))
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        loaded, csv = load_checkpoint(str(path)), tmp_path / "ep.csv"
+        with pytest.raises(CheckpointError, match="the checkpoint is at epoch 3"):
+            train(ds, small_cfg(epochs=2), state=loaded, csv_path=str(csv))
+        assert not csv.exists()
+        assert loaded.epoch == 3 and loaded.config == small_cfg(epochs=3)
+        # at the checkpoint's own epoch there is nothing to train
+        same, reports = train(ds, small_cfg(epochs=3), state=loaded)
+        assert reports == [] and same.epoch == 3
+
+    def test_checkpoint_past_its_configs_epochs_is_corrupt(self, tmp_path):
+        state, _ = train(small_ds(), small_cfg(epochs=2))
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        doc = json.loads(path.read_text())
+        doc["config"]["epochs"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint .*epoch 2 is past"):
+            load_checkpoint(str(path))
 
     def test_feature_dim_mismatch_rejected(self, tmp_path):
         ds = small_ds()
