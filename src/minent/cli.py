@@ -12,6 +12,7 @@ divergence, unknown bag), 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -151,6 +152,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             theirs, ours = getattr(state.config, name), getattr(cfg, name)
             if ours != theirs:
                 raise UsageError(f"--resume cannot change {name} from {theirs} to {ours}")
+    out, parent = args.out_checkpoint, os.path.dirname(os.path.abspath(args.out_checkpoint))
+    if not out or os.path.isdir(out) or not os.path.isdir(parent):  # fail before training
+        raise RuntimeError(f"cannot write checkpoint {out!r}: "
+                           + ("it is a directory" if os.path.isdir(out) else "no such directory"))
     ds = _load_ds(args.data)
     state, reports = train(ds, cfg, state=state, csv_path=args.csv, stop_after=stop_after)
     save_checkpoint(state, args.out_checkpoint)

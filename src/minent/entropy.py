@@ -70,9 +70,17 @@ class CliquePartition:
         return tuple(np.flatnonzero(self.label >= 0).tolist())
 
     @cached_property
+    def offsets(self) -> list[int]:
+        """Where each clique starts in ``members``, then where the last ends."""
+        return [0] + np.cumsum(self.sizes).tolist()
+
+    @cached_property
     def cliques(self) -> tuple[Clique, ...]:
-        members, ends = self.members.tolist(), np.cumsum(self.sizes).tolist()
-        return tuple(Clique(tuple(members[a:b])) for a, b in zip([0] + ends, ends))
+        return tuple(Clique(tuple(self.clique_members(i).tolist())) for i in range(len(self.sizes)))
+
+    def clique_members(self, index: int) -> np.ndarray:
+        """Clique ``index``'s members, ascending: a slice of ``members``."""
+        return self.members[self.offsets[index] : self.offsets[index + 1]]
 
     def clique_of(self, proposal: int) -> int:
         """Index of the clique containing ``proposal``."""
@@ -125,7 +133,7 @@ def partition_cliques(
     if adjacency is None:
         overlaps = iou_matrix(boxes[order], boxes[order]) > tau
     else:
-        overlaps = adjacency[np.ix_(order, order)]
+        overlaps = adjacency.take(order, axis=0).take(order, axis=1)
     np.fill_diagonal(overlaps, False)  # a fresh table either way
     isolated = ~overlaps.any(axis=1)
 
@@ -203,14 +211,16 @@ def select_clique(clique_probs: np.ndarray, weights: np.ndarray, cls: int) -> in
 
 
 def discovery_loss(
-    labels: np.ndarray, partition: CliquePartition | None, scores: np.ndarray
+    labels: np.ndarray, partition: CliquePartition | None, scores: np.ndarray, *,
+    softmax: np.ndarray | None = None,
 ) -> tuple[DiscoveryOutput, np.ndarray]:
     """Discovery objective and its gradient with respect to raw scores.
 
     Classes labeled 1 contribute the global entropy over the clique table;
     classes labeled 0 contribute -sum_h log(1 - p(y,h)) over ALL proposals,
-    where p is the per-proposal softmax over classes.  ``partition`` may be
-    None only when the bag has no positive class.
+    where p is the per-proposal softmax over classes: ``softmax``, if the
+    caller has computed ``row_softmax(scores)``.  ``partition`` may be None
+    only when the bag has no positive class.
     """
     labels = np.asarray(labels, dtype=int)
     scores = np.asarray(scores, dtype=float)
@@ -246,7 +256,7 @@ def discovery_loss(
 
     negatives = np.flatnonzero(labels == 0)
     if negatives.size:
-        q = row_softmax(scores)
+        q = row_softmax(scores) if softmax is None else softmax
         g_q = np.zeros_like(q)
         for y in negatives:
             comp = np.maximum(1.0 - q[:, y], EPS)
@@ -271,18 +281,21 @@ def soft_weights(probs: np.ndarray, ious: np.ndarray, a: float) -> np.ndarray:
     return float((g * probs).sum()) / (probs * max(float(g.sum()), EPS))
 
 
-def select_object(clique: Clique, proposal_probs: np.ndarray, cls: int) -> int:
-    """Clique member with the highest probability for ``cls`` (ties: lowest index)."""
-    members = list(clique.members)
-    return members[int(np.argmax(proposal_probs[members, cls]))]
+def select_object(clique, proposal_probs: np.ndarray, cls: int) -> int:
+    """Clique member with the highest probability for ``cls`` (ties: lowest
+    index).  ``clique`` is a ``Clique`` or its ascending member indices."""
+    members = np.asarray(getattr(clique, "members", clique))
+    return int(members[np.argmax(proposal_probs[members, cls])])
 
 
-def member_overlaps(clique: Clique, h_star: int, boxes: np.ndarray) -> np.ndarray:
-    """IoU of each clique member with the selected object, in member order."""
-    if h_star not in clique.members:
+def member_overlaps(clique, h_star: int, boxes: np.ndarray) -> np.ndarray:
+    """IoU of each member of ``clique`` (or of these member indices) with
+    the selected object, in member order."""
+    members = np.asarray(getattr(clique, "members", clique))
+    if h_star not in members:
         raise ValueError(f"h_star {h_star} not a member of the clique")
     boxes = np.asarray(boxes, dtype=float)
-    return iou_matrix(boxes[list(clique.members)], boxes[h_star : h_star + 1])[:, 0]
+    return iou_matrix(boxes[members], boxes[h_star : h_star + 1])[:, 0]
 
 
 def hard_negatives(clique: Clique, h_star: int, boxes: np.ndarray) -> list[int]:
@@ -291,15 +304,23 @@ def hard_negatives(clique: Clique, h_star: int, boxes: np.ndarray) -> list[int]:
     return [m for m, o in zip(clique.members, overlap) if o < 0.5]
 
 
+def localization_terms(members: np.ndarray, ious: np.ndarray, proposal_probs: np.ndarray,
+                       a: float, cls: int, grad: np.ndarray) -> tuple[np.ndarray, float]:
+    """``localization_loss`` over the member indices ``members``, whose
+    overlaps with the selected object are ``ious``: adds the gradient to
+    ``grad``'s member rows and returns (soft weights, loss)."""
+    member_probs = np.maximum(proposal_probs[members, cls], EPS)
+    w = soft_weights(member_probs, ious, a)
+    kappa = w * member_probs  # detached pseudo labels
+    loss = float(-(kappa * np.log(member_probs)).sum())
+    rows = proposal_probs[members]
+    rows[:, cls] -= 1.0  # softmax row - onehot(cls)
+    grad[members] += kappa[:, None] * rows
+    return w, loss
+
+
 def localization_loss(
-    clique: Clique,
-    h_star: int,
-    proposal_probs: np.ndarray,
-    boxes: np.ndarray,
-    a: float,
-    cls: int,
-    *,
-    ious: np.ndarray | None = None,
+    clique: Clique, h_star: int, proposal_probs: np.ndarray, boxes: np.ndarray, a: float, cls: int
 ) -> tuple[LocalizationOutput, np.ndarray]:
     """Soft-weighted cross-entropy over the selected clique, plus gradient.
 
@@ -307,25 +328,14 @@ def localization_loss(
     factor w_h * p(cls,h) is a detached pseudo label: differentiation sees
     it as a constant, so the gradient per member row is that constant times
     (softmax row - onehot(cls)).  The returned gradient is w.r.t. the raw
-    localization scores (zero outside the clique).  ``ious``, if given, is
-    ``member_overlaps(clique, h_star, boxes)``, which a caller scoring the
-    same ``h_star`` on several branches computes once.
+    localization scores (zero outside the clique).  A caller scoring the same
+    ``h_star`` on several branches calls ``localization_terms`` with its
+    ``member_overlaps`` instead, computed once.
     """
-    if h_star not in clique.members:
-        raise ValueError(f"h_star {h_star} not a member of the clique")
-    if ious is None:
-        ious = member_overlaps(clique, h_star, boxes)
+    members = np.asarray(clique.members)
+    ious = member_overlaps(members, h_star, boxes)  # raises unless h_star is a member
     probs = np.asarray(proposal_probs, dtype=float)
-    members = list(clique.members)
-    member_probs = probs[members, cls]
-    w = soft_weights(member_probs, ious, a)
-    kappa = w * np.maximum(member_probs, EPS)  # detached pseudo labels
-    loss = float(-(kappa * np.log(np.maximum(member_probs, EPS))).sum())
-
-    grad = np.zeros_like(probs)
-    onehot = np.zeros(probs.shape[1])
-    onehot[cls] = 1.0
     # += onto zeros, as a per-member loop would: each cell is 0.0 + v
-    grad[members] += kappa[:, None] * (probs[members] - onehot)
-
+    grad = np.zeros_like(probs)
+    w, loss = localization_terms(members, ious, probs, a, cls, grad)
     return LocalizationOutput(soft_weights=w, loss=loss), grad

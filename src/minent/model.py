@@ -47,6 +47,15 @@ class ModelParams:
             yield f"loc_w.{k}", self.loc_w[k]
             yield f"loc_b.{k}", self.loc_b[k]
 
+    def on(self, flat: np.ndarray) -> ModelParams:
+        """These shapes as consecutive views of ``flat``, in ``named_arrays`` order."""
+        arrays = [arr for _, arr in self.named_arrays()]
+        ends = np.cumsum([arr.size for arr in arrays]).tolist()
+        views = [flat[a:b].reshape(arr.shape) for arr, a, b in zip(arrays, [0] + ends, ends)]
+        hidden, heads = (views[:2], views[2:]) if self.hidden_w is not None else ([None] * 2, views)
+        return ModelParams(self.feature_dim, self.num_classes, *hidden, *heads[:2],
+                           heads[2::2], heads[3::2])
+
     def validate(self) -> None:
         width = self.hidden_dim or self.feature_dim
         for name, arr in self.named_arrays():
@@ -108,48 +117,53 @@ def _head_arrays(params: ModelParams, head) -> tuple[np.ndarray, np.ndarray, str
     raise ValueError(f"unknown head selector: {head!r}")
 
 
-def _hidden_forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Returns (head input, pre-activation or None)."""
+def hidden_layer(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The heads' shared input x and the hidden pre-activation z (None
+    without a hidden layer): one call serves every head on these parameters."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != params.feature_dim:
+        raise ValueError(
+            f"features must be (num_proposals, {params.feature_dim}), got {features.shape}"
+        )
     if params.hidden_w is None:
         return features, None
     z = features @ params.hidden_w + params.hidden_b
     return np.maximum(z, 0.0), z
 
 
-def forward(params: ModelParams, features: np.ndarray, head) -> np.ndarray:
-    """Per-proposal, per-class raw scores for the selected head."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != params.feature_dim:
-        raise ValueError(
-            f"features must be (num_proposals, {params.feature_dim}), got {features.shape}"
-        )
+def forward(params: ModelParams, features: np.ndarray, head, *, hidden=None) -> np.ndarray:
+    """Per-proposal, per-class raw scores for the selected head.  ``hidden``
+    is ``hidden_layer(params, features)``, if the caller has it."""
     w, b, _, _ = _head_arrays(params, head)
-    x, _ = _hidden_forward(params, features)
+    x, _ = hidden_layer(params, features) if hidden is None else hidden
     return x @ w + b
 
 
 def backward_head(
-    params: ModelParams, features: np.ndarray, head, upstream: np.ndarray
+    params: ModelParams, features: np.ndarray, head, upstream: np.ndarray, *,
+    hidden=None, into: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Gradients of sum(upstream * scores) with respect to the parameters
     that feed the selected head.
 
     Returns a dict keyed like ``named_arrays`` names; heads other than the
-    selected one are absent.  The hidden layer (when present) is shared, so
-    its gradient keys appear for every head and the trainer accumulates
-    them across calls.
+    selected one are absent, and the shared hidden layer's keys appear for
+    every head.  ``hidden`` is as in ``forward``.  Each gradient is also
+    added to the array of its name in ``into``, if given.
     """
-    features = np.asarray(features, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
     w, _, w_key, b_key = _head_arrays(params, head)
-    x, z = _hidden_forward(params, features)
-    if upstream.shape != (features.shape[0], params.num_classes):
+    x, z = hidden_layer(params, features) if hidden is None else hidden
+    if upstream.shape != (x.shape[0], params.num_classes):
         raise ValueError(
             f"upstream must be (num_proposals, {params.num_classes}), got {upstream.shape}"
         )
     grads = {w_key: x.T @ upstream, b_key: upstream.sum(axis=0)}
     if params.hidden_w is not None:
         gx = (upstream @ w.T) * (z > 0.0)
-        grads["hidden_w"] = features.T @ gx
+        grads["hidden_w"] = np.asarray(features, dtype=float).T @ gx
         grads["hidden_b"] = gx.sum(axis=0)
+    if into is not None:
+        for name, g in grads.items():
+            into[name] += g
     return grads

@@ -36,7 +36,7 @@ import numpy as np
 from .data import Dataset, check_field_types, number_array, whole_number
 from .entropy import (
     discovery_loss,
-    localization_loss,
+    localization_terms,
     member_overlaps,
     partition_cliques,
     row_softmax,
@@ -46,7 +46,7 @@ from .entropy import (
 from .evaluate import best_gt_overlaps, dataset_loc_stats
 from .geometry import iou_matrix
 from .jsonio import dumps_canonical, read_json, write_json
-from .model import ModelParams, backward_head, forward, init_params
+from .model import ModelParams, backward_head, forward, hidden_layer, init_params
 
 ABLATION_TIERS = ("base", "clique", "d", "l", "l-rl", "l-arl")
 
@@ -190,22 +190,15 @@ def csv_header(branches: int) -> str:
     return f"epoch,disc_loss,{loc_cols},global_entropy,local_entropy,loc_acc,loc_var,seconds"
 
 
-def sgd_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    buffers: dict[str, np.ndarray],
-    lr: float,
-    momentum: float,
-    weight_decay: float,
-) -> None:
-    """In-place momentum update: buf = m*buf + grad + wd*param; param -= lr*buf."""
-    for name, arr in params.named_arrays():
-        g = grads.get(name)
-        update = weight_decay * arr if g is None else g + weight_decay * arr
-        buf = buffers[name]
-        buf *= momentum
-        buf += update
-        arr -= lr * buf
+def sgd_step(params: np.ndarray, grads: np.ndarray, buffers: np.ndarray,
+             lr: float, momentum: float, weight_decay: float) -> None:
+    """In-place momentum update of flat vectors: buf = m*buf + grad +
+    wd*param; param -= lr*buf.  A parameter that got no gradient holds -0.0,
+    IEEE addition's exact identity, so its update is wd*param to the bit."""
+    update = grads + weight_decay * params
+    buffers *= momentum
+    buffers += update
+    params -= lr * buffers
 
 
 def init_state(ds: Dataset, cfg: TrainConfig) -> TrainState:
@@ -257,15 +250,16 @@ def _check_compat(state: TrainState, cfg: TrainConfig, ds: Dataset) -> None:
 
 def partition_step(
     params: ModelParams, cfg: TrainConfig, use_cliques: bool, features, boxes, classes,
-    adjacency=None,
+    adjacency=None, hidden=None,
 ):
     """Discovery scores of one bag, their per-row softmax, and its clique
     partition (singletons unless ``use_cliques``, the tier's switch), with
     objectness the best probability over ``classes``.  Returns ``(scores,
     softmax, partition)``; without classes there is nothing to discover,
     and the last two are None.  ``adjacency`` is the bag's cached
-    ``iou_matrix(boxes, boxes) > cfg.tau``, if any."""
-    disc_scores = forward(params, features, "disc")
+    ``iou_matrix(boxes, boxes) > cfg.tau``, and ``hidden`` its
+    ``hidden_layer(params, features)``, if any."""
+    disc_scores = forward(params, features, "disc", hidden=hidden)
     if not np.isfinite(disc_scores).all():
         raise TrainingDiverged("discovery scores non-finite")
     if not classes.size:
@@ -280,64 +274,62 @@ def partition_step(
 
 
 def _bag_step(
-    state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, adjacency, stats
+    state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, adjacency, stats, flat
 ) -> None:
-    """One SGD step on one bag; appends report quantities to ``stats``."""
+    """One SGD step on one bag; appends report quantities to ``stats``.  ``flat``
+    holds the flat parameter, buffer and gradient vectors and the gradient's views."""
     params = state.params
     s = state.s_h[bag.id] if switches.use_feedback else None
     feats_eff = bag.features * s[:, None] if s is not None else bag.features
+    # the parameters hold until sgd_step, so one hidden pass serves every head
+    hidden = hidden_layer(params, feats_eff)
+    flat_params, flat_buffers, flat_grads, grads = flat
+    flat_grads.fill(-0.0)  # IEEE addition's identity: each gradient is its first term
 
     positives = np.flatnonzero(bag.labels == 1)
     disc_scores, q_disc, partition = partition_step(
-        params, cfg, switches.use_cliques, feats_eff, bag.boxes, positives, adjacency
+        params, cfg, switches.use_cliques, feats_eff, bag.boxes, positives, adjacency, hidden
     )
-    disc_out, disc_grad = discovery_loss(bag.labels, partition, disc_scores)
+    disc_out, disc_grad = discovery_loss(bag.labels, partition, disc_scores, softmax=q_disc)
     if not np.isfinite(disc_out.loss):
         raise TrainingDiverged("discovery loss non-finite")
-    grads = backward_head(params, feats_eff, "disc", disc_grad)
+    backward_head(params, feats_eff, "disc", disc_grad, hidden=hidden, into=grads)
 
     bag_loc_losses = [0.0] * cfg.branches
     if switches.active_branches and positives.size:
         # pseudo objects accumulated across branches, per class
         inherited: dict[int, list[int]] = {int(y): [] for y in positives}
-        pool = np.array(partition.pool)
+        pool = np.flatnonzero(partition.label >= 0)
         # the partition and q_disc hold until sgd_step, so each class's first
         # anchor, and each anchor's home clique and overlaps, serve every branch
-        first = {
-            y: select_object(partition.cliques[disc_out.selected[y]], q_disc, y)
-            for y in positives.tolist()
-        }
+        first = {y: select_object(partition.clique_members(disc_out.selected[y]), q_disc, y)
+                 for y in positives.tolist()}
         homes = {}
         for k in range(switches.active_branches):
-            probs_k = row_softmax(forward(params, feats_eff, k))
+            probs_k = row_softmax(forward(params, feats_eff, k, hidden=hidden))
             branch_grad = np.zeros_like(probs_k)
             for y, top in first.items():
                 anchors = [top] + [h for h in inherited[y] if h != top]
                 for h_star in anchors:
                     if h_star not in homes:
-                        home = partition.cliques[partition.clique_of(h_star)]
+                        home = partition.clique_members(partition.label[h_star])
                         homes[h_star] = home, member_overlaps(home, h_star, bag.boxes)
                     home, ious = homes[h_star]
-                    loc_out, g = localization_loss(
-                        home, h_star, probs_k, bag.boxes, cfg.kernel_a, y, ious=ious
-                    )
-                    if not np.isfinite(loc_out.loss):
+                    # branch_grad is never -0.0, nor is any gradient term, so
+                    # adding the terms to the member rows alone is exact
+                    _, loss = localization_terms(home, ious, probs_k, cfg.kernel_a, y, branch_grad)
+                    if not np.isfinite(loss):
                         raise TrainingDiverged(f"localization loss non-finite on branch {k + 1}")
-                    bag_loc_losses[k] += loc_out.loss
-                    stats["local_entropy_terms"].append(loc_out.loss)
-                    branch_grad += g
+                    bag_loc_losses[k] += loss
+                    stats["local_entropy_terms"].append(loss)
                 # this branch's own pick feeds later branches
                 own = int(pool[np.argmax(probs_k[pool, y])])
                 if own not in inherited[y]:
                     inherited[y].append(own)
-            branch_grads = backward_head(params, feats_eff, k, cfg.loc_weight * branch_grad)
-            for name, g in branch_grads.items():
-                if name in grads:
-                    grads[name] = grads[name] + g
-                else:
-                    grads[name] = g
+            backward_head(params, feats_eff, k, cfg.loc_weight * branch_grad,
+                          hidden=hidden, into=grads)
 
-    sgd_step(params, grads, state.buffers, stats["lr"], cfg.momentum, cfg.weight_decay)
+    sgd_step(flat_params, flat_grads, flat_buffers, stats["lr"], cfg.momentum, cfg.weight_decay)
 
     if switches.use_feedback and positives.size:
         final_k = switches.active_branches - 1
@@ -421,6 +413,15 @@ def train(
             csv_file.write(header + "\n")
 
     state.config = cfg  # every check has passed; this is the config trained
+    # the parameters, buffers and gradient each live in one flat vector, so a
+    # visit's update is one set of array ops; the state's arrays view them
+    names = [name for name, _ in state.params.named_arrays()]
+    flat_params = np.concatenate([arr.ravel() for _, arr in state.params.named_arrays()])
+    flat_buffers = np.concatenate([state.buffers[name].ravel() for name in names])
+    flat_grads = np.empty_like(flat_params)
+    views = [dict(state.params.on(v).named_arrays()) for v in (flat_buffers, flat_grads)]
+    state.params, state.buffers = state.params.on(flat_params), views[0]
+    flat = (flat_params, flat_buffers, flat_grads, views[1])
     reports: list[EpochReport] = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the finite checks catch these
@@ -436,11 +437,11 @@ def train(
                 for i in visit_order:
                     bag = train_bags[int(i)]
                     try:
-                        _bag_step(state, cfg, switches, bag, adjacency[int(i)], stats)
+                        _bag_step(state, cfg, switches, bag, adjacency[int(i)], stats, flat)
                     except TrainingDiverged as e:
                         raise TrainingDiverged(f"{e} at epoch {epoch}, bag '{bag.id}'") from None
                 # the checks above miss an update that overflows on the last visit
-                arrays = [a for _, a in state.params.named_arrays()] + list(state.s_h.values())
+                arrays = [flat_params] + list(state.s_h.values())
                 if not all(np.isfinite(a).all() for a in arrays):
                     raise TrainingDiverged(f"model state non-finite at epoch {epoch}")
                 state.epoch = epoch

@@ -595,6 +595,23 @@ class TestUnwritableOutput:
         self._one_error_naming(capsys, out)
         assert self._tree(tmp_path) == []
 
+    @pytest.mark.parametrize("kind", ["directory", "missing parent", "file parent", "empty"])
+    def test_train_checks_the_checkpoint_before_training(
+            self, workspace, tmp_path, monkeypatch, capsys, kind):
+        # the target is checked before the dataset loads, so no epoch runs
+        # and the CSV gets no row; a rerun would otherwise append them again
+        out = {"directory": tmp_path / "adir", "missing parent": tmp_path / "absent" / "ck.json",
+               "file parent": tmp_path / "afile" / "ck.json", "empty": ""}[kind]
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        before = self._tree(tmp_path)
+        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("dataset loaded"))
+        csv = tmp_path / "ep.csv"
+        assert main(["train", "--data", str(workspace / "ds.json"), "--out-checkpoint", str(out),
+                     "--epochs", "5", "--csv", str(csv)]) == 1
+        self._one_error_naming(capsys, out)
+        assert self._tree(tmp_path) == before
+
     def test_eval_names_the_metrics_file(self, workspace, tmp_path, capsys):
         out = tmp_path / "absent" / "metrics.json"
         assert main(["eval", "--data", str(workspace / "ds.json"),

@@ -15,6 +15,7 @@ from minent.entropy import (
     global_entropy,
     hard_negatives,
     localization_loss,
+    localization_terms,
     member_overlaps,
     partition_cliques,
     row_softmax,
@@ -326,6 +327,7 @@ class TestPartition:
         for i, c in enumerate(cliques):
             assert part.label[list(c)].tolist() == [i] * len(c)
             assert [part.clique_of(m) for m in c] == [i] * len(c)
+            assert part.clique_members(i).tolist() == list(c)
         for outside in set(range(-1, 9)) - set(pool):
             with pytest.raises(KeyError):
                 part.clique_of(outside)
@@ -510,6 +512,16 @@ class TestDiscoveryLoss:
         assert out.entropies[0] == pytest.approx(global_entropy(probs, weights, 0))
         assert out.selected[0] == select_clique(probs, weights, 0)
 
+    def test_given_softmax_gives_the_same_output(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            scores = rng.normal(size=(6, 3))
+            labels = rng.integers(0, 2, size=3)
+            part = partition_cliques(random_boxes(rng, 6), rng.uniform(0, 1, 6), 0.5, 6)
+            out, grad = discovery_loss(labels, part, scores)
+            out2, grad2 = discovery_loss(labels, part, scores, softmax=row_softmax(scores))
+            assert out2 == out and np.array_equal(bits(grad2), bits(grad))
+
     def test_positive_without_partition_rejected(self):
         with pytest.raises(ValueError):
             discovery_loss(np.array([1]), None, np.zeros((2, 1)))
@@ -592,6 +604,14 @@ class TestSelectObject:
     def test_tie_lowest_index(self):
         probs = np.array([[0.5], [0.5]])
         assert select_object(Clique((0, 1)), probs, 0) == 0
+
+    def test_member_indices_pick_as_the_clique_does(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            probs = rng.uniform(size=(9, 2))
+            members = np.sort(rng.choice(9, size=int(rng.integers(1, 10)), replace=False))
+            pick = select_object(members, probs, 1)
+            assert type(pick) is int and pick == select_object(Clique(tuple(members)), probs, 1)
 
 
 class TestHardNegatives:
@@ -696,9 +716,33 @@ class TestLocalizationLoss:
             want = iou_matrix(boxes, boxes[h_star : h_star + 1])[:, 0]
             assert np.array_equal(ious, want)
             out, grad = localization_loss(clique, h_star, probs, boxes, 4.0, 1)
-            out2, grad2 = localization_loss(clique, h_star, probs, boxes, 4.0, 1, ious=ious)
-            assert out2.loss == out.loss and np.array_equal(out2.soft_weights, out.soft_weights)
+            grad2 = np.zeros_like(probs)
+            w, loss = localization_terms(np.array(clique.members), ious, probs, 4.0, 1, grad2)
+            assert loss == out.loss and np.array_equal(w, out.soft_weights)
             assert np.array_equal(grad2, grad)
+            assert np.array_equal(member_overlaps(np.arange(n_prop), h_star, boxes), ious)
+
+    def test_terms_added_in_place_equal_summed_gradients(self):
+        # the trainer adds each anchor's terms to one branch gradient's member
+        # rows; with softmax probabilities no term or sum is -0.0, so that is
+        # bit for bit the sum of the wrapper's full gradients
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            n_prop, n_cls = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            probs = row_softmax(rng.normal(size=(n_prop, n_cls)) * 3)
+            boxes = random_boxes(rng, n_prop)
+            acc, want = np.zeros_like(probs), np.zeros_like(probs)
+            for _ in range(int(rng.integers(1, 4))):
+                members = np.sort(rng.choice(n_prop, size=int(rng.integers(1, n_prop + 1)),
+                                             replace=False))
+                h_star, cls = int(rng.choice(members)), int(rng.integers(0, n_cls))
+                ious = member_overlaps(members, h_star, boxes)
+                w, loss = localization_terms(members, ious, probs, 4.0, cls, acc)
+                out, grad = localization_loss(Clique(tuple(members.tolist())), h_star, probs,
+                                              boxes, 4.0, cls)
+                assert loss == out.loss and np.array_equal(w, out.soft_weights)
+                want += grad
+            assert np.array_equal(bits(acc), bits(want))
 
     def test_h_star_must_be_member(self):
         probs = np.full((3, 2), 0.5)

@@ -164,6 +164,9 @@ class TestDetect:
         assert top_disc.box == BOX_A
 
 
+NO_CLASS_1 = "corloc: class 1 has no positive bags with ground truth"
+
+
 class TestCorlocPointing:
     def make_ds(self, top_feature):
         # two proposals: the gt box and a far box; features decide the top one
@@ -180,21 +183,24 @@ class TestCorlocPointing:
 
     def test_corloc_correct(self):
         ds = self.make_ds([[3.0, 0.0], [0.0, 0.0]])
-        per_class, mean = corloc(pick_params(), ds)
+        with pytest.warns(UserWarning, match=NO_CLASS_1):
+            per_class, mean = corloc(pick_params(), ds)
         assert per_class[0] == 1.0
         assert per_class[1] is None  # no positive bags for class 1
         assert mean == 1.0
 
     def test_corloc_incorrect(self):
         ds = self.make_ds([[0.0, 0.0], [3.0, 0.0]])  # far box scores higher
-        per_class, mean = corloc(pick_params(), ds)
+        with pytest.warns(UserWarning, match=NO_CLASS_1):
+            per_class, mean = corloc(pick_params(), ds)
         assert per_class[0] == 0.0
 
     def test_corloc_two_bags_half(self):
         good = linear_bag("g", [BOX_A, BOX_FAR], [[3.0, 0.0], [0.0, 0.0]], [1, 0], gt=[(0, BOX_A)])
         bad = linear_bag("b", [BOX_A, BOX_FAR], [[0.0, 0.0], [3.0, 0.0]], [1, 0], gt=[(0, BOX_A)])
         ds = Dataset(classes=["x", "y"], feature_dim=2, bags=[good, bad])
-        per_class, _ = corloc(pick_params(), ds)
+        with pytest.warns(UserWarning, match=NO_CLASS_1):
+            per_class, _ = corloc(pick_params(), ds)
         assert per_class[0] == 0.5
 
     def test_corloc_threshold_is_half(self):
@@ -202,7 +208,8 @@ class TestCorlocPointing:
         near_miss = Box(0.0, 0.0, 0.49, 1.0)
         bag = linear_bag("b", [near_miss, BOX_FAR], [[3.0, 0.0], [0.0, 0.0]], [1, 0], gt=[(0, BOX_A)])
         ds = Dataset(classes=["x", "y"], feature_dim=2, bags=[bag])
-        per_class, _ = corloc(pick_params(), ds)
+        with pytest.warns(UserWarning, match=NO_CLASS_1):
+            per_class, _ = corloc(pick_params(), ds)
         assert per_class[0] == 0.0
 
     def test_pointing_inside_and_outside(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minent.model import ModelParams, backward_head, forward, init_params
+from minent.model import ModelParams, backward_head, forward, hidden_layer, init_params
 
 
 def test_init_zero_scale_gives_zero_weights():
@@ -162,6 +162,38 @@ def test_named_arrays_order():
     assert names == ["hidden_w", "hidden_b", "disc_w", "disc_b",
                      "loc_w.0", "loc_b.0", "loc_w.1", "loc_b.1"]
     assert [a for _, a in p.named_arrays()][-2] is p.loc_w[1]
+
+
+def test_views_of_a_flat_vector_follow_named_arrays():
+    for hidden_dim in (0, 4):
+        p = init_params(3, 2, 2, hidden_dim=hidden_dim, seed=0)
+        flat = np.concatenate([a.ravel() for _, a in p.named_arrays()])
+        views = p.on(flat)
+        for (name, arr), (view_name, view) in zip(p.named_arrays(), views.named_arrays()):
+            assert name == view_name and np.array_equal(arr, view)
+            assert np.shares_memory(view, flat)
+        assert views.hidden_dim == hidden_dim and views.branches == 2
+        flat += 1.0
+        assert np.array_equal(views.disc_w, p.disc_w + 1.0)
+
+
+def test_one_hidden_pass_serves_every_head():
+    rng = np.random.default_rng(12)
+    p = init_params(4, 3, 2, hidden_dim=5, seed=3, scale=0.5)
+    x = rng.normal(size=(6, 4))
+    hidden = hidden_layer(p, x)
+    into = dict(p.on(np.full(sum(a.size for _, a in p.named_arrays()), -0.0)).named_arrays())
+    want_hidden = 0.0
+    for head in ("disc", 0, 1):
+        assert np.array_equal(forward(p, x, head, hidden=hidden), forward(p, x, head))
+        up = rng.normal(size=(6, 3))
+        grads = backward_head(p, x, head, up, hidden=hidden, into=into)
+        plain = backward_head(p, x, head, up)
+        assert grads.keys() == plain.keys()
+        assert all(np.array_equal(grads[k], plain[k]) for k in plain)
+        want_hidden = want_hidden + plain["hidden_w"]
+    assert np.array_equal(into["hidden_w"], want_hidden)
+    assert np.array_equal(into["loc_w.1"], plain["loc_w.1"])
 
 
 def test_validate_catches_nonfinite_and_bad_shape():

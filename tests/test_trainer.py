@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from minent import evaluate as evaluate_module
+from minent import model as model_module
 from minent import trainer as trainer_module
 from minent.data import SynthConfig, generate_synthetic
 from minent.evaluate import dataset_loc_stats, evaluate
 from minent.geometry import Box
 from minent.model import init_params
 from minent.trainer import (
+    ABLATION_TIERS,
     CheckpointError,
     EpochReport,
     TrainConfig,
@@ -143,38 +145,48 @@ class TestTierSwitches:
 
 
 class TestSgdStep:
-    def one_param(self, value):
-        p = init_params(1, 1, 1, scale=0.0)
-        p.disc_w[0, 0] = value
-        return p
+    # sgd_step updates flat vectors in place; a parameter without a gradient
+    # holds -0.0 in the gradient vector
+    NO_GRAD = np.array([-0.0])
 
     def test_plain_gradient_descent(self):
-        p = self.one_param(1.0)
-        buffers = {n: np.zeros_like(a) for n, a in p.named_arrays()}
-        sgd_step(p, {"disc_w": np.array([[0.5]])}, buffers, lr=0.1, momentum=0.0, weight_decay=0.0)
-        assert p.disc_w[0, 0] == pytest.approx(0.95)
+        x, buf = np.array([1.0]), np.zeros(1)
+        sgd_step(x, np.array([0.5]), buf, lr=0.1, momentum=0.0, weight_decay=0.0)
+        assert x[0] == pytest.approx(0.95)
 
     def test_zero_grad_zero_buffer_no_motion(self):
-        p = self.one_param(2.0)
-        buffers = {n: np.zeros_like(a) for n, a in p.named_arrays()}
-        sgd_step(p, {}, buffers, lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert p.disc_w[0, 0] == 2.0
+        x, buf = np.array([2.0]), np.zeros(1)
+        sgd_step(x, self.NO_GRAD, buf, lr=0.1, momentum=0.9, weight_decay=0.0)
+        assert x[0] == 2.0
 
     def test_momentum_two_steps_match_hand_sequence(self):
         # quadratic f(x) = x^2/2, grad = x, x0 = 1, lr = 0.1, momentum = 0.9:
         # step 1: buf = 1.0, x = 0.9; step 2: buf = 0.9 + 0.9 = 1.8, x = 0.72
-        p = self.one_param(1.0)
-        buffers = {n: np.zeros_like(a) for n, a in p.named_arrays()}
-        sgd_step(p, {"disc_w": np.array([[p.disc_w[0, 0]]])}, buffers, 0.1, 0.9, 0.0)
-        assert p.disc_w[0, 0] == pytest.approx(0.9)
-        sgd_step(p, {"disc_w": np.array([[p.disc_w[0, 0]]])}, buffers, 0.1, 0.9, 0.0)
-        assert p.disc_w[0, 0] == pytest.approx(0.72)
+        x, buf = np.array([1.0]), np.zeros(1)
+        sgd_step(x, x.copy(), buf, 0.1, 0.9, 0.0)
+        assert x[0] == pytest.approx(0.9)
+        sgd_step(x, x.copy(), buf, 0.1, 0.9, 0.0)
+        assert x[0] == pytest.approx(0.72)
 
     def test_weight_decay_shrinks(self):
-        p = self.one_param(1.0)
-        buffers = {n: np.zeros_like(a) for n, a in p.named_arrays()}
-        sgd_step(p, {}, buffers, lr=1.0, momentum=0.0, weight_decay=0.1)
-        assert p.disc_w[0, 0] == pytest.approx(0.9)
+        x, buf = np.array([1.0]), np.zeros(1)
+        sgd_step(x, self.NO_GRAD, buf, lr=1.0, momentum=0.0, weight_decay=0.1)
+        assert x[0] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_no_gradient_is_weight_decay_to_the_bit(self, weight_decay):
+        # the per-array update of a head without gradient was wd*param, with
+        # no gradient term at all; -0.0 + wd*param is that, signed zeros too
+        rng = np.random.default_rng(0)
+        x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324], rng.normal(size=60)])
+        buf = np.concatenate([[0.0, -0.0, -0.0, 0.0], rng.normal(size=60)])
+        want_x, want_buf = x.copy(), buf.copy()
+        update = weight_decay * want_x
+        want_buf *= 0.9
+        want_buf += update
+        want_x -= 0.1 * want_buf
+        sgd_step(x, np.full_like(x, -0.0), buf, 0.1, 0.9, weight_decay)
+        assert x.tobytes() == want_x.tobytes() and buf.tobytes() == want_buf.tobytes()
 
 
 class TestTrain:
@@ -297,42 +309,52 @@ class TestTrain:
         assert len(built) == 2 * per_positive_bag * positive_bags
 
     @pytest.mark.parametrize("classes", [1, 2])
-    def test_base_tier_builds_no_clique(self, built_cliques, classes):
-        # the singleton partition and the discovery loss read arrays only
+    def test_training_builds_no_clique(self, built_cliques, monkeypatch, classes):
+        # partitions, anchors and losses are read as arrays on every tier
         ds = generate_synthetic(SynthConfig(num_classes=classes, bags_per_class=4, negatives=2,
                                             proposals_per_bag=8, feature_dim=6, seed=3))
-        train(ds, small_cfg(ablation="base"))
-        assert built_cliques == []
-        train(ds, small_cfg(ablation="l-arl"))
-        assert built_cliques  # the localization tiers still read cliques
+        scored, terms = [], trainer_module.localization_terms
+        monkeypatch.setattr(trainer_module, "localization_terms",
+                            lambda *args: scored.append(args[0]) or terms(*args))
+        for tier in ABLATION_TIERS:
+            train(ds, small_cfg(ablation=tier))
+            assert built_cliques == [], tier
+        assert scored  # the localization tiers scored their anchors' cliques
 
     def test_hidden_gradient_sums_every_head_in_order(self, monkeypatch):
         # the shared hidden layer's gradient is the discovery head's plus each
-        # branch's, added in head order, bit for bit
+        # branch's, added in head order, bit for bit; each head's own gradient
+        # is what its call computed, and a head without one holds -0.0
         events = []
         backward, step = trainer_module.backward_head, trainer_module.sgd_step
 
-        def recorded_backward(params, features, head, upstream):
-            grads = backward(params, features, head, upstream)
+        def recorded_backward(params, features, head, upstream, **kwargs):
+            grads = backward(params, features, head, upstream, **kwargs)
             events.append(("backward", head, {k: v.copy() for k, v in grads.items()}))
             return grads
 
         def recorded_step(params, grads, *args):
-            events.append(("step", None, {k: v.copy() for k, v in grads.items()}))
+            events.append(("step", None, grads.copy()))
             return step(params, grads, *args)
 
         monkeypatch.setattr(trainer_module, "backward_head", recorded_backward)
         monkeypatch.setattr(trainer_module, "sgd_step", recorded_step)
-        train(small_ds(), small_cfg(epochs=1, branches=3, hidden_dim=5))
+        state, _ = train(small_ds(), small_cfg(epochs=1, branches=3, hidden_dim=5))
         visits, calls = 0, []
         for kind, head, grads in events:
             if kind == "backward":
                 calls.append((head, grads))
                 continue
+            flat = dict(state.params.on(grads).named_arrays())
             assert calls[0][0] == "disc"
             for name in ("hidden_w", "hidden_b"):
                 want = reduce(np.add, [g[name] for _, g in calls])
-                assert np.array_equal(grads[name], want)
+                assert flat[name].tobytes() == want.tobytes()
+            own = {name: g[name] for _, g in calls for name in g if not name.startswith("hidden")}
+            for name, got in flat.items():
+                if not name.startswith("hidden"):
+                    want = own.get(name, np.full_like(got, -0.0))
+                    assert got.tobytes() == want.tobytes(), name
             visits += [h for h, _ in calls] == ["disc", 0, 1, 2]
             calls = []
         assert visits == 8  # every positive bag trains all three branches
@@ -341,39 +363,76 @@ class TestTrain:
         # every branch scores the same anchors against the same boxes, so
         # each visit computes an anchor's member overlaps once and passes them
         events = []
-        overlaps, loss, step = (
+        overlaps, terms, step = (
             trainer_module.member_overlaps,
-            trainer_module.localization_loss,
+            trainer_module.localization_terms,
             trainer_module.sgd_step,
         )
 
-        def counted_overlaps(clique, h_star, boxes):
-            events.append(("overlaps", h_star))
-            return overlaps(clique, h_star, boxes)
+        def counted_overlaps(members, h_star, boxes):
+            ious = overlaps(members, h_star, boxes)
+            events.append(("overlaps", (h_star, id(ious))))
+            return ious
 
-        def counted_loss(*args, **kwargs):
-            assert kwargs["ious"] is not None
-            events.append(("loss", args[1]))
-            return loss(*args, **kwargs)
+        def counted_terms(members, ious, *args):
+            events.append(("loss", id(ious)))
+            return terms(members, ious, *args)
 
         def counted_step(*args, **kwargs):
             events.append(("step", None))
             return step(*args, **kwargs)
 
         monkeypatch.setattr(trainer_module, "member_overlaps", counted_overlaps)
-        monkeypatch.setattr(trainer_module, "localization_loss", counted_loss)
+        monkeypatch.setattr(trainer_module, "localization_terms", counted_terms)
         monkeypatch.setattr(trainer_module, "sgd_step", counted_step)
         train(small_ds(), small_cfg(branches=3))
         visits, current = [], {"overlaps": [], "loss": []}
-        for kind, h_star in events:
+        for kind, value in events:
             if kind == "step":
                 visits.append(current)
                 current = {"overlaps": [], "loss": []}
             else:
-                current[kind].append(h_star)
+                current[kind].append(value)
         assert sum(len(v["loss"]) for v in visits) > sum(len(v["overlaps"]) for v in visits) > 0
         for visit in visits:
-            assert sorted(visit["overlaps"]) == sorted(set(visit["loss"]))
+            anchors = [h_star for h_star, _ in visit["overlaps"]]
+            assert len(anchors) == len(set(anchors))  # no anchor computed twice
+            # every loss reads overlaps computed in this visit, and all are read
+            assert {ious for _, ious in visit["overlaps"]} == set(visit["loss"])
+
+    @pytest.mark.parametrize("ablation", ["base", "l-arl"])
+    def test_hidden_layer_runs_once_per_visit_before_sgd(self, monkeypatch, ablation):
+        # every head scored or differentiated before the update reuses one
+        # hidden pass; only the score feedback, after the update, runs another
+        visits = []
+        hidden, step, visit = (
+            model_module.hidden_layer, trainer_module.sgd_step, trainer_module._bag_step
+        )
+
+        def counted_hidden(*args):
+            if visits and visits[-1][-1] != "done":
+                visits[-1].append("hidden")
+            return hidden(*args)
+
+        def counted_step(*args):
+            visits[-1].append("step")
+            return step(*args)
+
+        def counted_visit(state, cfg, switches, bag, *args):
+            visits.append([bool(bag.labels.any())])
+            visit(state, cfg, switches, bag, *args)
+            visits[-1].append("done")
+
+        for module in (model_module, trainer_module):
+            monkeypatch.setattr(module, "hidden_layer", counted_hidden)
+        monkeypatch.setattr(trainer_module, "sgd_step", counted_step)
+        monkeypatch.setattr(trainer_module, "_bag_step", counted_visit)
+        ds = small_ds()
+        train(ds, small_cfg(epochs=1, branches=3, hidden_dim=5, ablation=ablation))
+        assert len(visits) == len(ds.bags) and any(v[0] for v in visits)
+        for positive, *events, _ in visits:
+            feedback = ["hidden"] if positive and ablation == "l-arl" else []
+            assert events == ["hidden", "step"] + feedback
 
     def test_ground_truth_overlaps_built_once_per_positive_bag(self, monkeypatch):
         built = []
