@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import iou_matrix
+from .geometry import box_iou, iou_matrix
 
 EPS = 1e-12
 
@@ -82,12 +82,6 @@ class CliquePartition:
         """Clique ``index``'s members, ascending: a slice of ``members``."""
         return self.members[self.offsets[index] : self.offsets[index + 1]]
 
-    def clique_of(self, proposal: int) -> int:
-        """Index of the clique containing ``proposal``."""
-        if 0 <= proposal < len(self.label) and self.label[proposal] >= 0:
-            return int(self.label[proposal])
-        raise KeyError(f"proposal {proposal} not in any clique")
-
 
 @dataclass
 class DiscoveryOutput:
@@ -102,23 +96,71 @@ class LocalizationOutput:
     loss: float
 
 
+@dataclass(frozen=True, eq=False)
+class TauGraph:
+    """One bag's IoU > ``tau`` graph, fixed while its boxes and ``tau`` are:
+    ``adjacency`` (P x P bools, no self loops) and ``component``, each
+    proposal's connected component, numbered in proposal order, with
+    ``sizes`` each component's size."""
+
+    adjacency: np.ndarray
+    component: np.ndarray
+    sizes: np.ndarray
+    tau: float
+
+
+def _components(adjacency: np.ndarray) -> np.ndarray:
+    """Connected-component label of each node of a symmetric bool graph
+    without self loops, numbered in the order of each component's first node."""
+    isolated = ~adjacency.any(axis=1)
+    label = np.full(len(adjacency), -1)
+    count = 0
+    for seed, alone in enumerate(isolated.tolist()):
+        if label[seed] >= 0:
+            continue
+        component = seed
+        if not alone:
+            frontier = np.zeros(len(adjacency), dtype=bool)
+            frontier[seed] = True
+            component = frontier.copy()
+            while True:  # one level of breadth-first search per pass
+                frontier = adjacency[frontier].any(axis=0) & ~component
+                if not frontier.any():
+                    break
+                component |= frontier
+        label[component] = count
+        count += 1
+    return label
+
+
+def tau_graph(boxes: np.ndarray, tau: float) -> TauGraph:
+    """The IoU > ``tau`` graph of ``boxes`` and its connected components;
+    IoU exactly ``tau`` does not chain."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    adjacency = iou_matrix(boxes, boxes) > tau
+    np.fill_diagonal(adjacency, False)
+    component = _components(adjacency)
+    return TauGraph(adjacency=adjacency, component=component,
+                    sizes=np.bincount(component), tau=tau)
+
+
 def partition_cliques(
     boxes: np.ndarray,
     objectness: np.ndarray,
     tau: float,
     top_k: int,
-    adjacency: np.ndarray | None = None,
+    graph: TauGraph | None = None,
 ) -> CliquePartition:
     """Partition the top-k highest-objectness proposals into the connected
     components of their IoU > ``tau`` graph, seeded in objectness order.
 
-    The best unassigned proposal seeds a clique, which absorbs every
-    proposal chained to it above ``tau``; cliques come in the order of their
-    seeds, each with sorted members.  A proposal with no neighbour above
-    ``tau`` in the pool is a clique of its own without a search; IoU exactly
-    ``tau`` does not chain.  ``adjacency``, if given, is the whole bag's
-    ``iou_matrix(boxes, boxes) > tau`` table, which the pool slices instead
-    of recomputing its overlaps.
+    The best unassigned proposal seeds a clique, which absorbs every pooled
+    proposal chained to it above ``tau`` through pooled proposals; cliques
+    come in the order of their seeds, each with sorted members.  ``graph``
+    is the bag's ``tau_graph(boxes, tau)``, built here if not given.  A
+    component of it that the pool keeps whole is a clique as it stands; a
+    breadth-first search runs only over the pooled members of a component
+    the pool cuts, which may fall apart into several cliques.
     """
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     objectness = np.asarray(objectness, dtype=float)
@@ -128,32 +170,24 @@ def partition_cliques(
         raise ValueError("objectness must be finite")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
+    if graph is None:
+        graph = tau_graph(boxes, tau)
+    elif graph.tau != tau or graph.component.shape != objectness.shape:
+        raise ValueError("graph is not the tau-graph of these boxes at this tau")
 
-    order = np.argsort(-objectness, kind="stable")[: min(top_k, len(objectness))]
-    if adjacency is None:
-        overlaps = iou_matrix(boxes[order], boxes[order]) > tau
-    else:
-        overlaps = adjacency.take(order, axis=0).take(order, axis=1)
-    np.fill_diagonal(overlaps, False)  # a fresh table either way
-    isolated = ~overlaps.any(axis=1)
-
-    clique = np.full(len(order), -1)  # each pool position's, numbered in seed order
-    count = 0
-    for seed, alone in enumerate(isolated.tolist()):
-        if clique[seed] >= 0:
-            continue
-        component = seed
-        if not alone:
-            frontier = np.zeros(len(order), dtype=bool)
-            frontier[seed] = True
-            component = frontier.copy()
-            while True:  # one level of breadth-first search per pass
-                frontier = overlaps[frontier].any(axis=0) & ~component
-                if not frontier.any():
-                    break
-                component |= frontier
-        clique[component] = count
-        count += 1
+    order = np.argsort(-objectness, kind="stable")[:top_k]
+    key = graph.component[order]  # each pool position's component, then clique
+    if len(order) < len(objectness):  # a pool of every proposal cuts nothing
+        pooled = np.bincount(key, minlength=len(graph.sizes))
+        fresh = len(graph.sizes)  # keys past every component's
+        for cut in np.flatnonzero((pooled > 0) & (pooled < graph.sizes)).tolist():
+            at = np.flatnonzero(key == cut)  # in pool order
+            nodes = order[at]
+            key[at] = fresh + _components(graph.adjacency.take(nodes, axis=0).take(nodes, axis=1))
+            fresh += len(nodes)
+    # number the cliques by the pool position of their first member, the seed
+    seeds: dict[int, int] = {}
+    clique = np.array([seeds.setdefault(k, len(seeds)) for k in key.tolist()], dtype=int)
     members = order[np.lexsort((order, clique))]
     return CliquePartition(members=members, sizes=np.bincount(clique), tau=tau)
 
@@ -200,14 +234,23 @@ def clique_weights(clique_probs: np.ndarray) -> np.ndarray:
     return p / np.maximum(p.sum(axis=1, keepdims=True), EPS)
 
 
+def _class_evidence(clique_probs: np.ndarray, weights: np.ndarray, cls: int):
+    """For ``cls``: each clique's weighted-evidence summand, their floored
+    sum (the evidence), the clique with the largest summand (ties: lowest
+    index) and the evidence's negative log (the global entropy)."""
+    u = weights[:, cls] * clique_probs[:, cls]
+    evidence = max(float(u.sum()), EPS)
+    return u, evidence, int(np.argmax(u)), float(-np.log(evidence))
+
+
 def global_entropy(clique_probs: np.ndarray, weights: np.ndarray, cls: int) -> float:
     """Negative log of the clique-weighted evidence for ``cls``."""
-    return float(-np.log(max(float((weights[:, cls] * clique_probs[:, cls]).sum()), EPS)))
+    return _class_evidence(clique_probs, weights, cls)[3]
 
 
 def select_clique(clique_probs: np.ndarray, weights: np.ndarray, cls: int) -> int:
     """The clique contributing the largest weighted-evidence summand."""
-    return int(np.argmax(weights[:, cls] * clique_probs[:, cls]))
+    return _class_evidence(clique_probs, weights, cls)[2]
 
 
 def discovery_loss(
@@ -242,17 +285,13 @@ def discovery_loss(
         # gradient of the positive terms w.r.t. the mean-score table,
         # then scattered to member rows (each member carries 1/|clique|)
         gm = np.zeros_like(probs)
-        for y in positives:
-            e = global_entropy(probs, weights, y)
-            selected[int(y)] = select_clique(probs, weights, y)
-            entropies[int(y)] = e
-            loss += e
-            u = probs[:, y] * weights[:, y]
-            a = max(float(u.sum()), EPS)
+        for y in positives.tolist():
+            u, a, selected[y], entropies[y] = _class_evidence(probs, weights, y)
+            loss += entropies[y]
             gm += (u[:, None] / a) * weights + probs
             gm[:, y] -= 2.0 * u / a
-        rows = np.flatnonzero(partition.label >= 0)
-        grad[rows] += (gm / partition.sizes[:, None])[partition.label[rows]]
+        # members run clique after clique, so each clique's row repeats in place
+        grad[partition.members] += np.repeat(gm / partition.sizes[:, None], partition.sizes, axis=0)
 
     negatives = np.flatnonzero(labels == 0)
     if negatives.size:
@@ -274,11 +313,23 @@ def gaussian_kernel(o, a: float):
     return float(val) if val.ndim == 0 else val
 
 
+def anchor_kernel(ious: np.ndarray, a: float) -> tuple[np.ndarray, float]:
+    """An anchor's Gaussian kernel over its clique members' overlaps with
+    it, and the kernel's floored sum: the part of the soft weights that the
+    member probabilities do not change."""
+    g = gaussian_kernel(ious, a)
+    return g, max(float(g.sum()), EPS)
+
+
+def _weights(probs: np.ndarray, kernel: tuple[np.ndarray, float]) -> np.ndarray:
+    """The soft weights of EPS-floored ``probs`` under an ``anchor_kernel``."""
+    g, g_sum = kernel
+    return float((g * probs).sum()) / (probs * g_sum)
+
+
 def soft_weights(probs: np.ndarray, ious: np.ndarray, a: float) -> np.ndarray:
     """w_h = (sum_h' g(h') p(h')) / (p(h) * sum_h' g(h')) over one neighborhood."""
-    probs = np.maximum(np.asarray(probs, dtype=float), EPS)
-    g = gaussian_kernel(np.asarray(ious, dtype=float), a)
-    return float((g * probs).sum()) / (probs * max(float(g.sum()), EPS))
+    return _weights(np.maximum(np.asarray(probs, dtype=float), EPS), anchor_kernel(ious, a))
 
 
 def select_object(clique, proposal_probs: np.ndarray, cls: int) -> int:
@@ -295,7 +346,7 @@ def member_overlaps(clique, h_star: int, boxes: np.ndarray) -> np.ndarray:
     if h_star not in members:
         raise ValueError(f"h_star {h_star} not a member of the clique")
     boxes = np.asarray(boxes, dtype=float)
-    return iou_matrix(boxes[members], boxes[h_star : h_star + 1])[:, 0]
+    return box_iou(boxes[members], boxes[h_star])
 
 
 def hard_negatives(clique: Clique, h_star: int, boxes: np.ndarray) -> list[int]:
@@ -304,13 +355,14 @@ def hard_negatives(clique: Clique, h_star: int, boxes: np.ndarray) -> list[int]:
     return [m for m, o in zip(clique.members, overlap) if o < 0.5]
 
 
-def localization_terms(members: np.ndarray, ious: np.ndarray, proposal_probs: np.ndarray,
-                       a: float, cls: int, grad: np.ndarray) -> tuple[np.ndarray, float]:
+def localization_terms(members: np.ndarray, kernel: tuple[np.ndarray, float],
+                       proposal_probs: np.ndarray, cls: int, grad: np.ndarray
+                       ) -> tuple[np.ndarray, float]:
     """``localization_loss`` over the member indices ``members``, whose
-    overlaps with the selected object are ``ious``: adds the gradient to
-    ``grad``'s member rows and returns (soft weights, loss)."""
+    ``anchor_kernel`` around the selected object is ``kernel``: adds the
+    gradient to ``grad``'s member rows and returns (soft weights, loss)."""
     member_probs = np.maximum(proposal_probs[members, cls], EPS)
-    w = soft_weights(member_probs, ious, a)
+    w = _weights(member_probs, kernel)
     kappa = w * member_probs  # detached pseudo labels
     loss = float(-(kappa * np.log(member_probs)).sum())
     rows = proposal_probs[members]
@@ -330,12 +382,12 @@ def localization_loss(
     (softmax row - onehot(cls)).  The returned gradient is w.r.t. the raw
     localization scores (zero outside the clique).  A caller scoring the same
     ``h_star`` on several branches calls ``localization_terms`` with its
-    ``member_overlaps`` instead, computed once.
+    ``anchor_kernel`` instead, computed once.
     """
     members = np.asarray(clique.members)
     ious = member_overlaps(members, h_star, boxes)  # raises unless h_star is a member
     probs = np.asarray(proposal_probs, dtype=float)
     # += onto zeros, as a per-member loop would: each cell is 0.0 + v
     grad = np.zeros_like(probs)
-    w, loss = localization_terms(members, ious, probs, a, cls, grad)
+    w, loss = localization_terms(members, anchor_kernel(ious, a), probs, cls, grad)
     return LocalizationOutput(soft_weights=w, loss=loss), grad

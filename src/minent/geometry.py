@@ -62,17 +62,22 @@ def boxes_to_array(boxes) -> np.ndarray:
     return np.array([b.as_list() for b in boxes], dtype=float)
 
 
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of two broadcastable (..., 4) corner-format arrays, cell for cell:
+    ``box_iou(boxes, box)`` scores every row of ``boxes`` against one box."""
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / np.maximum(area_a + area_b - inter, 1e-300)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (n, 4) / (m, 4) corner-format arrays."""
     a = np.asarray(a, dtype=float).reshape(-1, 4)
     b = np.asarray(b, dtype=float).reshape(-1, 4)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return inter / np.maximum(union, 1e-300)
+    return box_iou(a[:, None], b[None, :])
 
 
 def nms(boxes, scores, iou_threshold: float) -> list[int]:

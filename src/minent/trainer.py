@@ -35,6 +35,7 @@ import numpy as np
 
 from .data import Dataset, check_field_types, number_array, whole_number
 from .entropy import (
+    anchor_kernel,
     discovery_loss,
     localization_terms,
     member_overlaps,
@@ -42,9 +43,9 @@ from .entropy import (
     row_softmax,
     select_object,
     singleton_partition,
+    tau_graph,
 )
 from .evaluate import best_gt_overlaps, dataset_loc_stats
-from .geometry import iou_matrix
 from .jsonio import dumps_canonical, read_json, write_json
 from .model import ModelParams, backward_head, forward, hidden_layer, init_params
 
@@ -250,14 +251,14 @@ def _check_compat(state: TrainState, cfg: TrainConfig, ds: Dataset) -> None:
 
 def partition_step(
     params: ModelParams, cfg: TrainConfig, use_cliques: bool, features, boxes, classes,
-    adjacency=None, hidden=None,
+    graph=None, hidden=None,
 ):
     """Discovery scores of one bag, their per-row softmax, and its clique
     partition (singletons unless ``use_cliques``, the tier's switch), with
     objectness the best probability over ``classes``.  Returns ``(scores,
     softmax, partition)``; without classes there is nothing to discover,
-    and the last two are None.  ``adjacency`` is the bag's cached
-    ``iou_matrix(boxes, boxes) > cfg.tau``, and ``hidden`` its
+    and the last two are None.  ``graph`` is the bag's cached
+    ``tau_graph(boxes, cfg.tau)``, and ``hidden`` its
     ``hidden_layer(params, features)``, if any."""
     disc_scores = forward(params, features, "disc", hidden=hidden)
     if not np.isfinite(disc_scores).all():
@@ -267,14 +268,14 @@ def partition_step(
     q_disc = row_softmax(disc_scores)
     objectness = q_disc[:, classes].max(axis=1)
     if use_cliques:
-        partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k, adjacency)
+        partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k, graph)
     else:
         partition = singleton_partition(objectness, cfg.top_k)
     return disc_scores, q_disc, partition
 
 
 def _bag_step(
-    state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, adjacency, stats, flat
+    state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, graph, stats, flat
 ) -> None:
     """One SGD step on one bag; appends report quantities to ``stats``.  ``flat``
     holds the flat parameter, buffer and gradient vectors and the gradient's views."""
@@ -288,7 +289,7 @@ def _bag_step(
 
     positives = np.flatnonzero(bag.labels == 1)
     disc_scores, q_disc, partition = partition_step(
-        params, cfg, switches.use_cliques, feats_eff, bag.boxes, positives, adjacency, hidden
+        params, cfg, switches.use_cliques, feats_eff, bag.boxes, positives, graph, hidden
     )
     disc_out, disc_grad = discovery_loss(bag.labels, partition, disc_scores, softmax=q_disc)
     if not np.isfinite(disc_out.loss):
@@ -301,7 +302,7 @@ def _bag_step(
         inherited: dict[int, list[int]] = {int(y): [] for y in positives}
         pool = np.flatnonzero(partition.label >= 0)
         # the partition and q_disc hold until sgd_step, so each class's first
-        # anchor, and each anchor's home clique and overlaps, serve every branch
+        # anchor, and each anchor's home clique and kernel, serve every branch
         first = {y: select_object(partition.clique_members(disc_out.selected[y]), q_disc, y)
                  for y in positives.tolist()}
         homes = {}
@@ -313,11 +314,12 @@ def _bag_step(
                 for h_star in anchors:
                     if h_star not in homes:
                         home = partition.clique_members(partition.label[h_star])
-                        homes[h_star] = home, member_overlaps(home, h_star, bag.boxes)
-                    home, ious = homes[h_star]
+                        ious = member_overlaps(home, h_star, bag.boxes)
+                        homes[h_star] = home, anchor_kernel(ious, cfg.kernel_a)
+                    home, kernel = homes[h_star]
                     # branch_grad is never -0.0, nor is any gradient term, so
                     # adding the terms to the member rows alone is exact
-                    _, loss = localization_terms(home, ious, probs_k, cfg.kernel_a, y, branch_grad)
+                    _, loss = localization_terms(home, kernel, probs_k, y, branch_grad)
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"localization loss non-finite on branch {k + 1}")
                     bag_loc_losses[k] += loss
@@ -388,9 +390,10 @@ def train(
     visit_order = np.random.default_rng(cfg.seed).permutation(len(train_bags))
 
     # Boxes and tau are fixed for the run, so each bag's tau-graph is too:
-    # one P x P bool table per bag the clique partition will run on.
-    adjacency = [
-        iou_matrix(bag.boxes, bag.boxes) > cfg.tau
+    # its P x P bool table and component labels, for each bag the clique
+    # partition will run on.
+    graphs = [
+        tau_graph(bag.boxes, cfg.tau)
         if switches.use_cliques and (bag.labels == 1).any()
         else None
         for bag in train_bags
@@ -437,7 +440,7 @@ def train(
                 for i in visit_order:
                     bag = train_bags[int(i)]
                     try:
-                        _bag_step(state, cfg, switches, bag, adjacency[int(i)], stats, flat)
+                        _bag_step(state, cfg, switches, bag, graphs[int(i)], stats, flat)
                     except TrainingDiverged as e:
                         raise TrainingDiverged(f"{e} at epoch {epoch}, bag '{bag.id}'") from None
                 # the checks above miss an update that overflows on the last visit

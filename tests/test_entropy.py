@@ -7,6 +7,7 @@ from minent.entropy import (
     EPS,
     Clique,
     CliquePartition,
+    anchor_kernel,
     clique_class_probs,
     clique_mean_scores,
     clique_weights,
@@ -23,6 +24,7 @@ from minent.entropy import (
     select_object,
     singleton_partition,
     soft_weights,
+    tau_graph,
 )
 from minent.geometry import iou_matrix
 
@@ -224,13 +226,21 @@ class TestPartition:
             assert part.pool == pool
 
     def test_cached_adjacency_gives_same_partition(self):
-        for boxes, obj, tau, top_k in random_partition_inputs(np.random.default_rng(12), 100):
-            adjacency = iou_matrix(boxes, boxes) > tau
-            cached = partition_cliques(boxes, obj, tau, top_k, adjacency)
-            fresh = partition_cliques(boxes, obj, tau, top_k)
-            assert np.array_equal(cached.members, fresh.members)
-            assert np.array_equal(cached.sizes, fresh.sizes)
-            assert [c.members for c in cached.cliques] == [c.members for c in fresh.cliques]
+        # one cached tau-graph serves every visit of a bag, whatever its
+        # objectness, and is the graph an uncached call builds for itself
+        rng = np.random.default_rng(12)
+        for boxes, obj, tau, top_k in random_partition_inputs(rng, 100):
+            graph = tau_graph(boxes, tau)
+            assert sorted(graph.component.tolist()) == np.repeat(
+                np.arange(len(graph.sizes)), graph.sizes).tolist()
+            for visit in (obj, rng.permutation(obj), rng.uniform(size=len(obj))):
+                cached = partition_cliques(boxes, visit, tau, top_k, graph)
+                fresh = partition_cliques(boxes, visit, tau, top_k)
+                assert np.array_equal(cached.members, fresh.members)
+                assert np.array_equal(cached.sizes, fresh.sizes)
+                cliques, pool = greedy_partition_oracle(boxes, visit, tau, top_k)
+                assert [c.members for c in cached.cliques] == cliques
+                assert cached.pool == pool
 
     def test_long_chain_matches_greedy_loop(self):
         # each box overlaps the next at IoU 0.82 and the one after at 0.67,
@@ -241,15 +251,22 @@ class TestPartition:
         table = iou_matrix(boxes, boxes)
         assert np.allclose(np.diagonal(table, 1), 0.82)
         assert np.allclose(np.diagonal(table, 2), 1.46 / 2.18)
+        graph = tau_graph(boxes, 0.7)
+        assert graph.sizes.tolist() == [200]
         rng = np.random.default_rng(15)
-        for obj in (np.linspace(1.0, 0.0, 200), rng.uniform(size=200), np.zeros(200)):
+        # a contiguous pool keeps one piece of the chain; a random one cuts it
+        for obj, contiguous in ((np.linspace(1.0, 0.0, 200), True),
+                                (rng.uniform(size=200), False), (np.zeros(200), True)):
             for top_k in (200, 120, 7):
-                part = partition_cliques(boxes, obj, 0.7, top_k)
                 cliques, pool = greedy_partition_oracle(boxes, obj, 0.7, top_k)
-                assert [c.members for c in part.cliques] == cliques
-                assert part.pool == pool
+                for cached in (None, graph):
+                    part = partition_cliques(boxes, obj, 0.7, top_k, cached)
+                    assert [c.members for c in part.cliques] == cliques
+                    assert part.pool == pool
                 if top_k == 200:
                     assert cliques == [tuple(range(200))]
+                else:
+                    assert (len(cliques) == 1) == contiguous
 
     def test_isolated_proposals_match_greedy_loop(self):
         # small boxes spread over a wide field, a few stacked into clusters:
@@ -268,8 +285,8 @@ class TestPartition:
             tau = float(rng.uniform(0.3, 0.8))
             top_k = n if trial % 3 else int(rng.integers(1, n + 1))
             cliques, pool = greedy_partition_oracle(boxes, obj, tau, top_k)
-            for adjacency in (None, iou_matrix(boxes, boxes) > tau):
-                part = partition_cliques(boxes, obj, tau, top_k, adjacency)
+            for graph in (None, tau_graph(boxes, tau)):
+                part = partition_cliques(boxes, obj, tau, top_k, graph)
                 assert [c.members for c in part.cliques] == cliques
                 assert part.pool == pool
             isolated += sum(len(c) == 1 for c in cliques)
@@ -295,8 +312,8 @@ class TestPartition:
             (0.5, [(0, 3), (1, 2), (4,)]),
             (float(np.nextafter(0.5, 0.0)), [(0, 1, 2, 3, 4)]),
         ):
-            for adjacency in (None, table > tau):
-                part = partition_cliques(boxes, obj, tau, 200, adjacency)
+            for graph in (None, tau_graph(boxes, tau)):
+                part = partition_cliques(boxes, obj, tau, 200, graph)
                 assert [c.members for c in part.cliques] == want
 
     def test_singleton_partition(self):
@@ -326,26 +343,49 @@ class TestPartition:
         assert np.flatnonzero(part.label >= 0).tolist() == list(pool)
         for i, c in enumerate(cliques):
             assert part.label[list(c)].tolist() == [i] * len(c)
-            assert [part.clique_of(m) for m in c] == [i] * len(c)
             assert part.clique_members(i).tolist() == list(c)
-        for outside in set(range(-1, 9)) - set(pool):
-            with pytest.raises(KeyError):
-                part.clique_of(outside)
+        # label runs to the last member; proposals below it outside the pool hold -1
+        assert len(part.label) == max(pool, default=-1) + 1
+        for outside in set(range(len(part.label))) - set(pool):
+            assert part.label[outside] == -1
 
-    def test_clique_of(self):
+    def test_label_names_each_members_clique(self):
         part = partition_of([(0, 2), (1,)])
-        assert part.clique_of(2) == 0
-        assert part.clique_of(1) == 1
-        for outside in (9, 3, -1):
-            with pytest.raises(KeyError):
-                part.clique_of(outside)
+        assert part.label.tolist() == [0, 1, 0]
+        assert part.label[2] == 0 and part.label[1] == 1
 
-    def test_clique_of_outside_top_k_pool(self):
+    def test_label_outside_top_k_pool(self):
         boxes = np.array([[0, 0, 1, 1], [0.05, 0, 1.05, 1.0], [5, 5, 6, 6.0], [8, 8, 9, 9.0]])
         part = partition_cliques(boxes, np.array([0.9, 0.2, 0.5, 0.1]), 0.7, 3)
-        assert [part.clique_of(i) for i in (0, 1, 2)] == [0, 0, 1]
-        with pytest.raises(KeyError):
-            part.clique_of(3)  # dropped by top_k
+        # box 3, dropped by top_k, is past the last pooled proposal: no label
+        assert part.label.tolist() == [0, 0, 1]
+        part = partition_cliques(boxes, np.array([0.1, 0.2, 0.5, 0.9]), 0.7, 3)
+        assert part.label.tolist() == [-1, 2, 1, 0]  # box 0 dropped, its partner kept
+
+    def test_pool_splits_one_component_into_three_cliques(self):
+        # five boxes chained A-B-C-D-E, one component of the bag's graph; the
+        # pool drops B and D, so A, C and E each become a clique of their own
+        step = 0.18 / 1.82  # neighbours at IoU 0.82, second neighbours at 0.67
+        boxes = np.array([[i * step, 0.0, i * step + 1.0, 1.0] for i in range(5)])
+        graph = tau_graph(boxes, 0.7)
+        assert graph.component.tolist() == [0] * 5 and graph.sizes.tolist() == [5]
+        obj = np.array([0.5, 0.1, 0.9, 0.2, 0.7])
+        for cached in (None, graph):
+            part = partition_cliques(boxes, obj, 0.7, 3, cached)
+            assert [c.members for c in part.cliques] == [(2,), (4,), (0,)]
+            assert part.label.tolist() == [2, -1, 0, -1, 1]
+        # D back in the pool joins C and E; A is still cut off from them by B
+        part = partition_cliques(boxes, obj, 0.7, 4, graph)
+        assert [c.members for c in part.cliques] == [(2, 3, 4), (0,)]
+        assert greedy_partition_oracle(boxes, obj, 0.7, 4)[0] == [(2, 3, 4), (0,)]
+
+    def test_graph_must_match_boxes_and_tau(self):
+        boxes = random_boxes(np.random.default_rng(3), 4)
+        graph = tau_graph(boxes, 0.7)
+        with pytest.raises(ValueError, match="tau-graph"):
+            partition_cliques(boxes, np.ones(4), 0.6, 4, graph)
+        with pytest.raises(ValueError, match="tau-graph"):
+            partition_cliques(boxes[:3], np.ones(3), 0.7, 4, graph)
 
     def test_clique_validation(self):
         with pytest.raises(ValueError):
@@ -521,6 +561,59 @@ class TestDiscoveryLoss:
             out, grad = discovery_loss(labels, part, scores)
             out2, grad2 = discovery_loss(labels, part, scores, softmax=row_softmax(scores))
             assert out2 == out and np.array_equal(bits(grad2), bits(grad))
+
+    @staticmethod
+    def per_class_loop(labels, partition, scores):
+        """The discovery loss as it was written before each class's evidence
+        was computed once: every term recomputes w[:, y] * p[:, y], and the
+        gradient is scattered through the pooled rows' labels."""
+        probs = clique_class_probs(partition, scores)
+        weights = clique_weights(probs)
+        loss, grad, selected, entropies = 0.0, np.zeros_like(scores), {}, {}
+        gm = np.zeros_like(probs)
+        positives = np.flatnonzero(labels == 1)
+        for y in positives:
+            e = float(-np.log(max(float((weights[:, y] * probs[:, y]).sum()), EPS)))
+            selected[int(y)] = int(np.argmax(weights[:, y] * probs[:, y]))
+            entropies[int(y)] = e
+            loss += e
+            u = probs[:, y] * weights[:, y]
+            a = max(float(u.sum()), EPS)
+            gm += (u[:, None] / a) * weights + probs
+            gm[:, y] -= 2.0 * u / a
+        rows = np.flatnonzero(partition.label >= 0)
+        grad[rows] += (gm / partition.sizes[:, None])[partition.label[rows]]
+        q = row_softmax(scores)
+        g_q = np.zeros_like(q)
+        for y in np.flatnonzero(labels == 0):
+            comp = np.maximum(1.0 - q[:, y], EPS)
+            loss += float(-np.log(comp).sum())
+            g_q[:, y] = 1.0 / comp
+        if (labels == 0).any():
+            grad += q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
+        return loss, selected, entropies, grad
+
+    @pytest.mark.parametrize("n_cls, n_pos", [(2, 2), (3, 2), (3, 3), (5, 2), (5, 3), (1, 1)])
+    def test_matches_per_class_loop_bit_for_bit(self, n_cls, n_pos):
+        # every benchmark and golden bag has one positive class; here two or
+        # three share one partition, and N = 1 takes the lone-column mean
+        rng = np.random.default_rng(23 + 7 * n_cls + n_pos)
+        for trial in range(60):
+            n_prop = int(rng.integers(1, 30))
+            scores = rng.normal(size=(n_prop, n_cls)) * 3
+            labels = np.zeros(n_cls, dtype=int)
+            labels[rng.choice(n_cls, size=n_pos, replace=False)] = 1
+            top_k = int(rng.integers(1, n_prop + 1))
+            obj = rng.uniform(size=n_prop)
+            if trial % 3:
+                part = partition_cliques(random_boxes(rng, n_prop), obj, 0.4, top_k)
+            else:
+                part = singleton_partition(obj, top_k)
+            loss, selected, entropies, grad = self.per_class_loop(labels, part, scores)
+            out, got = discovery_loss(labels, part, scores)
+            assert out.loss == loss
+            assert out.selected == selected and out.entropies == entropies
+            assert np.array_equal(bits(got), bits(grad))
 
     def test_positive_without_partition_rejected(self):
         with pytest.raises(ValueError):
@@ -717,7 +810,9 @@ class TestLocalizationLoss:
             assert np.array_equal(ious, want)
             out, grad = localization_loss(clique, h_star, probs, boxes, 4.0, 1)
             grad2 = np.zeros_like(probs)
-            w, loss = localization_terms(np.array(clique.members), ious, probs, 4.0, 1, grad2)
+            kernel = anchor_kernel(ious, 4.0)
+            assert np.array_equal(kernel[0], gaussian_kernel(ious, 4.0))
+            w, loss = localization_terms(np.array(clique.members), kernel, probs, 1, grad2)
             assert loss == out.loss and np.array_equal(w, out.soft_weights)
             assert np.array_equal(grad2, grad)
             assert np.array_equal(member_overlaps(np.arange(n_prop), h_star, boxes), ious)
@@ -736,8 +831,8 @@ class TestLocalizationLoss:
                 members = np.sort(rng.choice(n_prop, size=int(rng.integers(1, n_prop + 1)),
                                              replace=False))
                 h_star, cls = int(rng.choice(members)), int(rng.integers(0, n_cls))
-                ious = member_overlaps(members, h_star, boxes)
-                w, loss = localization_terms(members, ious, probs, 4.0, cls, acc)
+                kernel = anchor_kernel(member_overlaps(members, h_star, boxes), 4.0)
+                w, loss = localization_terms(members, kernel, probs, cls, acc)
                 out, grad = localization_loss(Clique(tuple(members.tolist())), h_star, probs,
                                               boxes, 4.0, cls)
                 assert loss == out.loss and np.array_equal(w, out.soft_weights)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minent.geometry import Box, boxes_to_array, iou, iou_matrix, nms
+from minent.geometry import Box, box_iou, boxes_to_array, iou, iou_matrix, nms
 
 
 def test_box_rejects_degenerate():
@@ -72,6 +72,40 @@ def test_iou_matrix_matches_scalar():
         for j, b in enumerate(boxes):
             np.testing.assert_allclose(table[i, j], iou(a, b), atol=1e-12)
     np.testing.assert_allclose(np.diag(table), 1.0)
+
+
+def clip_form_iou_matrix(a, b):
+    """``iou_matrix`` as it was written with ``np.clip(x, 0.0, None)``."""
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    return inter / np.maximum(union, 1e-300)
+
+
+def test_iou_matrix_bytes_match_the_clip_form():
+    # the generator's accept decisions and eval's NMS read these cells, so
+    # the table must keep every bit, the sign of a zero included
+    boxes = np.array([
+        [0.0, 0.0, 1.0, 1.0],
+        [1.0, 0.0, 2.0, 1.0],  # touches the first along an edge
+        [1.0, 1.0, 2.0, 2.0],  # touches it at a corner
+        [5.0, 5.0, 6.0, 7.0],  # disjoint from all others
+        [0.25, 0.25, 0.5, 0.75],  # nested in the first
+        [-2.0, -3.0, -0.0, -0.0],  # negative coordinates; its -0.0 corner touches the first
+        [-1.5, -2.5, -0.5, -0.5],  # nested in the one before
+        [-0.5, -0.5, 0.5, 0.5],  # straddles the origin
+    ])
+    rng = np.random.default_rng(24)
+    corners = rng.uniform(-3, 3, size=(40, 2)).round(1)
+    rand = np.hstack([corners, corners + rng.uniform(0.1, 2, size=(40, 2)).round(1)])
+    for a, b in ((boxes, boxes), (rand, rand), (boxes, rand)):
+        want = clip_form_iou_matrix(a, b)
+        assert iou_matrix(a, b).tobytes() == want.tobytes()
+        for j in range(len(b)):
+            assert box_iou(a, b[j]).tobytes() == want[:, j].tobytes()
 
 
 def test_iou_matrix_empty():

@@ -292,21 +292,32 @@ class TestTrain:
 
     @pytest.mark.parametrize("ablation, per_positive_bag", [("base", 0), ("clique", 1), ("l-arl", 1)])
     def test_adjacency_built_once_per_positive_bag(self, monkeypatch, ablation, per_positive_bag):
-        built = []
-        original = trainer_module.iou_matrix
+        # each positive bag's tau-graph (adjacency and components) is built
+        # once per train() call and read on every visit; base partitions nothing
+        built, graphs = [], []
+        original, partition = trainer_module.tau_graph, trainer_module.partition_cliques
 
-        def counted(a, b):
-            built.append(len(a))
-            return original(a, b)
+        def counted(boxes, tau):
+            built.append(original(boxes, tau))
+            return built[-1]
 
-        monkeypatch.setattr(trainer_module, "iou_matrix", counted)
+        def recorded(*args):
+            graphs.append(args[4])
+            return partition(*args)
+
+        monkeypatch.setattr(trainer_module, "tau_graph", counted)
+        monkeypatch.setattr(trainer_module, "partition_cliques", recorded)
         ds = small_ds()
         positive_bags = sum(bool(bag.labels.sum()) for bag in ds.bags)
         assert 0 < positive_bags < len(ds.bags)
         state, _ = train(ds, small_cfg(epochs=3, ablation=ablation), stop_after=2)
         assert len(built) == per_positive_bag * positive_bags
+        assert len(graphs) == 2 * per_positive_bag * positive_bags
+        assert {id(g) for g in graphs} == {id(g) for g in built}
         train(ds, small_cfg(epochs=3, ablation=ablation), state=state)
         assert len(built) == 2 * per_positive_bag * positive_bags
+        assert {id(g) for g in graphs[-positive_bags * per_positive_bag:]} == {
+            id(g) for g in built[positive_bags * per_positive_bag:]}
 
     @pytest.mark.parametrize("classes", [1, 2])
     def test_training_builds_no_clique(self, built_cliques, monkeypatch, classes):
@@ -361,10 +372,12 @@ class TestTrain:
 
     def test_overlaps_computed_once_per_anchor_per_visit(self, monkeypatch):
         # every branch scores the same anchors against the same boxes, so
-        # each visit computes an anchor's member overlaps once and passes them
+        # each visit computes an anchor's member overlaps and their Gaussian
+        # kernel once, and passes the kernel to every branch's terms
         events = []
-        overlaps, terms, step = (
+        overlaps, kernel, terms, step = (
             trainer_module.member_overlaps,
+            trainer_module.anchor_kernel,
             trainer_module.localization_terms,
             trainer_module.sgd_step,
         )
@@ -374,31 +387,39 @@ class TestTrain:
             events.append(("overlaps", (h_star, id(ious))))
             return ious
 
-        def counted_terms(members, ious, *args):
-            events.append(("loss", id(ious)))
-            return terms(members, ious, *args)
+        def counted_kernel(ious, a):
+            out = kernel(ious, a)
+            events.append(("kernel", (id(ious), id(out))))
+            return out
+
+        def counted_terms(members, kernel, *args):
+            events.append(("loss", id(kernel)))
+            return terms(members, kernel, *args)
 
         def counted_step(*args, **kwargs):
             events.append(("step", None))
             return step(*args, **kwargs)
 
         monkeypatch.setattr(trainer_module, "member_overlaps", counted_overlaps)
+        monkeypatch.setattr(trainer_module, "anchor_kernel", counted_kernel)
         monkeypatch.setattr(trainer_module, "localization_terms", counted_terms)
         monkeypatch.setattr(trainer_module, "sgd_step", counted_step)
         train(small_ds(), small_cfg(branches=3))
-        visits, current = [], {"overlaps": [], "loss": []}
+        visits, current = [], {"overlaps": [], "kernel": [], "loss": []}
         for kind, value in events:
             if kind == "step":
                 visits.append(current)
-                current = {"overlaps": [], "loss": []}
+                current = {"overlaps": [], "kernel": [], "loss": []}
             else:
                 current[kind].append(value)
-        assert sum(len(v["loss"]) for v in visits) > sum(len(v["overlaps"]) for v in visits) > 0
+        assert sum(len(v["loss"]) for v in visits) > sum(len(v["kernel"]) for v in visits) > 0
         for visit in visits:
             anchors = [h_star for h_star, _ in visit["overlaps"]]
             assert len(anchors) == len(set(anchors))  # no anchor computed twice
-            # every loss reads overlaps computed in this visit, and all are read
-            assert {ious for _, ious in visit["overlaps"]} == set(visit["loss"])
+            # one kernel per anchor, of that anchor's overlaps; every loss
+            # reads a kernel computed in this visit, and all are read
+            assert [ious for ious, _ in visit["kernel"]] == [ious for _, ious in visit["overlaps"]]
+            assert {out for _, out in visit["kernel"]} == set(visit["loss"])
 
     @pytest.mark.parametrize("ablation", ["base", "l-arl"])
     def test_hidden_layer_runs_once_per_visit_before_sgd(self, monkeypatch, ablation):
