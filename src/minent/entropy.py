@@ -49,18 +49,20 @@ class Clique:
 
 @dataclass(frozen=True, eq=False)
 class CliquePartition:
-    """Top-k proposals split into cliques: ``members`` lists every member,
-    clique after clique, each clique ascending, and ``sizes`` each clique's
-    size.  ``label``, each proposal's clique index (-1 outside them), and
-    ``pool`` and ``cliques`` derive from them; no ``Clique`` exists until read."""
+    """Top-k proposals of a bag of ``num_proposals`` split into cliques:
+    ``members`` lists every member, clique after clique, each clique
+    ascending, and ``sizes`` each clique's size.  ``label``, each proposal's
+    clique index (-1 outside the pool), and ``pool`` and ``cliques`` derive
+    from them; no ``Clique`` exists until read."""
 
     members: np.ndarray
     sizes: np.ndarray
     tau: float
+    num_proposals: int
     label: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        label = np.full(self.members.max(initial=-1) + 1, -1)
+        label = np.full(self.num_proposals, -1)
         label[self.members] = np.repeat(np.arange(len(self.sizes)), self.sizes)
         object.__setattr__(self, "label", label)
 
@@ -189,14 +191,16 @@ def partition_cliques(
     seeds: dict[int, int] = {}
     clique = np.array([seeds.setdefault(k, len(seeds)) for k in key.tolist()], dtype=int)
     members = order[np.lexsort((order, clique))]
-    return CliquePartition(members=members, sizes=np.bincount(clique), tau=tau)
+    return CliquePartition(members=members, sizes=np.bincount(clique), tau=tau,
+                           num_proposals=len(objectness))
 
 
 def singleton_partition(objectness: np.ndarray, top_k: int) -> CliquePartition:
     """Each top-k proposal forms its own clique (the no-grouping ablation)."""
     objectness = np.asarray(objectness, dtype=float)
     pool = np.sort(np.argsort(-objectness, kind="stable")[:top_k])
-    return CliquePartition(members=pool, sizes=np.ones(len(pool), dtype=int), tau=0.0)
+    return CliquePartition(members=pool, sizes=np.ones(len(pool), dtype=int), tau=0.0,
+                           num_proposals=len(objectness))
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:

@@ -12,6 +12,10 @@ mean and variance of every proposal's best IoU with ground truth.
 computes only the localization figures from the same IoU tables, so each
 alone equals what ``evaluate`` reports.
 
+Detection reads the boxes and scores NMS keeps as Python lists, once per
+(bag, class), and AP matches a class's detections in a bag from one IoU
+table against that bag's ground truth, not one table per detection.
+
 The joint softmax matters: it ranks proposals by their class score, so a
 background row with a lopsided but tiny score pair cannot outrank a
 confident object row the way a per-row class softmax would let it.
@@ -37,7 +41,7 @@ DEFAULT_SCORE_FLOOR = 1e-3
 HIT_IOU = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     bag_id: str
     cls: int
@@ -89,7 +93,9 @@ def head_probs(params: ModelParams, features: np.ndarray, head=None) -> np.ndarr
 def _detections(
     bag: Bag, probs: np.ndarray, nms_iou: float, score_floor: float
 ) -> list[Detection]:
-    """Per-class NMS over the table's cells at or above the score floor."""
+    """Per-class NMS over the table's cells at or above the score floor.
+    The survivors' boxes and scores are read as Python lists once per
+    class, so no detection holds a numpy scalar."""
     boxes = bag.box_array()
     out: list[Detection] = []
     for cls in range(probs.shape[1]):
@@ -97,9 +103,9 @@ def _detections(
         keep = np.flatnonzero(scores >= score_floor)
         if keep.size == 0:
             continue
-        for i in nms(boxes[keep], scores[keep], nms_iou):
-            idx = int(keep[i])
-            out.append(Detection(bag.id, cls, Box(*boxes[idx]), float(scores[idx])))
+        kept = keep[nms(boxes[keep], scores[keep], nms_iou)]
+        for box, score in zip(boxes[kept].tolist(), scores[kept].tolist()):
+            out.append(Detection(bag.id, cls, Box(*box), score))
     return out
 
 
@@ -131,35 +137,39 @@ def average_precision(detections: list[Detection], gts: dict[str, list[Box]]) ->
     if not detections:
         return 0.0
 
+    # which ground truth a detection takes depends only on the detections of
+    # its bag ranked above it, so each bag is matched on its own, in rank
+    # order, from one IoU table read as Python floats
     order = np.argsort(-np.array([d.score for d in detections]), kind="stable")
-    matched: dict[str, np.ndarray] = {
-        bag_id: np.zeros(len(boxes), dtype=bool) for bag_id, boxes in gts.items()
-    }
-    tp = np.zeros(len(order))
-    for rank, di in enumerate(order):
-        det = detections[int(di)]
-        cand = gts.get(det.bag_id, [])
-        best_iou, best_j = 0.0, -1
-        if cand:
-            table = iou_matrix(
-                np.array([det.box.as_list()]), np.array([b.as_list() for b in cand])
-            )[0]
-            for j in range(len(cand)):
-                if not matched[det.bag_id][j] and table[j] >= HIT_IOU and table[j] > best_iou:
-                    best_iou, best_j = float(table[j]), j
-        if best_j >= 0:
-            matched[det.bag_id][best_j] = True
-            tp[rank] = 1.0
+    ranked_by_bag: dict[str, list[int]] = {}
+    for i in order.tolist():
+        ranked_by_bag.setdefault(detections[i].bag_id, []).append(i)
+    hits = [0.0] * len(detections)
+    for bag_id, ranked in ranked_by_bag.items():
+        gt = gts.get(bag_id)
+        if not gt:
+            continue  # every detection of the bag is a false positive
+        table = iou_matrix(np.array([detections[i].box.as_list() for i in ranked]),
+                           np.array([b.as_list() for b in gt]))
+        taken = [False] * len(gt)
+        for i, row in zip(ranked, table.tolist()):
+            best_iou, best_j = 0.0, -1
+            for j, v in enumerate(row):
+                if not taken[j] and v >= HIT_IOU and v > best_iou:
+                    best_iou, best_j = v, j
+            if best_j >= 0:
+                taken[best_j] = True
+                hits[i] = 1.0
 
+    tp = np.array(hits)[order]
     tp_cum = np.cumsum(tp)
     fp_cum = np.cumsum(1.0 - tp)  # every unmatched detection is a false positive
     recall = tp_cum / npos
     precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
 
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    # the precision envelope: the best precision at this rank or any later one
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.flatnonzero(mrec[1:] != mrec[:-1])
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
@@ -212,15 +222,17 @@ def _pair_tables(bag: Bag) -> list[tuple[int, list[Box], np.ndarray]]:
 def _bag_pairs(bag: Bag, probs: np.ndarray) -> list[_Pair]:
     """One row per positive class of the bag that has ground truth."""
     boxes = bag.box_array()
+    tops = probs.argmax(axis=0).tolist()  # each class's top proposal
     pairs: list[_Pair] = []
     for cls, gt, table in _pair_tables(bag):
-        top = int(np.argmax(probs[:, cls]))
-        cx, cy = Box(*boxes[top]).center
+        top = tops[cls]
+        best = table.max(axis=1)
+        cx, cy = Box(*boxes[top].tolist()).center
         pairs.append(_Pair(
             cls,
-            bool(table[top].max() >= HIT_IOU),
+            bool(best[top] >= HIT_IOU),
             any(b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2 for b in gt),
-            *_weighted_overlap_stats(probs[:, cls], table.max(axis=1)),
+            *_weighted_overlap_stats(probs[:, cls], best),
         ))
     return pairs
 

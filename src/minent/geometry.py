@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned box with strictly positive area."""
 
@@ -74,10 +74,28 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (n, 4) / (m, 4) corner-format arrays."""
-    a = np.asarray(a, dtype=float).reshape(-1, 4)
-    b = np.asarray(b, dtype=float).reshape(-1, 4)
-    return box_iou(a[:, None], b[None, :])
+    """Pairwise IoU between two (n, 4) / (m, 4) corner-format arrays.
+
+    Each cell has the bits of ``box_iou(a[:, None], b[None, :])``: the same
+    operations on the same operands, in the same order, done in place in
+    the (n, m) table and one scratch array (the y overlap's lower edges
+    need one more table for a moment), not in about thirteen temporaries.
+    """
+    ax1, ay1, ax2, ay2 = np.asarray(a, dtype=float).reshape(-1, 4).T
+    bx1, by1, bx2, by2 = np.asarray(b, dtype=float).reshape(-1, 4).T
+    table = np.minimum.outer(ax2, bx2)
+    scratch = np.maximum.outer(ax1, bx1)
+    table -= scratch
+    np.maximum(table, 0.0, out=table)
+    np.minimum.outer(ay2, by2, out=scratch)
+    scratch -= np.maximum.outer(ay1, by1)
+    np.maximum(scratch, 0.0, out=scratch)
+    table *= scratch  # the intersections
+    np.add.outer((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1), out=scratch)
+    scratch -= table
+    np.maximum(scratch, 1e-300, out=scratch)
+    table /= scratch
+    return table
 
 
 def nms(boxes, scores, iou_threshold: float) -> list[int]:
@@ -87,6 +105,10 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
     remaining box whose IoU with it exceeds ``iou_threshold``.  Score ties
     are broken by lower original index.  Returns kept indices in descending
     score order.
+
+    The pass reads no array per candidate: bit ``j`` of the Python int
+    ``alive`` says whether box ``j`` survives, and keeping box ``i`` ands in
+    row ``i`` of the IoU table's ``<= iou_threshold`` bits.
     """
     n = len(boxes)
     if n != len(scores):
@@ -94,13 +116,13 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
     if n == 0:
         return []
     arr = boxes if isinstance(boxes, np.ndarray) else boxes_to_array(boxes)
-    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
-    table = iou_matrix(arr, arr)
+    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable").tolist()
+    width = (n + 7) // 8  # bytes per row of bits
+    rows = np.packbits(iou_matrix(arr, arr) <= iou_threshold, axis=1, bitorder="little").tobytes()
+    alive = (1 << n) - 1
     kept: list[int] = []
-    alive = np.ones(n, dtype=bool)
     for i in order:
-        if not alive[i]:
-            continue
-        kept.append(int(i))
-        alive &= table[i] <= iou_threshold
+        if alive >> i & 1:
+            kept.append(i)
+            alive &= int.from_bytes(rows[i * width : (i + 1) * width], "little")
     return kept

@@ -140,10 +140,12 @@ def bits(a):
 
 
 def partition_of(cliques, tau=0.7):
-    """The partition whose cliques are ``cliques``, as member tuples."""
+    """The partition whose cliques are ``cliques``, as member tuples, of a
+    bag with one proposal past the last member, outside the pool."""
     members = [m for c in cliques for m in c]
     return CliquePartition(members=np.array(members, dtype=int),
-                           sizes=np.array([len(c) for c in cliques], dtype=int), tau=tau)
+                           sizes=np.array([len(c) for c in cliques], dtype=int), tau=tau,
+                           num_proposals=max(members, default=-1) + 2)
 
 
 def random_partition_inputs(rng, count):
@@ -319,6 +321,7 @@ class TestPartition:
     def test_singleton_partition(self):
         part = singleton_partition(np.array([0.5, 0.9, 0.1]), 2)
         assert part.pool == (0, 1)
+        assert part.label.tolist() == [0, 1, -1]  # one label per proposal
         assert [c.members for c in part.cliques] == [(0,), (1,)]
 
     def test_partitions_build_no_clique(self, built_cliques):
@@ -344,21 +347,21 @@ class TestPartition:
         for i, c in enumerate(cliques):
             assert part.label[list(c)].tolist() == [i] * len(c)
             assert part.clique_members(i).tolist() == list(c)
-        # label runs to the last member; proposals below it outside the pool hold -1
-        assert len(part.label) == max(pool, default=-1) + 1
-        for outside in set(range(len(part.label))) - set(pool):
+        # one label per proposal; those outside the pool hold -1
+        assert len(part.label) == part.num_proposals == max(pool, default=-1) + 2
+        for outside in set(range(part.num_proposals)) - set(pool):
             assert part.label[outside] == -1
 
     def test_label_names_each_members_clique(self):
         part = partition_of([(0, 2), (1,)])
-        assert part.label.tolist() == [0, 1, 0]
+        assert part.label.tolist() == [0, 1, 0, -1]
         assert part.label[2] == 0 and part.label[1] == 1
 
     def test_label_outside_top_k_pool(self):
         boxes = np.array([[0, 0, 1, 1], [0.05, 0, 1.05, 1.0], [5, 5, 6, 6.0], [8, 8, 9, 9.0]])
         part = partition_cliques(boxes, np.array([0.9, 0.2, 0.5, 0.1]), 0.7, 3)
-        # box 3, dropped by top_k, is past the last pooled proposal: no label
-        assert part.label.tolist() == [0, 0, 1]
+        # box 3, dropped by top_k, is past the last pooled proposal
+        assert part.label.tolist() == [0, 0, 1, -1]
         part = partition_cliques(boxes, np.array([0.1, 0.2, 0.5, 0.9]), 0.7, 3)
         assert part.label.tolist() == [-1, 2, 1, 0]  # box 0 dropped, its partner kept
 

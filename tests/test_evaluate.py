@@ -16,7 +16,7 @@ from minent.evaluate import (
     localization_stats,
     pointing,
 )
-from minent.geometry import Box
+from minent.geometry import Box, iou_matrix
 from minent.model import init_params
 
 
@@ -111,6 +111,92 @@ class TestAveragePrecision:
         gts = {"b1": [BOX_A], "b2": [BOX_A], "b3": [BOX_A]}
         dets = [det(b, 0.9 - i * 0.1, BOX_A) for i, b in enumerate(["b1", "b2", "b3"])]
         assert average_precision(dets, gts) == pytest.approx(1.0)
+
+
+def reference_average_precision(detections, gts):
+    """``average_precision`` as it was written before it cut one IoU table
+    per bag: a 1 x G table and a fresh ground-truth array per detection,
+    and the precision envelope as a Python loop."""
+    npos = sum(len(v) for v in gts.values())
+    if npos == 0 or not detections:
+        return 0.0
+    order = np.argsort(-np.array([d.score for d in detections]), kind="stable")
+    matched = {bag_id: np.zeros(len(boxes), dtype=bool) for bag_id, boxes in gts.items()}
+    tp = np.zeros(len(order))
+    for rank, di in enumerate(order):
+        d = detections[int(di)]
+        cand = gts.get(d.bag_id, [])
+        best_iou, best_j = 0.0, -1
+        if cand:
+            table = iou_matrix(np.array([d.box.as_list()]),
+                               np.array([b.as_list() for b in cand]))[0]
+            for j in range(len(cand)):
+                if not matched[d.bag_id][j] and table[j] >= 0.5 and table[j] > best_iou:
+                    best_iou, best_j = float(table[j]), j
+        if best_j >= 0:
+            matched[d.bag_id][best_j] = True
+            tp[rank] = 1.0
+    tp_cum, fp_cum = np.cumsum(tp), np.cumsum(1.0 - tp)
+    recall = tp_cum / npos
+    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1])
+    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+
+
+def grid_box(rng):
+    """A box on a half-unit grid, so that IoUs of exactly 0.5 (a 1 x 1 box
+    and its 1 x 0.5 half, say) come up often."""
+    x, y = rng.integers(0, 6, size=2) / 2
+    w, h = rng.integers(1, 4, size=2) / 2
+    return Box(x, y, x + w, y + h)
+
+
+class TestAveragePrecisionOracle:
+    def test_equals_reference_on_random_cases(self):
+        rng = np.random.default_rng(15)
+        at_half = 0
+        for case in range(400):
+            bag_ids = [f"b{i}" for i in range(int(rng.integers(1, 5)))]
+            # some bags have no entry in gts, and some an empty list
+            gts = {b: [grid_box(rng) for _ in range(int(rng.integers(0, 4)))]
+                   for b in bag_ids if rng.random() < 0.8}
+            dets = []
+            for _ in range(int(rng.integers(0, 12))):
+                bag_id = bag_ids[int(rng.integers(len(bag_ids)))]
+                gt = gts.get(bag_id)
+                if gt and rng.random() < 0.5:  # near a ground-truth box
+                    g = gt[int(rng.integers(len(gt)))]
+                    box = Box(g.x1, g.y1, g.x2, g.y1 + (g.y2 - g.y1) * rng.choice([0.5, 1.0]))
+                else:
+                    box = grid_box(rng)
+                # few distinct scores: many ties
+                dets.append(det(bag_id, float(rng.integers(0, 4)) / 4, box))
+            at_half += sum(any(iou_matrix(np.array([d.box.as_list()]), np.array([g.as_list()]))[0, 0]
+                               == 0.5 for g in gts.get(d.bag_id, [])) for d in dets)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = average_precision(dets, gts)
+            assert got == reference_average_precision(dets, gts), case
+        assert at_half > 100
+
+    def test_one_table_per_bag(self, monkeypatch):
+        shapes = []
+        real = evaluate_module.iou_matrix
+
+        def counted(a, b):
+            shapes.append((len(a), len(b)))
+            return real(a, b)
+
+        monkeypatch.setattr(evaluate_module, "iou_matrix", counted)
+        gts = {"b1": [BOX_A, BOX_FAR], "b2": [BOX_A], "empty": []}
+        dets = [det("b1", 0.9, BOX_A), det("b2", 0.8, BOX_A), det("b1", 0.7, BOX_A_NEAR),
+                det("empty", 0.6, BOX_A), det("missing", 0.5, BOX_A), det("b1", 0.4, BOX_FAR)]
+        assert average_precision(dets, gts) == reference_average_precision(dets, gts)
+        assert shapes == [(3, 2), (1, 1)]
 
 
 def linear_bag(bag_id, boxes, features, labels, gt=None):

@@ -169,3 +169,56 @@ def test_nms_threshold_boundary_is_strict():
 def test_nms_length_mismatch():
     with pytest.raises(ValueError):
         nms([Box(0, 0, 1, 1)], [0.5, 0.6], 0.5)
+
+
+def test_iou_matrix_bits_equal_box_iou_broadcast():
+    # one table in place must give each cell box_iou's bits, zeros' signs included
+    unit = [0.0, 0.0, 1.0, 1.0]
+    cases = {
+        "disjoint": ([unit], [[3.0, 3.0, 4.0, 5.0], [-2.0, -2.0, -1.0, -1.5]]),
+        "touching": ([unit], [[1.0, 0.0, 2.0, 1.0], [1.0, 1.0, 2.0, 2.0], [-1.0, -1.0, -0.0, -0.0]]),
+        "nested": ([unit, [0.25, 0.25, 0.75, 0.5]], [[0.25, 0.25, 0.75, 0.5], [-1.0, -1.0, 2.0, 2.0]]),
+        "identical": ([unit, [0.1, 0.2, 0.7, 0.9]], [unit, [0.1, 0.2, 0.7, 0.9]]),
+        "no boxes": (np.zeros((0, 4)), [unit]),
+    }
+    for name, (a, b) in cases.items():
+        a, b = np.array(a), np.array(b)
+        for x, y in ((a, b), (b, a), (a, a)):
+            want, got = box_iou(x[:, None], y[None, :]), iou_matrix(x, y)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        n, m = rng.integers(0, 20, size=2)
+        corners = rng.uniform(-2, 2, size=(n + m, 2)).round(int(rng.integers(0, 3)))
+        boxes = np.hstack([corners, corners + rng.uniform(0.1, 2, size=(n + m, 2)).round(1)])
+        a, b = boxes[:n], boxes[n:]
+        assert iou_matrix(a, b).tobytes() == box_iou(a[:, None], b[None, :]).tobytes()
+
+
+def reference_nms(boxes, scores, iou_threshold):
+    """``nms`` as it was written with one numpy mask read per candidate."""
+    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+    table = iou_matrix(boxes, boxes)
+    kept, alive = [], np.ones(len(boxes), dtype=bool)
+    for i in order:
+        if alive[i]:
+            kept.append(int(i))
+            alive &= table[i] <= iou_threshold
+    return kept
+
+
+def test_nms_equals_reference_on_random_cases():
+    # boxes on a half-unit grid hit IoU 1/2, 1/3 and 1/4 exactly, and few
+    # distinct scores tie often
+    rng = np.random.default_rng(27)
+    at_threshold = 0
+    for case in range(300):
+        n = int(rng.integers(1, 40)) if case % 10 else 200  # survivor bits past 64
+        corners = rng.integers(0, 6, size=(n, 2)) / 2
+        boxes = np.hstack([corners, corners + rng.integers(1, 4, size=(n, 2)) / 2])
+        scores = rng.integers(0, 5, size=n) / 4
+        threshold = [0.5, 1 / 3, 0.25, 0.4, 0.0, 1.0][case % 6]
+        at_threshold += int((iou_matrix(boxes, boxes) == threshold).sum())
+        assert nms(boxes, scores, threshold) == reference_nms(boxes, scores, threshold), case
+    assert at_threshold > 1000
+

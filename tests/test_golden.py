@@ -1,6 +1,7 @@
 """Checkpoint bytes of every ablation tier, linear and with a hidden layer,
-pinned as sha256 digests.  A pure-speed change to the training loop must
-leave all twelve unchanged.
+and the metrics bytes of ``evaluate`` on the discovery head and on a
+branch head, pinned as sha256 digests.  A pure-speed change to the
+training loop or to eval must leave all fourteen unchanged.
 
 The digests were recorded with numpy 2.4.6, the version CI pins: another
 numpy may draw different Generator streams or sum in a different order,
@@ -12,7 +13,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from minent.data import SynthConfig, generate_synthetic
+from minent.data import Bag, Dataset, SynthConfig, generate_synthetic
+from minent.evaluate import DEFAULT_SCORE_FLOOR, evaluate, head_probs
+from minent.geometry import Box
+from minent.jsonio import dumps_canonical
+from minent.model import init_params
 from minent.trainer import ABLATION_TIERS, TrainConfig, save_checkpoint, train
 
 PINNED_NUMPY = "2.4.6"
@@ -32,6 +37,15 @@ DIGESTS = {
     ("l-arl", 8): "0845f1b75e3f535bb124da919e522dec9e345e6e1ebadc717fad98928b2344f6",
 }
 
+METRICS_DIGESTS = {
+    "disc": "c18ee009b742e8d14c6eba984a19ece74ec030535ccbc2b7175d0eb0453db3f9",
+    1: "25686ee39036668e69252456ef106d8c90e7c491b4dfdc93800a0a4786a92467",
+}
+
+needs_pinned_numpy = pytest.mark.skipif(
+    np.__version__ != PINNED_NUMPY,
+    reason=f"digests recorded with numpy {PINNED_NUMPY}, not {np.__version__}")
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -45,8 +59,7 @@ def test_every_tier_is_pinned():
     assert set(DIGESTS) == {(tier, h) for tier in ABLATION_TIERS for h in (0, 8)}
 
 
-@pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
-                    reason=f"digests recorded with numpy {PINNED_NUMPY}, not {np.__version__}")
+@needs_pinned_numpy
 @pytest.mark.parametrize("tier, hidden_dim", sorted(DIGESTS))
 def test_checkpoint_bytes(tmp_path, dataset, tier, hidden_dim):
     cfg = TrainConfig(epochs=2, branches=3, seed=1, ablation=tier, hidden_dim=hidden_dim)
@@ -54,3 +67,42 @@ def test_checkpoint_bytes(tmp_path, dataset, tier, hidden_dim):
     path = tmp_path / "ckpt.json"
     save_checkpoint(state, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(tier, hidden_dim)]
+
+
+@pytest.fixture(scope="module")
+def scored(dataset):
+    """Untrained heads that score the generated bags almost at random, so
+    AP falls below 1, plus one hand-built bag whose class-0 cells the heads
+    rank by its first feature: a detection hits each of its two class-0
+    ground-truth boxes, one far box is a false positive ranked between
+    them, and a duplicate on the first box, IoU 0.6 with it but 0.2 with
+    the detection that took it, survives NMS and counts as a false
+    positive.  Its class-1 and class-2 cells all fall below the score floor."""
+    params = init_params(9, 3, branches=2, seed=4, scale=1.0)
+    for w in [params.disc_w, *params.loc_w]:
+        w[:3] = 6.0 * np.eye(3)
+    boxes = [[0, 0, 1, 0.6], [6, 6, 7, 7], [0, 0.4, 1, 1], [3, 3, 4, 4], [0, 0.5, 1, 1]]
+    features = np.zeros((len(boxes), 9))
+    features[:, 0] = [2.0, 1.9, 1.8, 1.7, 1.6]  # class-0 score 6x this
+    two_gt = Bag(id="two-gt", labels=np.array([1, 0, 0]), features=features,
+                 boxes=np.array(boxes, dtype=float),
+                 ground_truth=[(0, Box(0, 0, 1, 1)), (0, Box(3, 3, 4, 4))])
+    return params, Dataset(dataset.classes, dataset.feature_dim, dataset.bags + [two_gt])
+
+
+def test_metrics_fixture_reaches_every_case(scored):
+    params, ds = scored
+    two_gt = ds.bags[-1]
+    for head in METRICS_DIGESTS:
+        assert min(evaluate(params, ds, head).per_class_ap) < 1.0
+        probs = head_probs(params, two_gt.feature_matrix(), head)
+        assert (probs[:, 0] >= DEFAULT_SCORE_FLOOR).all()
+        assert not (probs[:, 1:] >= DEFAULT_SCORE_FLOOR).any()
+
+
+@needs_pinned_numpy
+@pytest.mark.parametrize("head", list(METRICS_DIGESTS), ids=str)
+def test_metrics_bytes(scored, head):
+    params, ds = scored
+    text = dumps_canonical(evaluate(params, ds, head).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == METRICS_DIGESTS[head]
