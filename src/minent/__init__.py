@@ -7,8 +7,8 @@ the proposals inside the selected clique — so that localization emerges
 from image-level labels alone.
 """
 
-from .geometry import Box, iou, iou_matrix, nms
+from .geometry import Box, iou_matrix, nms
 
 __version__ = "0.1.0"
 
-__all__ = ["Box", "iou", "iou_matrix", "nms", "__version__"]
+__all__ = ["Box", "iou_matrix", "nms", "__version__"]

@@ -6,7 +6,8 @@ columns aside).  Values resolve as: explicit flags, then an optional
 ``--config`` JSON file, then the library defaults.
 
 Exit codes: 0 success, 1 runtime failure (missing or bad files, training
-divergence, unknown bag), 2 usage or validation error.
+divergence, unknown bag), 2 usage or validation error.  A library warning
+prints as one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -36,7 +38,7 @@ from .entropy import (
     select_object,
 )
 from .evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate
-from .jsonio import dumps_canonical, read_json, write_json
+from .jsonio import dumps_canonical, read_json, write_atomic, write_json
 from .model import forward
 from .trainer import (
     ABLATION_TIERS,
@@ -221,8 +223,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if getattr(args, "out", None):
         write_json(doc, args.out)
     if getattr(args, "csv", None):
-        with open(args.csv, "w") as f:
-            f.write(_metrics_csv(doc))
+        row = _metrics_csv(doc).encode()
+        write_atomic(args.csv, lambda f: f.write(row))
     return 0
 
 
@@ -370,15 +372,17 @@ def main(argv=None) -> int:
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)
         return 2
-    try:
-        return args.handler(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    except (RuntimeError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # scoped: an in-process caller gets its handler back
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.handler(args)
+        except UsageError as e:
+            print(f"error: {e}", file=sys.stderr)
+            parser.print_usage(sys.stderr)
+            return 2
+        except (RuntimeError, OSError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -247,16 +247,6 @@ def _class_evidence(clique_probs: np.ndarray, weights: np.ndarray, cls: int):
     return u, evidence, int(np.argmax(u)), float(-np.log(evidence))
 
 
-def global_entropy(clique_probs: np.ndarray, weights: np.ndarray, cls: int) -> float:
-    """Negative log of the clique-weighted evidence for ``cls``."""
-    return _class_evidence(clique_probs, weights, cls)[3]
-
-
-def select_clique(clique_probs: np.ndarray, weights: np.ndarray, cls: int) -> int:
-    """The clique contributing the largest weighted-evidence summand."""
-    return _class_evidence(clique_probs, weights, cls)[2]
-
-
 def discovery_loss(
     labels: np.ndarray, partition: CliquePartition | None, scores: np.ndarray, *,
     softmax: np.ndarray | None = None,
@@ -310,30 +300,13 @@ def discovery_loss(
     return DiscoveryOutput(selected=selected, entropies=entropies, loss=float(loss)), grad
 
 
-def gaussian_kernel(o, a: float):
-    """exp(-a * (1 - o)^2); 1.0 at perfect overlap, small when disjoint."""
-    o = np.asarray(o, dtype=float)
-    val = np.exp(-a * (1.0 - o) ** 2)
-    return float(val) if val.ndim == 0 else val
-
-
 def anchor_kernel(ious: np.ndarray, a: float) -> tuple[np.ndarray, float]:
-    """An anchor's Gaussian kernel over its clique members' overlaps with
-    it, and the kernel's floored sum: the part of the soft weights that the
-    member probabilities do not change."""
-    g = gaussian_kernel(ious, a)
+    """An anchor's Gaussian kernel g = exp(-a * (1 - o)^2) over its clique
+    members' overlaps o with it (1.0 at perfect overlap, small when
+    disjoint), and the kernel's floored sum: the part of the soft weights
+    that the member probabilities do not change."""
+    g = np.exp(-a * (1.0 - np.asarray(ious, dtype=float)) ** 2)
     return g, max(float(g.sum()), EPS)
-
-
-def _weights(probs: np.ndarray, kernel: tuple[np.ndarray, float]) -> np.ndarray:
-    """The soft weights of EPS-floored ``probs`` under an ``anchor_kernel``."""
-    g, g_sum = kernel
-    return float((g * probs).sum()) / (probs * g_sum)
-
-
-def soft_weights(probs: np.ndarray, ious: np.ndarray, a: float) -> np.ndarray:
-    """w_h = (sum_h' g(h') p(h')) / (p(h) * sum_h' g(h')) over one neighborhood."""
-    return _weights(np.maximum(np.asarray(probs, dtype=float), EPS), anchor_kernel(ious, a))
 
 
 def select_object(clique, proposal_probs: np.ndarray, cls: int) -> int:
@@ -364,9 +337,13 @@ def localization_terms(members: np.ndarray, kernel: tuple[np.ndarray, float],
                        ) -> tuple[np.ndarray, float]:
     """``localization_loss`` over the member indices ``members``, whose
     ``anchor_kernel`` around the selected object is ``kernel``: adds the
-    gradient to ``grad``'s member rows and returns (soft weights, loss)."""
+    gradient to ``grad``'s member rows and returns (soft weights, loss).
+
+    The soft weights are w_h = (sum_h' g(h') p(h')) / (p(h) * sum_h' g(h'))
+    over the members, with p floored at ``EPS``."""
     member_probs = np.maximum(proposal_probs[members, cls], EPS)
-    w = _weights(member_probs, kernel)
+    g, g_sum = kernel
+    w = float((g * member_probs).sum()) / (member_probs * g_sum)
     kappa = w * member_probs  # detached pseudo labels
     loss = float(-(kappa * np.log(member_probs)).sum())
     rows = proposal_probs[members]

@@ -174,25 +174,13 @@ def average_precision(detections: list[Detection], gts: dict[str, list[Box]]) ->
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
 
-def localization_stats(
-    class_probs: np.ndarray, boxes: np.ndarray, gt_boxes: list[Box]
-) -> tuple[float, float]:
-    """Probability-weighted mean and variance of proposal-vs-ground-truth
-    overlaps for one class in one bag."""
-    if not gt_boxes:
-        raise ValueError("localization_stats requires at least one ground truth box")
-    overlaps = iou_matrix(
-        np.asarray(boxes, dtype=float), np.array([b.as_list() for b in gt_boxes])
-    )
-    return _weighted_overlap_stats(class_probs, overlaps.max(axis=1))
-
-
 def _weighted_overlap_stats(class_probs: np.ndarray, overlaps: np.ndarray) -> tuple[float, float]:
-    """``localization_stats`` given each proposal's best ground-truth IoU."""
+    """Probability-weighted mean and variance of ``overlaps``, each
+    proposal's best IoU with one class's ground truth in one bag."""
     probs = np.asarray(class_probs, dtype=float)
     total = float(probs.sum())
     if total <= 0.0:
-        warnings.warn("localization_stats: all-zero probabilities; using uniform weights")
+        warnings.warn("localization: all-zero probabilities; using uniform weights")
         w = np.full(len(probs), 1.0 / len(probs))
     else:
         w = probs / total

@@ -1,4 +1,4 @@
-"""Axis-aligned box arithmetic: IoU, pairwise overlap tables, and greedy NMS.
+"""Axis-aligned boxes, pairwise IoU tables, and greedy NMS.
 
 Coordinates are continuous; areas are plain (x2-x1)*(y2-y1) with no
 pixel +1 convention.
@@ -28,10 +28,6 @@ class Box:
             )
 
     @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
@@ -43,23 +39,6 @@ class Box:
         if len(coords) != 4:
             raise ValueError(f"box needs 4 coordinates, got {len(coords)}")
         return cls(*(float(v) for v in coords))
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
-def boxes_to_array(boxes) -> np.ndarray:
-    """Stack Box objects into an (n, 4) float array."""
-    if len(boxes) == 0:
-        return np.zeros((0, 4))
-    return np.array([b.as_list() for b in boxes], dtype=float)
 
 
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,7 +78,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def nms(boxes, scores, iou_threshold: float) -> list[int]:
-    """Greedy non-maximum suppression.
+    """Greedy non-maximum suppression of an (n, 4) corner-format array-like.
 
     Repeatedly keeps the highest-scored remaining box and discards every
     remaining box whose IoU with it exceeds ``iou_threshold``.  Score ties
@@ -115,10 +94,9 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
         raise ValueError(f"{n} boxes but {len(scores)} scores")
     if n == 0:
         return []
-    arr = boxes if isinstance(boxes, np.ndarray) else boxes_to_array(boxes)
     order = np.argsort(-np.asarray(scores, dtype=float), kind="stable").tolist()
     width = (n + 7) // 8  # bytes per row of bits
-    rows = np.packbits(iou_matrix(arr, arr) <= iou_threshold, axis=1, bitorder="little").tobytes()
+    rows = np.packbits(iou_matrix(boxes, boxes) <= iou_threshold, axis=1, bitorder="little").tobytes()
     alive = (1 << n) - 1
     kept: list[int] = []
     for i in order:

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +303,45 @@ class TestEval:
         header, row = csv.read_text().splitlines()
         assert header.split(",")[0] == "mAP"
         assert len(header.split(",")) == len(row.split(","))
+
+    def test_csv_bytes_and_mode(self, workspace, capsys, tmp_path):
+        out, csv = tmp_path / "m.json", tmp_path / "m.csv"
+        rc, _ = self.run(workspace, capsys, "--out", str(out), "--csv", str(csv))
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        cols = [("mAP", doc["mAP"]), *((f"ap_{i}", v) for i, v in enumerate(doc["per_class_ap"])),
+                ("mean_corloc", doc["mean_corloc"]),
+                *((f"corloc_{i}", v) for i, v in enumerate(doc["per_class_corloc"])),
+                ("pointing", doc["pointing"]),
+                ("localization_accuracy", doc["localization_accuracy"]),
+                ("localization_variance", doc["localization_variance"])]
+        want = (",".join(name for name, _ in cols) + "\n"
+                + ",".join("" if v is None else repr(float(v)) for _, v in cols) + "\n")
+        assert csv.read_bytes() == want.encode()
+        umask = os.umask(0)
+        os.umask(umask)
+        assert csv.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.json"]
+
+    def test_library_warning_is_one_stderr_line(self, workspace, tmp_path):
+        # in process, pytest turns the warning into an error, so run the CLI as a user would
+        doc = json.loads((workspace / "ds.json").read_text())
+        for rec in doc["bags"]:
+            if "ground_truth" in rec:
+                rec["ground_truth"] = [g for g in rec["ground_truth"] if g["class"] != 1]
+        data, out = tmp_path / "no-gt-1.json", tmp_path / "metrics.json"
+        data.write_text(json.dumps(doc))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "minent.cli", "eval", "--data", str(data),
+             "--checkpoint", str(workspace / "ck.json"), "--out", str(out)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.decode().splitlines() == [
+            "warning: corloc: class 1 has no positive bags with ground truth"]
+        assert proc.stdout == out.read_bytes()
 
     def test_missing_ground_truth_is_runtime_error(self, workspace, tmp_path, capsys):
         doc = json.loads((workspace / "ds.json").read_text())

@@ -24,7 +24,7 @@ from minent.data import (
     save_dataset,
     validate_dataset,
 )
-from minent.geometry import Box, boxes_to_array, iou, iou_matrix
+from minent.geometry import Box, iou_matrix
 from minent.jsonio import dumps_canonical, write_json
 
 # mutual-IoU floor of a near or part group: one clique under the default
@@ -589,8 +589,24 @@ def _duplicate_first_id(doc_bytes):
 # ---------------------------------------------------------------------------
 # The one-try-at-a-time generator, kept as the reference for the block
 # sampler: each try draws its own uniforms and is tested with the scalar
-# ``iou`` before the next try is drawn.
+# ``_ref_iou`` before the next try is drawn.
 # ---------------------------------------------------------------------------
+
+def _ref_iou(a, b):
+    """Intersection-over-union of two ``Box``es, one pair at a time."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    area_a = (a.x2 - a.x1) * (a.y2 - a.y1)
+    area_b = (b.x2 - b.x1) * (b.y2 - b.y1)
+    return inter / (area_a + area_b - inter)
+
+
+def _ref_array(boxes):
+    return np.array([b.as_list() for b in boxes], dtype=float)
+
 
 def _ref_jittered(rng, anchor):
     jitter = data_module._JITTER
@@ -612,7 +628,7 @@ def _ref_group(rng, anchor, count, accept, bag_id, kind):
             b = _ref_jittered(rng, anchor)
             if b is None or not accept(b):
                 continue
-            if all(iou(b, other) > GROUP_COHESION for other in group):
+            if all(_ref_iou(b, other) > GROUP_COHESION for other in group):
                 group.append(b)
                 break
         else:
@@ -626,7 +642,7 @@ def _ref_background(rng, obj, bag_id):
         x1 = rng.uniform(0.0, 1.0 - w)
         y1 = rng.uniform(0.0, 1.0 - h)
         b = Box(x1, y1, x1 + w, y1 + h)
-        if obj is None or iou(b, obj) < 0.2:
+        if obj is None or _ref_iou(b, obj) < 0.2:
             return b
     raise GenerationError(f"bag '{bag_id}': could not place background box")
 
@@ -650,23 +666,23 @@ def _reference_bags(cfg):
             scale = data_module._PART_SCALE
             part_anchor = Box(x1, y1, x1 + scale * w, y1 + scale * h)
             nears = [obj] + _ref_group(
-                rng, obj, n_near - 1, lambda b: iou(b, obj) >= 0.7, bag_id, "near"
+                rng, obj, n_near - 1, lambda b: _ref_iou(b, obj) >= 0.7, bag_id, "near"
             )
             parts = _ref_group(
-                rng, part_anchor, n_part, lambda b: 0.2 <= iou(b, obj) < 0.5, bag_id, "part"
+                rng, part_anchor, n_part, lambda b: 0.2 <= _ref_iou(b, obj) < 0.5, bag_id, "part"
             )
             bgs = [_ref_background(rng, obj, bag_id) for _ in range(n_bg)]
             features = cfg.noise_sigma * rng.standard_normal((cfg.proposals_per_bag, d))
             features[:n_near, lo : lo + block] += data_module._NEAR_AMPLITUDE
             features[n_near : n_near + n_part, lo : lo + sub] += data_module._PART_AMPLITUDE
-            out.append((boxes_to_array(nears + parts + bgs), features))
+            out.append((_ref_array(nears + parts + bgs), features))
     for i in range(cfg.negatives):
         bag_id = f"neg-{i:04d}"
         boxes, features = [], []
         for _ in range(cfg.proposals_per_bag):
             boxes.append(_ref_background(rng, None, bag_id))
             features.append(cfg.noise_sigma * rng.standard_normal(d))
-        out.append((boxes_to_array(boxes), np.array(features)))
+        out.append((_ref_array(boxes), np.array(features)))
     return out
 
 

@@ -12,18 +12,14 @@ from minent.entropy import (
     clique_mean_scores,
     clique_weights,
     discovery_loss,
-    gaussian_kernel,
-    global_entropy,
     hard_negatives,
     localization_loss,
     localization_terms,
     member_overlaps,
     partition_cliques,
     row_softmax,
-    select_clique,
     select_object,
     singleton_partition,
-    soft_weights,
     tau_graph,
 )
 from minent.geometry import iou_matrix
@@ -105,6 +101,14 @@ def ref_discovery_loss(labels, member_lists, scores):
         if labels[y] == 0:
             total += float(-np.log(np.maximum(1.0 - q[:, y], EPS)).sum())
     return total
+
+
+def soft_weights_oracle(probs, ious, a):
+    """w_h = (sum_h' g(h') p(h')) / (p(h) * sum_h' g(h')) over one clique,
+    g = exp(-a (1 - iou)^2) and p floored at EPS."""
+    p = np.maximum(np.asarray(probs, dtype=float), EPS)
+    g = np.exp(-a * (1.0 - np.asarray(ious, dtype=float)) ** 2)
+    return float((g * p).sum()) / (p * max(float(g.sum()), EPS))
 
 
 def fd_gradient(fn, x0, step=1e-5):
@@ -499,34 +503,41 @@ class TestCliqueWeights:
 
 
 class TestGlobalEntropy:
+    """The global entropy and the discovered clique of class 0, read from
+    ``discovery_loss`` on bags whose proposals are singleton cliques."""
+
+    @staticmethod
+    def class_zero(scores):
+        scores = np.array(scores, dtype=float)
+        labels = np.zeros(scores.shape[1], dtype=int)
+        labels[0] = 1
+        part = singleton_partition(np.zeros(len(scores)), len(scores))
+        out, _ = discovery_loss(labels, part, scores)
+        return out.entropies[0], out.selected[0]
+
     def test_weighted_sum_one_gives_zero(self):
-        probs = np.array([[1.0, 0.0]])
-        weights = np.array([[1.0, 0.0]])
-        assert global_entropy(probs, weights, 0) == 0.0
+        # the class-1 cell's exp(-100) cannot move 1.0: probs and weights are [[1, ~0]]
+        assert self.class_zero([[100.0, 0.0]])[0] == 0.0
 
     def test_half_half(self):
-        probs = np.array([[0.5, 0.5]])
-        weights = np.array([[0.5, 0.5]])
-        assert global_entropy(probs, weights, 0) == pytest.approx(-math.log(0.25))
+        # probs [[0.5, 0.5]], weights [[0.5, 0.5]]: evidence 0.25
+        assert self.class_zero([[0.0, 0.0]])[0] == pytest.approx(-math.log(0.25))
 
     def test_zero_probability_clique_is_inert(self):
-        probs = np.array([[0.5, 0.3], [0.0, 0.2]])
-        weights = clique_weights(probs)
-        base = global_entropy(probs[:1], weights[:1], 0)
-        assert global_entropy(probs, weights, 0) == pytest.approx(base)
+        scores = np.array([[0.0, -0.5], [-1000.0, 0.0]])
+        probs = clique_class_probs(singleton_partition(np.zeros(2), 2), scores)
+        assert probs[1, 0] == 0.0
+        base = -math.log(clique_weights(probs)[0, 0] * probs[0, 0])
+        assert self.class_zero(scores) == (pytest.approx(base), 0)
 
     def test_select_clique_largest_summand(self):
-        probs = np.array([[0.1], [0.6], [0.3]])
-        weights = np.ones((3, 1))
-        assert select_clique(probs, weights, 0) == 1
+        assert self.class_zero(np.log([[0.1], [0.6], [0.3]]))[1] == 1
 
     def test_select_clique_tie_lowest_index(self):
-        probs = np.array([[0.4], [0.4]])
-        weights = np.ones((2, 1))
-        assert select_clique(probs, weights, 0) == 0
+        assert self.class_zero([[0.4], [0.4]])[1] == 0
 
     def test_select_clique_single(self):
-        assert select_clique(np.array([[0.9]]), np.array([[1.0]]), 0) == 0
+        assert self.class_zero([[0.9]])[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +560,11 @@ class TestDiscoveryLoss:
         part = singleton_partition(rng.uniform(0, 1, 4), 4)
         out, _ = discovery_loss(np.array([1, 1]), part, scores)
         probs = clique_class_probs(part, scores)
-        weights = clique_weights(probs)
-        want = global_entropy(probs, weights, 0) + global_entropy(probs, weights, 1)
-        assert out.loss == pytest.approx(want)
-        assert out.entropies[0] == pytest.approx(global_entropy(probs, weights, 0))
-        assert out.selected[0] == select_clique(probs, weights, 0)
+        summands = clique_weights(probs) * probs
+        entropy = [-math.log(max(float(summands[:, y].sum()), EPS)) for y in (0, 1)]
+        assert out.loss == pytest.approx(entropy[0] + entropy[1])
+        assert out.entropies[0] == pytest.approx(entropy[0])
+        assert out.selected[0] == int(np.argmax(summands[:, 0]))
 
     def test_given_softmax_gives_the_same_output(self):
         rng = np.random.default_rng(22)
@@ -656,36 +667,51 @@ class TestDiscoveryLoss:
 # kernel, soft weights, localization loss
 # ---------------------------------------------------------------------------
 
+def weights_via_terms(probs, ious, a):
+    """The soft weights ``localization_terms`` gives clique members whose
+    class-0 probabilities are ``probs`` and whose overlaps with the selected
+    object are ``ious``."""
+    table = np.asarray(probs, dtype=float)[:, None]
+    members = np.arange(len(table))
+    w, _ = localization_terms(members, anchor_kernel(ious, a), table, 0, np.zeros_like(table))
+    return w
+
+
 class TestKernelAndWeights:
     def test_kernel_at_one(self):
-        assert gaussian_kernel(1.0, 4.0) == 1.0
+        g, g_sum = anchor_kernel(np.array([1.0]), 4.0)
+        assert g.tolist() == [1.0] and g_sum == 1.0
 
     def test_kernel_at_zero(self):
-        assert gaussian_kernel(0.0, 4.0) == pytest.approx(math.exp(-4.0))
+        g, g_sum = anchor_kernel(np.array([0.0]), 4.0)
+        assert g[0] == pytest.approx(math.exp(-4.0)) and g_sum == g[0]
 
     def test_kernel_monotone_in_overlap(self):
         os = np.linspace(0, 1, 50)
-        vals = gaussian_kernel(os, 4.0)
+        vals, total = anchor_kernel(os, 4.0)
         assert (np.diff(vals) > 0).all()
+        assert total == float(vals.sum())
 
     def test_soft_weights_equal_probs(self):
-        w = soft_weights(np.array([0.3, 0.3, 0.3]), np.array([1.0, 0.8, 0.6]), 4.0)
+        w = weights_via_terms(np.array([0.3, 0.3, 0.3]), np.array([1.0, 0.8, 0.6]), 4.0)
         np.testing.assert_allclose(w, 1.0)
 
     def test_soft_weights_worked_example(self):
         # ious of 1.0 make both kernels 1
-        w = soft_weights(np.array([0.2, 0.4]), np.array([1.0, 1.0]), 4.0)
+        w = weights_via_terms(np.array([0.2, 0.4]), np.array([1.0, 1.0]), 4.0)
         np.testing.assert_allclose(w, [1.5, 0.75])
 
     def test_soft_weights_singleton(self):
-        np.testing.assert_allclose(soft_weights(np.array([0.7]), np.array([1.0]), 4.0), [1.0])
+        np.testing.assert_allclose(weights_via_terms(np.array([0.7]), np.array([1.0]), 4.0), [1.0])
 
     def test_soft_weights_nonnegative_random(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             n = int(rng.integers(1, 8))
-            w = soft_weights(rng.uniform(0, 1, n), rng.uniform(0, 1, n), 4.0)
+            probs, ious = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+            w = weights_via_terms(probs, ious, 4.0)
             assert (w >= 0).all()
+            assert np.array_equal(bits(w), bits(soft_weights_oracle(probs, ious, 4.0)))
 
 
 class TestSelectObject:
@@ -768,7 +794,7 @@ class TestLocalizationLoss:
             # differentiate -sum kappa * log softmax(s) numerically
             member_list = list(members)
             ious = iou_matrix(boxes[member_list], boxes[h_star : h_star + 1])[:, 0]
-            kappa = soft_weights(probs0[member_list, cls], ious, 4.0) * probs0[member_list, cls]
+            kappa = soft_weights_oracle(probs0[member_list, cls], ious, 4.0) * probs0[member_list, cls]
 
             def frozen(s):
                 p = row_softmax(s)
@@ -814,7 +840,7 @@ class TestLocalizationLoss:
             out, grad = localization_loss(clique, h_star, probs, boxes, 4.0, 1)
             grad2 = np.zeros_like(probs)
             kernel = anchor_kernel(ious, 4.0)
-            assert np.array_equal(kernel[0], gaussian_kernel(ious, 4.0))
+            assert np.array_equal(kernel[0], np.exp(-4.0 * (1.0 - ious) ** 2))
             w, loss = localization_terms(np.array(clique.members), kernel, probs, 1, grad2)
             assert loss == out.loss and np.array_equal(w, out.soft_weights)
             assert np.array_equal(grad2, grad)

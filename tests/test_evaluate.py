@@ -13,7 +13,6 @@ from minent.evaluate import (
     dataset_loc_stats,
     detect,
     evaluate,
-    localization_stats,
     pointing,
 )
 from minent.geometry import Box, iou_matrix
@@ -313,43 +312,54 @@ class TestCorlocPointing:
 
 
 class TestLocalizationStats:
+    """The probability-weighted mean and variance of each proposal's best
+    overlap with ground truth, read from ``dataset_loc_stats`` on one bag
+    whose class-0 probabilities follow each proposal's first feature."""
+
+    @staticmethod
+    def stats(boxes, first_features, *others):
+        bag = linear_bag("b", boxes, [[f, 0.0] for f in first_features], [1, 0], gt=[(0, BOX_A)])
+        ds = Dataset(classes=["x", "y"], feature_dim=2, bags=[bag, *others])
+        return dataset_loc_stats(pick_params(), ds)
+
     def test_point_mass(self):
-        boxes = np.array([BOX_A.as_list(), BOX_FAR.as_list()])
-        acc, var = localization_stats(np.array([1.0, 0.0]), boxes, [BOX_A])
+        acc, var = self.stats([BOX_A, BOX_FAR], [200.0, 0.0])
         assert acc == pytest.approx(1.0)
         assert var == pytest.approx(0.0)
 
     def test_uniform_weights(self):
-        boxes = np.array([BOX_A.as_list(), BOX_FAR.as_list()])
-        acc, var = localization_stats(np.array([0.5, 0.5]), boxes, [BOX_A])
+        acc, var = self.stats([BOX_A, BOX_FAR], [0.0, 0.0])
         assert acc == pytest.approx(0.5)
         assert var == pytest.approx(0.25)
 
     def test_single_proposal_zero_variance(self):
-        acc, var = localization_stats(np.array([0.8]), np.array([BOX_A.as_list()]), [BOX_A])
+        acc, var = self.stats([BOX_A], [0.8])
         assert acc == pytest.approx(1.0)
         assert var == 0.0
 
     def test_all_zero_probs_fall_back_to_uniform(self):
-        boxes = np.array([BOX_A.as_list(), BOX_FAR.as_list()])
+        # class 0's cells underflow to 0.0 beside class 1's
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            acc, _ = localization_stats(np.zeros(2), boxes, [BOX_A])
+            acc, _ = self.stats([BOX_A, BOX_FAR], [-200.0, -200.0])
         assert acc == pytest.approx(0.5)
         assert any("uniform" in str(x.message) for x in w)
 
     def test_requires_ground_truth(self):
-        with pytest.raises(ValueError):
-            localization_stats(np.array([1.0]), np.array([BOX_A.as_list()]), [])
+        # a positive bag without ground truth is no pair: it moves nothing
+        no_gt = linear_bag("n", [BOX_FAR, BOX_A], [[200.0, 0.0], [0.0, 0.0]], [1, 0])
+        alone = self.stats([BOX_A, BOX_FAR], [0.0, 1.0])
+        assert self.stats([BOX_A, BOX_FAR], [0.0, 1.0], no_gt) == alone
+        only = Dataset(classes=["x", "y"], feature_dim=2, bags=[no_gt])
+        assert dataset_loc_stats(pick_params(), only) == (0.0, 0.0)
 
     def test_variance_zero_iff_constant_overlap(self):
-        rng = np.random.default_rng(0)
-        boxes = np.array([BOX_A.as_list(), BOX_A.as_list(), BOX_FAR.as_list()])
+        boxes = [BOX_A, BOX_A, BOX_FAR]
         # weight only the two identical boxes: overlap constant -> var 0
-        _, var = localization_stats(np.array([0.4, 0.6, 0.0]), boxes, [BOX_A])
+        _, var = self.stats(boxes, [1.0, 1.2, -200.0])
         assert var == pytest.approx(0.0)
         # spread weight across different overlaps -> var > 0
-        _, var2 = localization_stats(np.array([0.4, 0.1, 0.5]), boxes, [BOX_A])
+        _, var2 = self.stats(boxes, [1.0, 0.5, 1.0])
         assert var2 > 0
 
 
