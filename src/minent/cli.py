@@ -34,12 +34,10 @@ from .entropy import (
     discovery_loss,
     hard_negatives,
     localization_loss,
-    row_softmax,
     select_object,
 )
 from .evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate
 from .jsonio import dumps_canonical, read_json, write_atomic, write_json
-from .model import forward
 from .trainer import (
     ABLATION_TIERS,
     TrainConfig,
@@ -245,16 +243,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     # without positive labels there is nothing to discover; the partition is
     # still shown over all-class objectness
     classes = positives if positives.size else np.arange(ds.num_classes)
-    disc_scores, q_disc, partition = partition_step(
-        state.params, cfg, switches.use_cliques, features, boxes, classes
+    # the final active branch scores the localization, else the discovery head
+    final = [switches.active_branches - 1] if switches.active_branches else []
+    scores, probs, partition = partition_step(
+        state.params, cfg, switches.use_cliques, features, boxes, classes, final
     )
+    disc_scores, q_disc, loc_probs = scores[0], probs[0], probs[-1]
     disc_out, _ = discovery_loss(bag.labels, partition, disc_scores)
     mean_scores = clique_mean_scores(partition, disc_scores)
-
-    if switches.active_branches:
-        loc_probs = row_softmax(forward(state.params, features, switches.active_branches - 1))
-    else:
-        loc_probs = q_disc
 
     selected: dict[str, int] = {}
     h_star: dict[str, int] = {}

@@ -15,8 +15,8 @@ on this structure:
   labels) during differentiation.
 
 All gradients here are with respect to raw head scores; chaining into
-model parameters is the caller's job.  Every log and denominator is
-epsilon-floored at ``EPS``.
+model parameters is the caller's job.  Every log, and every denominator
+that can vanish, is epsilon-floored at ``EPS``.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class CliquePartition:
     label: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        label = np.full(self.num_proposals, -1)
-        label[self.members] = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        label = np.empty(self.num_proposals, dtype=int)
+        label.fill(-1)
+        label[self.members] = np.arange(len(self.sizes)).repeat(self.sizes)
         object.__setattr__(self, "label", label)
 
     @property
@@ -204,10 +205,24 @@ def singleton_partition(objectness: np.ndarray, top_k: int) -> CliquePartition:
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Per-proposal probability over classes."""
+    """Per-proposal probability over classes, the last axis: of one head's
+    (P, N) scores, or of each head's in a (heads, P, N) table."""
     s = np.asarray(scores, dtype=float)
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    return e / np.maximum(e.sum(axis=1, keepdims=True), EPS)
+    e = np.exp(s - row_max(s)[..., None])
+    # each row holds exp(0) = 1, so its sum needs no floor; a non-finite
+    # row sums to nan either way
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def row_max(table: np.ndarray) -> np.ndarray:
+    """Each row's maximum over the last axis, ``table.max(axis=-1)`` to the
+    bit, taken one column at a time: a reduction over a last axis of a few
+    classes pays a call per row, and a maximum is exact in any order.  A
+    one-column table gives a view of its column."""
+    top = table[..., 0]
+    for c in range(1, table.shape[-1]):
+        top = np.maximum(top, table[..., c])
+    return top
 
 
 def clique_mean_scores(partition: CliquePartition, scores: np.ndarray) -> np.ndarray:
@@ -229,22 +244,13 @@ def clique_class_probs(partition: CliquePartition, scores: np.ndarray) -> np.nda
     """Softmax over the whole (clique, class) table of mean scores."""
     m = clique_mean_scores(partition, scores)
     e = np.exp(m - m.max())
-    return e / np.maximum(e.sum(), EPS)
+    return e / max(float(e.sum()), EPS)
 
 
 def clique_weights(clique_probs: np.ndarray) -> np.ndarray:
     """Per-clique renormalization over classes (each row sums to 1)."""
     p = np.asarray(clique_probs, dtype=float)
     return p / np.maximum(p.sum(axis=1, keepdims=True), EPS)
-
-
-def _class_evidence(clique_probs: np.ndarray, weights: np.ndarray, cls: int):
-    """For ``cls``: each clique's weighted-evidence summand, their floored
-    sum (the evidence), the clique with the largest summand (ties: lowest
-    index) and the evidence's negative log (the global entropy)."""
-    u = weights[:, cls] * clique_probs[:, cls]
-    evidence = max(float(u.sum()), EPS)
-    return u, evidence, int(np.argmax(u)), float(-np.log(evidence))
 
 
 def discovery_loss(
@@ -264,12 +270,12 @@ def discovery_loss(
     n_prop, n_cls = scores.shape
     if labels.shape != (n_cls,):
         raise ValueError(f"labels shape {labels.shape} != ({n_cls},)")
-    positives = np.flatnonzero(labels == 1)
+    positives = (labels == 1).nonzero()[0]
     if partition is None and positives.size:
         raise ValueError("positive classes require a clique partition")
 
     loss = 0.0
-    grad = np.zeros_like(scores)
+    grad = np.zeros(scores.shape)
     selected: dict[int, int] = {}
     entropies: dict[int, float] = {}
 
@@ -278,42 +284,46 @@ def discovery_loss(
         weights = clique_weights(probs)
         # gradient of the positive terms w.r.t. the mean-score table,
         # then scattered to member rows (each member carries 1/|clique|)
-        gm = np.zeros_like(probs)
+        gm = np.zeros(probs.shape)
         for y in positives.tolist():
-            u, a, selected[y], entropies[y] = _class_evidence(probs, weights, y)
+            # each clique's weighted-evidence summand, as one contiguous row;
+            # the evidence is their floored sum, the discovered clique the
+            # one with the largest summand (ties: lowest index), the global
+            # entropy the evidence's negative log
+            u = weights[:, y] * probs[:, y]
+            a = max(float(u.sum()), EPS)
+            selected[y], entropies[y] = int(u.argmax()), float(-np.log(a))
             loss += entropies[y]
             gm += (u[:, None] / a) * weights + probs
             gm[:, y] -= 2.0 * u / a
         # members run clique after clique, so each clique's row repeats in place
-        grad[partition.members] += np.repeat(gm / partition.sizes[:, None], partition.sizes, axis=0)
+        grad[partition.members] += (gm / partition.sizes[:, None]).repeat(partition.sizes, axis=0)
 
-    negatives = np.flatnonzero(labels == 0)
+    negatives = (labels == 0).nonzero()[0]
     if negatives.size:
         q = row_softmax(scores) if softmax is None else softmax
-        g_q = np.zeros_like(q)
-        for y in negatives:
-            comp = np.maximum(1.0 - q[:, y], EPS)
-            loss += float(-np.log(comp).sum())
-            g_q[:, y] = 1.0 / comp
+        # row j: one minus each proposal's probability of negative j
+        comp = np.maximum(1.0 - q.T[negatives], EPS)
+        for term in (-np.log(comp).sum(axis=1)).tolist():
+            loss += term
+        g_q = np.zeros(q.shape)
+        g_q[:, negatives] = (1.0 / comp).T
         grad += q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
 
     return DiscoveryOutput(selected=selected, entropies=entropies, loss=float(loss)), grad
 
 
-def anchor_kernel(ious: np.ndarray, a: float) -> tuple[np.ndarray, float]:
-    """An anchor's Gaussian kernel g = exp(-a * (1 - o)^2) over its clique
-    members' overlaps o with it (1.0 at perfect overlap, small when
-    disjoint), and the kernel's floored sum: the part of the soft weights
-    that the member probabilities do not change."""
-    g = np.exp(-a * (1.0 - np.asarray(ious, dtype=float)) ** 2)
-    return g, max(float(g.sum()), EPS)
+def anchor_kernel(ious: np.ndarray, a: float) -> np.ndarray:
+    """An anchor's Gaussian kernel g = exp(-a * (1 - o)^2) over boxes'
+    overlaps o with it: 1.0 at perfect overlap, small when disjoint."""
+    return np.exp(-a * (1.0 - np.asarray(ious, dtype=float)) ** 2)
 
 
 def select_object(clique, proposal_probs: np.ndarray, cls: int) -> int:
     """Clique member with the highest probability for ``cls`` (ties: lowest
     index).  ``clique`` is a ``Clique`` or its ascending member indices."""
     members = np.asarray(getattr(clique, "members", clique))
-    return int(members[np.argmax(proposal_probs[members, cls])])
+    return int(members[proposal_probs[members, cls].argmax()])
 
 
 def member_overlaps(clique, h_star: int, boxes: np.ndarray) -> np.ndarray:
@@ -332,24 +342,26 @@ def hard_negatives(clique: Clique, h_star: int, boxes: np.ndarray) -> list[int]:
     return [m for m, o in zip(clique.members, overlap) if o < 0.5]
 
 
-def localization_terms(members: np.ndarray, kernel: tuple[np.ndarray, float],
-                       proposal_probs: np.ndarray, cls: int, grad: np.ndarray
-                       ) -> tuple[np.ndarray, float]:
-    """``localization_loss`` over the member indices ``members``, whose
-    ``anchor_kernel`` around the selected object is ``kernel``: adds the
-    gradient to ``grad``'s member rows and returns (soft weights, loss).
+def localization_terms(rows: np.ndarray, kernel: np.ndarray, cls: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """``localization_loss`` on n heads at once.  ``rows`` is a C-ordered
+    (n, L, N) block: each head's softmax rows of the L clique members whose
+    ``anchor_kernel`` around the selected object is ``kernel``.  Overwrites
+    ``rows`` with the gradient rows and returns the (n, L) soft weights and
+    the n losses.
 
     The soft weights are w_h = (sum_h' g(h') p(h')) / (p(h) * sum_h' g(h'))
-    over the members, with p floored at ``EPS``."""
-    member_probs = np.maximum(proposal_probs[members, cls], EPS)
-    g, g_sum = kernel
-    w = float((g * member_probs).sum()) / (member_probs * g_sum)
+    over the members, with p and the kernel's sum floored at ``EPS``.
+    Every sum runs along a contiguous row, so a head's sums have the bits
+    of its own 1-D sums."""
+    member_probs = np.maximum(rows[..., cls], EPS)
+    g_sum = max(float(kernel.sum()), EPS)
+    w = (kernel * member_probs).sum(axis=-1, keepdims=True) / (member_probs * g_sum)
     kappa = w * member_probs  # detached pseudo labels
-    loss = float(-(kappa * np.log(member_probs)).sum())
-    rows = proposal_probs[members]
-    rows[:, cls] -= 1.0  # softmax row - onehot(cls)
-    grad[members] += kappa[:, None] * rows
-    return w, loss
+    losses = -(kappa * np.log(member_probs)).sum(axis=-1)
+    rows[..., cls] -= 1.0  # softmax row - onehot(cls)
+    rows *= kappa[..., None]
+    return w, losses
 
 
 def localization_loss(
@@ -362,13 +374,15 @@ def localization_loss(
     it as a constant, so the gradient per member row is that constant times
     (softmax row - onehot(cls)).  The returned gradient is w.r.t. the raw
     localization scores (zero outside the clique).  A caller scoring the same
-    ``h_star`` on several branches calls ``localization_terms`` with its
-    ``anchor_kernel`` instead, computed once.
+    ``h_star`` on several branches calls ``localization_terms`` on all of
+    them at once, with its ``anchor_kernel``, computed once.
     """
     members = np.asarray(clique.members)
     ious = member_overlaps(members, h_star, boxes)  # raises unless h_star is a member
     probs = np.asarray(proposal_probs, dtype=float)
+    rows = probs[members][None]
+    w, losses = localization_terms(rows, anchor_kernel(ious, a), cls)
     # += onto zeros, as a per-member loop would: each cell is 0.0 + v
     grad = np.zeros_like(probs)
-    w, loss = localization_terms(members, anchor_kernel(ious, a), probs, cls, grad)
-    return LocalizationOutput(soft_weights=w, loss=loss), grad
+    grad[members] += rows[0]
+    return LocalizationOutput(soft_weights=w[0], loss=float(losses[0])), grad

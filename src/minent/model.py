@@ -134,9 +134,21 @@ def hidden_layer(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray,
 def forward(params: ModelParams, features: np.ndarray, head, *, hidden=None) -> np.ndarray:
     """Per-proposal, per-class raw scores for the selected head.  ``hidden``
     is ``hidden_layer(params, features)``, if the caller has it."""
-    w, b, _, _ = _head_arrays(params, head)
+    return forward_heads(params, features, [head], hidden=hidden)[0]
+
+
+def forward_heads(params: ModelParams, features: np.ndarray, heads, *, hidden=None) -> np.ndarray:
+    """``forward`` of each of ``heads``, as one (len(heads), P, N) table.
+    Each head's product is written into its slice of the table: its
+    weights are never stacked with another head's, so each score has the
+    bits of that head's own product."""
     x, _ = hidden_layer(params, features) if hidden is None else hidden
-    return x @ w + b
+    scores = np.empty((len(heads), len(x), params.num_classes))
+    for out, head in zip(scores, heads):
+        w, b, _, _ = _head_arrays(params, head)
+        np.matmul(x, w, out=out)
+        out += b
+    return scores
 
 
 def backward_head(
@@ -148,8 +160,10 @@ def backward_head(
 
     Returns a dict keyed like ``named_arrays`` names; heads other than the
     selected one are absent, and the shared hidden layer's keys appear for
-    every head.  ``hidden`` is as in ``forward``.  Each gradient is also
-    added to the array of its name in ``into``, if given.
+    every head.  ``hidden`` is as in ``forward``.  With ``into``, the head's
+    own gradients are written over its arrays there and the hidden layer's
+    are added to theirs: a caller differentiates each head once per update
+    and sums the hidden layer's gradient over the heads.
     """
     upstream = np.asarray(upstream, dtype=float)
     w, _, w_key, b_key = _head_arrays(params, head)
@@ -158,12 +172,13 @@ def backward_head(
         raise ValueError(
             f"upstream must be (num_proposals, {params.num_classes}), got {upstream.shape}"
         )
-    grads = {w_key: x.T @ upstream, b_key: upstream.sum(axis=0)}
+    w_out, b_out = (None, None) if into is None else (into[w_key], into[b_key])
+    grads = {w_key: np.matmul(x.T, upstream, out=w_out), b_key: upstream.sum(axis=0, out=b_out)}
     if params.hidden_w is not None:
         gx = (upstream @ w.T) * (z > 0.0)
         grads["hidden_w"] = np.asarray(features, dtype=float).T @ gx
         grads["hidden_b"] = gx.sum(axis=0)
-    if into is not None:
-        for name, g in grads.items():
-            into[name] += g
+        if into is not None:
+            into["hidden_w"] += grads["hidden_w"]
+            into["hidden_b"] += grads["hidden_b"]
     return grads

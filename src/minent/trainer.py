@@ -27,27 +27,39 @@ only to fill the per-epoch localization accuracy/variance diagnostics.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, check_field_types, number_array, whole_number
 from .entropy import (
+    TauGraph,
     anchor_kernel,
     discovery_loss,
     localization_terms,
-    member_overlaps,
     partition_cliques,
+    row_max,
     row_softmax,
     select_object,
     singleton_partition,
     tau_graph,
 )
 from .evaluate import best_gt_overlaps, dataset_loc_stats
+from .geometry import box_iou
 from .jsonio import dumps_canonical, read_json, write_json
-from .model import ModelParams, backward_head, forward, hidden_layer, init_params
+from .model import (
+    ModelParams,
+    backward_head,
+    forward,
+    forward_heads,
+    hidden_layer,
+    init_params,
+)
 
 ABLATION_TIERS = ("base", "clique", "d", "l", "l-rl", "l-arl")
 
@@ -106,6 +118,9 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
         if self.init_scale < 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
+        if not math.isfinite(2 * self.init_scale):  # the width of the uniform draw
+            raise ValueError(f"init_scale must be at most {sys.float_info.max / 2!r}, "
+                             f"got {self.init_scale!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -251,97 +266,154 @@ def _check_compat(state: TrainState, cfg: TrainConfig, ds: Dataset) -> None:
 
 def partition_step(
     params: ModelParams, cfg: TrainConfig, use_cliques: bool, features, boxes, classes,
-    graph=None, hidden=None,
+    branches=(), graph=None, hidden=None,
 ):
-    """Discovery scores of one bag, their per-row softmax, and its clique
-    partition (singletons unless ``use_cliques``, the tier's switch), with
-    objectness the best probability over ``classes``.  Returns ``(scores,
-    softmax, partition)``; without classes there is nothing to discover,
-    and the last two are None.  ``graph`` is the bag's cached
-    ``tau_graph(boxes, cfg.tau)``, and ``hidden`` its
-    ``hidden_layer(params, features)``, if any."""
-    disc_scores = forward(params, features, "disc", hidden=hidden)
-    if not np.isfinite(disc_scores).all():
+    """One bag's (1 + len(branches), P, N) table of raw scores, the
+    discovery head's then those of the localization heads ``branches``,
+    its per-row softmax, and the bag's clique partition (singletons unless
+    ``use_cliques``), with objectness the discovery head's best probability
+    over ``classes``; without classes the partition is None.  ``graph`` is
+    the bag's ``tau_graph(boxes, cfg.tau)`` and ``hidden`` its
+    ``hidden_layer(params, features)``, if the caller has them."""
+    scores = forward_heads(params, features, ["disc", *branches], hidden=hidden)
+    if not np.isfinite(scores[0]).all():
         raise TrainingDiverged("discovery scores non-finite")
+    probs = row_softmax(scores)
     if not classes.size:
-        return disc_scores, None, None
-    q_disc = row_softmax(disc_scores)
-    objectness = q_disc[:, classes].max(axis=1)
+        return scores, probs, None
+    objectness = row_max(probs[0][:, classes])
     if use_cliques:
         partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k, graph)
     else:
         partition = singleton_partition(objectness, cfg.top_k)
-    return disc_scores, q_disc, partition
+    return scores, probs, partition
+
+
+class Visit(NamedTuple):
+    """One visit's losses: each branch's is 0.0 if it did not train, and
+    the localization terms run branch, then class, then anchor."""
+
+    disc_loss: float
+    loc_losses: list[float]
+    global_entropies: list[float]
+    local_entropies: list[float]
+
+
+class BagRun(NamedTuple):
+    """One bag's data that holds for a ``train`` call: its positive classes,
+    its ``tau_graph`` (None where nothing is partitioned), and each scored
+    anchor's component members and ``anchor_kernel`` over them."""
+
+    positives: np.ndarray
+    graph: TauGraph | None
+    kernels: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _home_kernel(run: BagRun, boxes: np.ndarray, h: int, home: np.ndarray, a: float):
+    """Anchor ``h``'s kernel over ``home``, its clique, cut from its kernel
+    over its tau-graph component: that holds every clique ``h`` can fall
+    in, and boxes are fixed, so it is computed once per run."""
+    if h not in run.kernels:
+        component = (run.graph.component == run.graph.component[h]).nonzero()[0]
+        run.kernels[h] = component, anchor_kernel(box_iou(boxes[component], boxes[h]), a)
+    component, kernel = run.kernels[h]
+    return kernel[component.searchsorted(home)]
+
+
+def _localization(cfg: TrainConfig, partition, selected, probs, run: BagRun, boxes):
+    """Each branch's localization terms on one visit and its raw-score
+    gradient, in one (branches, P, N) table.  ``probs`` is the visit's
+    softmax table, discovery head first; ``selected`` maps each positive
+    class to its discovered clique.
+
+    Branch k scores, per class, the discovery head's best member of that
+    clique, then the own picks (most probable pooled proposal) of branches
+    before k.  These depend only on the visit's parameters, so each
+    (class, anchor) is one block over the branches that score it.  Blocks
+    run in each branch's (class, anchor) order, so a branch's terms and
+    gradient sums come in the order of a per-anchor loop."""
+    q_disc, branch_probs = probs[0], probs[1:]
+    n_branches = len(branch_probs)
+    pool = np.sort(partition.members)
+    # picks of every branch but the last, which feeds no later branch
+    own = pool[branch_probs[:-1][:, pool[:, None], run.positives].argmax(axis=1)].T.tolist()
+    blocks = []  # (class, anchor, first branch that scores it)
+    for y, picks in zip(run.positives.tolist(), own):
+        first = {select_object(partition.clique_members(selected[y]), q_disc, y): 0}
+        for k, h in enumerate(picks):
+            first.setdefault(h, k + 1)
+        blocks += [(y, h, k) for h, k in first.items()]
+
+    homes = {}
+    for _, h, _ in blocks:
+        if h not in homes:
+            home = partition.clique_members(partition.label[h])
+            homes[h] = home, _home_kernel(run, boxes, h, home, cfg.kernel_a)
+    branch_index = np.arange(n_branches)[:, None]
+    grad = np.zeros(branch_probs.shape)
+    terms = [[] for _ in range(n_branches)]
+    for y, h, start in blocks:
+        home, kernel = homes[h]
+        at = (branch_index[start:], home)
+        rows = branch_probs[at]  # C-ordered (branches, members, N)
+        _, losses = localization_terms(rows, kernel, y)
+        grad[at] += rows
+        for k, loss in enumerate(losses.tolist(), start):
+            terms[k].append(loss)
+    for k, branch_terms in enumerate(terms):
+        if not all(map(math.isfinite, branch_terms)):
+            raise TrainingDiverged(f"localization loss non-finite on branch {k + 1}")
+    return terms, grad
 
 
 def _bag_step(
-    state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, graph, stats, flat
-) -> None:
-    """One SGD step on one bag; appends report quantities to ``stats``.  ``flat``
-    holds the flat parameter, buffer and gradient vectors and the gradient's views."""
+    state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, run: BagRun, flat,
+    lr: float,
+) -> Visit:
+    """One SGD step at learning rate ``lr`` on one bag.  ``flat`` holds the
+    flat parameter, buffer and gradient vectors and the gradient's views."""
     params = state.params
     s = state.s_h[bag.id] if switches.use_feedback else None
     feats_eff = bag.features * s[:, None] if s is not None else bag.features
     # the parameters hold until sgd_step, so one hidden pass serves every head
     hidden = hidden_layer(params, feats_eff)
     flat_params, flat_buffers, flat_grads, grads = flat
-    flat_grads.fill(-0.0)  # IEEE addition's identity: each gradient is its first term
+    # IEEE addition's identity: writing a head's gradient over it is adding
+    # it, and a head without one updates by exactly wd * param
+    flat_grads.fill(-0.0)
 
-    positives = np.flatnonzero(bag.labels == 1)
-    disc_scores, q_disc, partition = partition_step(
-        params, cfg, switches.use_cliques, feats_eff, bag.boxes, positives, graph, hidden
+    # the branches train only on a bag with a class to localize
+    positives = run.positives
+    branches = range(switches.active_branches if positives.size else 0)
+    scores, probs, partition = partition_step(
+        params, cfg, switches.use_cliques, feats_eff, bag.boxes, positives, branches,
+        run.graph, hidden
     )
-    disc_out, disc_grad = discovery_loss(bag.labels, partition, disc_scores, softmax=q_disc)
+    disc_out, disc_grad = discovery_loss(bag.labels, partition, scores[0], softmax=probs[0])
     if not np.isfinite(disc_out.loss):
         raise TrainingDiverged("discovery loss non-finite")
     backward_head(params, feats_eff, "disc", disc_grad, hidden=hidden, into=grads)
 
-    bag_loc_losses = [0.0] * cfg.branches
-    if switches.active_branches and positives.size:
-        # pseudo objects accumulated across branches, per class
-        inherited: dict[int, list[int]] = {int(y): [] for y in positives}
-        pool = np.flatnonzero(partition.label >= 0)
-        # the partition and q_disc hold until sgd_step, so each class's first
-        # anchor, and each anchor's home clique and kernel, serve every branch
-        first = {y: select_object(partition.clique_members(disc_out.selected[y]), q_disc, y)
-                 for y in positives.tolist()}
-        homes = {}
-        for k in range(switches.active_branches):
-            probs_k = row_softmax(forward(params, feats_eff, k, hidden=hidden))
-            branch_grad = np.zeros_like(probs_k)
-            for y, top in first.items():
-                anchors = [top] + [h for h in inherited[y] if h != top]
-                for h_star in anchors:
-                    if h_star not in homes:
-                        home = partition.clique_members(partition.label[h_star])
-                        ious = member_overlaps(home, h_star, bag.boxes)
-                        homes[h_star] = home, anchor_kernel(ious, cfg.kernel_a)
-                    home, kernel = homes[h_star]
-                    # branch_grad is never -0.0, nor is any gradient term, so
-                    # adding the terms to the member rows alone is exact
-                    _, loss = localization_terms(home, kernel, probs_k, y, branch_grad)
-                    if not np.isfinite(loss):
-                        raise TrainingDiverged(f"localization loss non-finite on branch {k + 1}")
-                    bag_loc_losses[k] += loss
-                    stats["local_entropy_terms"].append(loss)
-                # this branch's own pick feeds later branches
-                own = int(pool[np.argmax(probs_k[pool, y])])
-                if own not in inherited[y]:
-                    inherited[y].append(own)
-            backward_head(params, feats_eff, k, cfg.loc_weight * branch_grad,
-                          hidden=hidden, into=grads)
+    loc_losses, local_entropies = [0.0] * cfg.branches, []
+    if branches:
+        terms, branch_grads = _localization(
+            cfg, partition, disc_out.selected, probs, run, bag.boxes
+        )
+        branch_grads *= cfg.loc_weight
+        for k in branches:
+            for loss in terms[k]:
+                loc_losses[k] += loss
+            local_entropies += terms[k]
+            backward_head(params, feats_eff, k, branch_grads[k], hidden=hidden, into=grads)
 
-    sgd_step(flat_params, flat_grads, flat_buffers, stats["lr"], cfg.momentum, cfg.weight_decay)
+    sgd_step(flat_params, flat_grads, flat_buffers, lr, cfg.momentum, cfg.weight_decay)
 
     if switches.use_feedback and positives.size:
         final_k = switches.active_branches - 1
         probs_final = row_softmax(forward(params, feats_eff, final_k))
-        state.s_h[bag.id] = probs_final[:, positives].max(axis=1)
+        state.s_h[bag.id] = row_max(probs_final[:, positives])
 
-    stats["disc_losses"].append(disc_out.loss)
-    for k in range(cfg.branches):
-        stats["loc_losses"][k].append(bag_loc_losses[k])
-    stats["global_entropy_terms"].extend(disc_out.entropies.values())
+    return Visit(disc_out.loss, loc_losses, list(disc_out.entropies.values()), local_entropies)
 
 
 def _mean_or_zero(values: list[float]) -> float:
@@ -389,15 +461,15 @@ def train(
     # the same order.
     visit_order = np.random.default_rng(cfg.seed).permutation(len(train_bags))
 
-    # Boxes and tau are fixed for the run, so each bag's tau-graph is too:
-    # its P x P bool table and component labels, for each bag the clique
-    # partition will run on.
-    graphs = [
-        tau_graph(bag.boxes, cfg.tau)
-        if switches.use_cliques and (bag.labels == 1).any()
-        else None
-        for bag in train_bags
-    ]
+    # Labels, boxes and tau are fixed for the run, so each bag's positive
+    # classes are, and so is its tau-graph: its P x P bool table and
+    # component labels, for each bag the clique partition will run on.  Its
+    # anchors' kernels fill in as visits score them.
+    runs = []
+    for bag in train_bags:
+        positives = (bag.labels == 1).nonzero()[0]
+        graph = tau_graph(bag.boxes, cfg.tau) if switches.use_cliques and positives.size else None
+        runs.append(BagRun(positives, graph, {}))
     # The per-epoch diagnostic reads each proposal's best ground-truth IoU,
     # which is fixed for the run as well.
     gt_overlaps = best_gt_overlaps(ds)
@@ -430,19 +502,20 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):  # the finite checks catch these
             for epoch in range(state.epoch + 1, last_epoch + 1):
                 started = time.perf_counter()
-                stats = {
-                    "lr": cfg.lr_for_epoch(epoch),
-                    "disc_losses": [],
-                    "loc_losses": [[] for _ in range(cfg.branches)],
-                    "global_entropy_terms": [],
-                    "local_entropy_terms": [],
-                }
-                for i in visit_order:
-                    bag = train_bags[int(i)]
+                lr = cfg.lr_for_epoch(epoch)
+                # each visit's record, gathered per quantity in visit order
+                disc, loc, glob, local = [], [[] for _ in range(cfg.branches)], [], []
+                for i in visit_order.tolist():
+                    bag = train_bags[i]
                     try:
-                        _bag_step(state, cfg, switches, bag, graphs[int(i)], stats, flat)
+                        visit = _bag_step(state, cfg, switches, bag, runs[i], flat, lr)
                     except TrainingDiverged as e:
                         raise TrainingDiverged(f"{e} at epoch {epoch}, bag '{bag.id}'") from None
+                    disc.append(visit.disc_loss)
+                    for losses, loss in zip(loc, visit.loc_losses):
+                        losses.append(loss)
+                    glob += visit.global_entropies
+                    local += visit.local_entropies
                 # the checks above miss an update that overflows on the last visit
                 arrays = [flat_params] + list(state.s_h.values())
                 if not all(np.isfinite(a).all() for a in arrays):
@@ -454,10 +527,10 @@ def train(
                 )
                 report = EpochReport(
                     epoch=epoch,
-                    disc_loss=float(np.mean(stats["disc_losses"])),
-                    loc_losses=tuple(_mean_or_zero(v) for v in stats["loc_losses"]),
-                    global_entropy=_mean_or_zero(stats["global_entropy_terms"]),
-                    local_entropy=_mean_or_zero(stats["local_entropy_terms"]),
+                    disc_loss=float(np.mean(disc)),
+                    loc_losses=tuple(_mean_or_zero(losses) for losses in loc),
+                    global_entropy=_mean_or_zero(glob),
+                    local_entropy=_mean_or_zero(local),
                     loc_acc=loc_acc,
                     loc_var=loc_var,
                     seconds=time.perf_counter() - started,

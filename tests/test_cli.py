@@ -501,6 +501,7 @@ class TestCorruptCheckpoint:
         lambda d: d["rng_state"].update(has_uint32=False),
         lambda d: d["params"].update(extra=[0.0]),
         lambda d: d.update(epoch=3),
+        lambda d: d["config"].update(init_scale=1e308),
     ], ids=["no-buffer", "extra-buffer", "buffer-shape", "param-shape", "s_h-matrix",
             "s_h-nan", "config-branches", "s_h-list", "epoch", "config-type", "epoch-bool",
             "rng_state-other-seed", "rng_state-junk", "shared_hidden-false",
@@ -508,7 +509,7 @@ class TestCorruptCheckpoint:
             "no-shared_hidden", "no-batch_size", "param-bools", "param-strings",
             "param-mixed-bool", "param-matrix-bool", "buffer-null", "buffer-nan", "s_h-bools",
             "feature_dim-float", "num_classes-float", "hidden_dim-bool", "rng_state-bool",
-            "extra-param", "epoch-past-config"])
+            "extra-param", "epoch-past-config", "init_scale-overflows"])
     def test_every_command_rejects_it(self, workspace, tmp_path, capsys, edit):
         ck = self.edited(workspace, tmp_path, edit)
         data = str(workspace / "ds.json")
@@ -543,6 +544,8 @@ class TestBadValues:
         (["train", "--kernel-a", "nan"], None),
         (["train", "--init-scale", "nan"], None),
         (["train", "--init-scale", "-1"], None),
+        (["train", "--init-scale", "1e308"], None),
+        (["train"], {"init_scale": 1e308}),
         (["train"], {"epochs": 2.5}),
         (["train"], {"top_k": True}),
         (["train"], {"momentum": "0.9"}),

@@ -671,26 +671,21 @@ def weights_via_terms(probs, ious, a):
     """The soft weights ``localization_terms`` gives clique members whose
     class-0 probabilities are ``probs`` and whose overlaps with the selected
     object are ``ious``."""
-    table = np.asarray(probs, dtype=float)[:, None]
-    members = np.arange(len(table))
-    w, _ = localization_terms(members, anchor_kernel(ious, a), table, 0, np.zeros_like(table))
-    return w
+    rows = np.asarray(probs, dtype=float)[None, :, None].copy()  # one head, one class
+    w, _ = localization_terms(rows, anchor_kernel(ious, a), 0)
+    return w[0]
 
 
 class TestKernelAndWeights:
     def test_kernel_at_one(self):
-        g, g_sum = anchor_kernel(np.array([1.0]), 4.0)
-        assert g.tolist() == [1.0] and g_sum == 1.0
+        assert anchor_kernel(np.array([1.0]), 4.0).tolist() == [1.0]
 
     def test_kernel_at_zero(self):
-        g, g_sum = anchor_kernel(np.array([0.0]), 4.0)
-        assert g[0] == pytest.approx(math.exp(-4.0)) and g_sum == g[0]
+        assert anchor_kernel(np.array([0.0]), 4.0)[0] == pytest.approx(math.exp(-4.0))
 
     def test_kernel_monotone_in_overlap(self):
         os = np.linspace(0, 1, 50)
-        vals, total = anchor_kernel(os, 4.0)
-        assert (np.diff(vals) > 0).all()
-        assert total == float(vals.sum())
+        assert (np.diff(anchor_kernel(os, 4.0)) > 0).all()
 
     def test_soft_weights_equal_probs(self):
         w = weights_via_terms(np.array([0.3, 0.3, 0.3]), np.array([1.0, 0.8, 0.6]), 4.0)
@@ -838,34 +833,40 @@ class TestLocalizationLoss:
             want = iou_matrix(boxes, boxes[h_star : h_star + 1])[:, 0]
             assert np.array_equal(ious, want)
             out, grad = localization_loss(clique, h_star, probs, boxes, 4.0, 1)
-            grad2 = np.zeros_like(probs)
             kernel = anchor_kernel(ious, 4.0)
-            assert np.array_equal(kernel[0], np.exp(-4.0 * (1.0 - ious) ** 2))
-            w, loss = localization_terms(np.array(clique.members), kernel, probs, 1, grad2)
-            assert loss == out.loss and np.array_equal(w, out.soft_weights)
-            assert np.array_equal(grad2, grad)
+            assert np.array_equal(kernel, np.exp(-4.0 * (1.0 - ious) ** 2))
+            rows = probs[np.array(clique.members)][None]
+            w, losses = localization_terms(rows, kernel, 1)
+            assert losses[0] == out.loss and np.array_equal(w[0], out.soft_weights)
+            assert np.array_equal(rows[0], grad[list(clique.members)])
             assert np.array_equal(member_overlaps(np.arange(n_prop), h_star, boxes), ious)
 
     def test_terms_added_in_place_equal_summed_gradients(self):
-        # the trainer adds each anchor's terms to one branch gradient's member
-        # rows; with softmax probabilities no term or sum is -0.0, so that is
-        # bit for bit the sum of the wrapper's full gradients
+        # the trainer adds each anchor's block, over the heads that score it,
+        # to those heads' gradient rows; with softmax probabilities no term
+        # or sum is -0.0, so that is bit for bit the sum of each head's
+        # wrapper gradients
         rng = np.random.default_rng(20)
         for _ in range(100):
+            n_heads = int(rng.integers(1, 4))
             n_prop, n_cls = int(rng.integers(1, 30)), int(rng.integers(1, 4))
-            probs = row_softmax(rng.normal(size=(n_prop, n_cls)) * 3)
+            probs = row_softmax(rng.normal(size=(n_heads, n_prop, n_cls)) * 3)
             boxes = random_boxes(rng, n_prop)
             acc, want = np.zeros_like(probs), np.zeros_like(probs)
             for _ in range(int(rng.integers(1, 4))):
                 members = np.sort(rng.choice(n_prop, size=int(rng.integers(1, n_prop + 1)),
                                              replace=False))
                 h_star, cls = int(rng.choice(members)), int(rng.integers(0, n_cls))
+                heads = np.arange(int(rng.integers(0, n_heads)), n_heads)[:, None]
                 kernel = anchor_kernel(member_overlaps(members, h_star, boxes), 4.0)
-                w, loss = localization_terms(members, kernel, probs, cls, acc)
-                out, grad = localization_loss(Clique(tuple(members.tolist())), h_star, probs,
-                                              boxes, 4.0, cls)
-                assert loss == out.loss and np.array_equal(w, out.soft_weights)
-                want += grad
+                rows = probs[heads, members]
+                w, losses = localization_terms(rows, kernel, cls)
+                acc[heads, members] += rows
+                for j, head in enumerate(heads[:, 0].tolist()):
+                    out, grad = localization_loss(Clique(tuple(members.tolist())), h_star,
+                                                  probs[head], boxes, 4.0, cls)
+                    assert losses[j] == out.loss and np.array_equal(w[j], out.soft_weights)
+                    want[head] += grad
             assert np.array_equal(bits(acc), bits(want))
 
     def test_h_star_must_be_member(self):

@@ -1,7 +1,8 @@
 """Checkpoint bytes of every ablation tier, linear and with a hidden layer,
 and the metrics bytes of ``evaluate`` on the discovery head and on a
 branch head, pinned as sha256 digests.  A pure-speed change to the
-training loop or to eval must leave all fourteen unchanged.
+training loop or to eval must leave all fourteen unchanged, and the two
+``l-arl`` digests of a wider fixture, whose sums run over long cliques.
 
 The digests were recorded with numpy 2.4.6, the version CI pins: another
 numpy may draw different Generator streams or sum in a different order,
@@ -18,6 +19,7 @@ from minent.evaluate import DEFAULT_SCORE_FLOOR, evaluate, head_probs
 from minent.geometry import Box
 from minent.jsonio import dumps_canonical
 from minent.model import init_params
+from minent import trainer
 from minent.trainer import ABLATION_TIERS, TrainConfig, save_checkpoint, train
 
 PINNED_NUMPY = "2.4.6"
@@ -42,6 +44,13 @@ METRICS_DIGESTS = {
     1: "25686ee39036668e69252456ef106d8c90e7c491b4dfdc93800a0a4786a92467",
 }
 
+# l-arl on the wide fixture, by hidden_dim
+WIDE_DIGESTS = {
+    0: "099a23bf568cdc8d6cec645322ddf17b04bd94cbb16f3ced125eddf4ceea6cb0",
+    8: "e4c5b89daf10d76f26f680c7bfd70d87a6ecdf95e9a68a2627b0cfb75b1a969a",
+}
+WIDE_TOP_K = 50
+
 needs_pinned_numpy = pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
     reason=f"digests recorded with numpy {PINNED_NUMPY}, not {np.__version__}")
@@ -53,6 +62,63 @@ def dataset():
     # with inherited anchors on the later branches
     return generate_synthetic(SynthConfig(num_classes=3, bags_per_class=3, negatives=2,
                                           proposals_per_bag=12, feature_dim=9, seed=5))
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    """40- and 80-proposal bags: three bags join two generated bags of
+    different classes, so they have two positive classes, and each object
+    brings an 8-member near-object clique and a part crowd of up to 16."""
+    base = generate_synthetic(SynthConfig(num_classes=3, bags_per_class=3, negatives=2,
+                                          proposals_per_bag=40, feature_dim=9, seed=3))
+    by_id = {bag.id: bag for bag in base.bags}
+    pairs = [("pos-c0-0000", "pos-c1-0000"), ("pos-c1-0001", "pos-c2-0001"),
+             ("pos-c2-0002", "pos-c0-0002")]
+    joined = []
+    for a, b in ((by_id[a], by_id[b]) for a, b in pairs):
+        joined.append(Bag(id=f"{a.id}+{b.id}", labels=a.labels | b.labels,
+                          features=np.concatenate([a.features, b.features]),
+                          boxes=np.concatenate([a.boxes, b.boxes]),
+                          ground_truth=a.ground_truth + b.ground_truth))
+    used = {bag_id for pair in pairs for bag_id in pair}
+    return Dataset(base.classes, base.feature_dim,
+                   joined + [bag for bag in base.bags if bag.id not in used])
+
+
+def _wide_config(hidden_dim):
+    return TrainConfig(epochs=2, branches=3, seed=1, ablation="l-arl", hidden_dim=hidden_dim,
+                       top_k=WIDE_TOP_K)
+
+
+@pytest.mark.parametrize("hidden_dim", sorted(WIDE_DIGESTS))
+def test_wide_fixture_reaches_long_sums(monkeypatch, wide_dataset, hidden_dim):
+    seen = {"cut": 0, "sizes": set()}
+    partition_cliques = trainer.partition_cliques
+
+    def spy(boxes, objectness, tau, top_k, graph=None):
+        partition = partition_cliques(boxes, objectness, tau, top_k, graph)
+        if len(objectness) > top_k:
+            pooled = np.bincount(graph.component[np.argsort(-objectness, kind="stable")[:top_k]],
+                                 minlength=len(graph.sizes))
+            seen["cut"] += int(((pooled > 0) & (pooled < graph.sizes)).sum())
+        seen["sizes"].update(partition.sizes.tolist())
+        return partition
+
+    monkeypatch.setattr(trainer, "partition_cliques", spy)
+    train(wide_dataset, _wide_config(hidden_dim))
+    assert sum((bag.labels == 1).sum() == 2 for bag in wide_dataset.bags) == 3
+    assert min(bag.num_proposals for bag in wide_dataset.bags[:3]) > 60 > WIDE_TOP_K
+    assert seen["cut"] > 0  # the pool splits some tau-graph component
+    assert max(seen["sizes"]) >= 16 and 8 in seen["sizes"]
+
+
+@needs_pinned_numpy
+@pytest.mark.parametrize("hidden_dim", sorted(WIDE_DIGESTS))
+def test_wide_checkpoint_bytes(tmp_path, wide_dataset, hidden_dim):
+    state, _ = train(wide_dataset, _wide_config(hidden_dim))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_DIGESTS[hidden_dim]
 
 
 def test_every_tier_is_pinned():

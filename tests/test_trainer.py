@@ -9,6 +9,7 @@ from minent import evaluate as evaluate_module
 from minent import model as model_module
 from minent import trainer as trainer_module
 from minent.data import SynthConfig, generate_synthetic
+from minent.entropy import tau_graph
 from minent.evaluate import dataset_loc_stats, evaluate
 from minent.geometry import Box
 from minent.model import init_params
@@ -86,6 +87,7 @@ class TestConfig:
         {"ablation": "everything"},
         {"hidden_dim": -2},
         {"init_scale": -1.0},
+        {"init_scale": 1e308},  # uniform(-scale, scale) cannot draw over inf
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -326,11 +328,14 @@ class TestTrain:
                                             proposals_per_bag=8, feature_dim=6, seed=3))
         scored, terms = [], trainer_module.localization_terms
         monkeypatch.setattr(trainer_module, "localization_terms",
-                            lambda *args: scored.append(args[0]) or terms(*args))
+                            lambda rows, *args: scored.append(rows.shape) or terms(rows, *args))
         for tier in ABLATION_TIERS:
             train(ds, small_cfg(ablation=tier))
             assert built_cliques == [], tier
-        assert scored  # the localization tiers scored their anchors' cliques
+        # the localization tiers scored their anchors' homes as (branches,
+        # members, classes) blocks of probability rows
+        assert scored and all(len(shape) == 3 and shape[2] == classes for shape in scored)
+        assert max(shape[0] for shape in scored) == 2  # l-arl: one block, both branches
 
     def test_hidden_gradient_sums_every_head_in_order(self, monkeypatch):
         # the shared hidden layer's gradient is the discovery head's plus each
@@ -370,56 +375,67 @@ class TestTrain:
             calls = []
         assert visits == 8  # every positive bag trains all three branches
 
-    def test_overlaps_computed_once_per_anchor_per_visit(self, monkeypatch):
-        # every branch scores the same anchors against the same boxes, so
-        # each visit computes an anchor's member overlaps and their Gaussian
-        # kernel once, and passes the kernel to every branch's terms
+    def test_overlaps_computed_once_per_anchor_per_run(self, monkeypatch):
+        # boxes are fixed for a run, so each anchor's overlaps with its
+        # tau-graph component, and their kernel, are computed on the first
+        # visit that scores it; every visit cuts its clique's kernel from
+        # them, once for all branches and classes, and a new run starts over
         events = []
-        overlaps, kernel, terms, step = (
-            trainer_module.member_overlaps,
+        overlaps, kernel, terms, visit = (
+            trainer_module.box_iou,
             trainer_module.anchor_kernel,
             trainer_module.localization_terms,
-            trainer_module.sgd_step,
+            trainer_module._bag_step,
         )
 
-        def counted_overlaps(members, h_star, boxes):
-            ious = overlaps(members, h_star, boxes)
-            events.append(("overlaps", (h_star, id(ious))))
+        def counted_overlaps(members, anchor):
+            ious = overlaps(members, anchor)
+            events.append(("overlaps", (members.tolist(), anchor.tolist(), id(ious))))
             return ious
 
         def counted_kernel(ious, a):
-            out = kernel(ious, a)
-            events.append(("kernel", (id(ious), id(out))))
-            return out
+            events.append(("kernel", id(ious)))
+            return kernel(ious, a)
 
-        def counted_terms(members, kernel, *args):
-            events.append(("loss", id(kernel)))
-            return terms(members, kernel, *args)
+        def counted_terms(rows, home_kernel, cls):
+            events.append(("block", (rows.shape, len(home_kernel))))
+            return terms(rows, home_kernel, cls)
 
-        def counted_step(*args, **kwargs):
-            events.append(("step", None))
-            return step(*args, **kwargs)
+        def counted_visit(state, cfg, switches, bag, *args):
+            events.append(("visit", bag))
+            return visit(state, cfg, switches, bag, *args)
 
-        monkeypatch.setattr(trainer_module, "member_overlaps", counted_overlaps)
+        monkeypatch.setattr(trainer_module, "box_iou", counted_overlaps)
         monkeypatch.setattr(trainer_module, "anchor_kernel", counted_kernel)
         monkeypatch.setattr(trainer_module, "localization_terms", counted_terms)
-        monkeypatch.setattr(trainer_module, "sgd_step", counted_step)
-        train(small_ds(), small_cfg(branches=3))
-        visits, current = [], {"overlaps": [], "kernel": [], "loss": []}
-        for kind, value in events:
-            if kind == "step":
-                visits.append(current)
-                current = {"overlaps": [], "kernel": [], "loss": []}
-            else:
-                current[kind].append(value)
-        assert sum(len(v["loss"]) for v in visits) > sum(len(v["kernel"]) for v in visits) > 0
-        for visit in visits:
-            anchors = [h_star for h_star, _ in visit["overlaps"]]
-            assert len(anchors) == len(set(anchors))  # no anchor computed twice
-            # one kernel per anchor, of that anchor's overlaps; every loss
-            # reads a kernel computed in this visit, and all are read
-            assert [ious for ious, _ in visit["kernel"]] == [ious for _, ious in visit["overlaps"]]
-            assert {out for _, out in visit["kernel"]} == set(visit["loss"])
+        monkeypatch.setattr(trainer_module, "_bag_step", counted_visit)
+        ds, cfg = small_ds(), small_cfg(branches=3, epochs=3)
+        for run in range(2):
+            events.clear()
+            train(ds, cfg)
+            computed, bag = [], None
+            for kind, value in events:
+                if kind == "visit":
+                    bag = value
+                elif kind == "overlaps":
+                    members, anchor, ious = value
+                    h = bag.boxes.tolist().index(anchor)
+                    graph = tau_graph(bag.boxes, cfg.tau)
+                    component = np.flatnonzero(graph.component == graph.component[h])
+                    assert members == bag.boxes[component].tolist()
+                    computed.append((bag.id, h))
+                    last_ious = ious
+                elif kind == "kernel":
+                    assert value == last_ious  # each kernel is of the overlaps just computed
+                else:
+                    (branches, length, classes), kernel_length = value
+                    assert kernel_length == length and classes == ds.num_classes
+            assert len(computed) == len(set(computed)) > 0  # no anchor computed twice in a run
+            assert len(computed) < sum(kind == "block" for kind, _ in events)
+            assert max(value[0][0] for kind, value in events if kind == "block") == 3
+            if run == 0:
+                first_run = computed
+        assert computed == first_run
 
     @pytest.mark.parametrize("ablation", ["base", "l-arl"])
     def test_hidden_layer_runs_once_per_visit_before_sgd(self, monkeypatch, ablation):
@@ -441,8 +457,9 @@ class TestTrain:
 
         def counted_visit(state, cfg, switches, bag, *args):
             visits.append([bool(bag.labels.any())])
-            visit(state, cfg, switches, bag, *args)
+            report = visit(state, cfg, switches, bag, *args)
             visits[-1].append("done")
+            return report
 
         for module in (model_module, trainer_module):
             monkeypatch.setattr(module, "hidden_layer", counted_hidden)
