@@ -12,9 +12,12 @@ mean and variance of every proposal's best IoU with ground truth.
 computes only the localization figures from the same IoU tables, so each
 alone equals what ``evaluate`` reports.
 
-Detection reads the boxes and scores NMS keeps as Python lists, once per
-(bag, class), and AP matches a class's detections in a bag from one IoU
-table against that bag's ground truth, not one table per detection.
+Each bag has two IoU tables: every class's NMS cuts its sub-table from one
+over the proposals that pass the score floor in some class, and the pair
+rows and AP matching read one of the proposals against all ground truth.
+NMS gives a class's survivors by descending score, ties to the lower
+index, and they are matched in that order; a stable sort over the bags'
+survivors ranks them the same way, so a detection is a (score, hit) pair.
 
 The joint softmax matters: it ranks proposals by their class score, so a
 background row with a lopsided but tiny score pair cannot outrank a
@@ -90,35 +93,52 @@ def head_probs(params: ModelParams, features: np.ndarray, head=None) -> np.ndarr
     return shifted / max(float(shifted.sum()), EPS)
 
 
-def _detections(
-    bag: Bag, probs: np.ndarray, nms_iou: float, score_floor: float
-) -> list[Detection]:
-    """Per-class NMS over the table's cells at or above the score floor.
-    The survivors' boxes and scores are read as Python lists once per
-    class, so no detection holds a numpy scalar."""
-    boxes = bag.box_array()
-    out: list[Detection] = []
+def _survivors(boxes: np.ndarray, probs: np.ndarray, nms_iou: float, score_floor: float):
+    """(class, proposal indices) of each class's NMS survivors among its
+    cells at or above the score floor, in NMS order, with every class's IoU
+    table cut from one over the proposals that pass in some class."""
+    passing = probs >= score_floor
+    cand = np.flatnonzero(passing.any(axis=1))
+    if cand.size == 0:
+        return []
+    cand_boxes, passing = boxes[cand], passing[cand]
+    table = iou_matrix(cand_boxes, cand_boxes)
+    out = []
     for cls in range(probs.shape[1]):
-        scores = probs[:, cls]
-        keep = np.flatnonzero(scores >= score_floor)
-        if keep.size == 0:
-            continue
-        kept = keep[nms(boxes[keep], scores[keep], nms_iou)]
-        for box, score in zip(boxes[kept].tolist(), scores[kept].tolist()):
-            out.append(Detection(bag.id, cls, Box(*box), score))
+        keep = np.flatnonzero(passing[:, cls])
+        if keep.size:
+            ious = table if keep.size == cand.size else table[keep][:, keep]
+            idx = cand[keep]
+            out.append((cls, idx[nms(cand_boxes[keep], probs[idx, cls], nms_iou, ious)]))
     return out
 
 
-def detect(
-    params: ModelParams,
-    bag: Bag,
-    nms_iou: float = DEFAULT_NMS_IOU,
-    score_floor: float = DEFAULT_SCORE_FLOOR,
-    head=None,
-) -> list[Detection]:
+def detect(params: ModelParams, bag: Bag, nms_iou: float = DEFAULT_NMS_IOU,
+           score_floor: float = DEFAULT_SCORE_FLOOR, head=None) -> list[Detection]:
     """One bag's detections: its probability table, a score floor and
     per-class NMS."""
-    return _detections(bag, head_probs(params, bag.feature_matrix(), head), nms_iou, score_floor)
+    probs = head_probs(params, bag.feature_matrix(), head)
+    boxes = bag.box_array()
+    return [Detection(bag.id, cls, Box(*box), score)
+            for cls, kept in _survivors(boxes, probs, nms_iou, score_floor)
+            for box, score in zip(boxes[kept].tolist(), probs[kept, cls].tolist())]
+
+
+def _match(table: np.ndarray) -> list[float]:
+    """The hits of one bag's detections of a class, ranked down the rows of
+    their IoU table with that class's ground truth: each takes the
+    highest-IoU ground truth not yet taken at IoU >= ``HIT_IOU``."""
+    taken = [False] * table.shape[1]
+    hits = []
+    for row in table.tolist():
+        best_iou, best_j = 0.0, -1
+        for j, v in enumerate(row):
+            if not taken[j] and v >= HIT_IOU and v > best_iou:
+                best_iou, best_j = v, j
+        if best_j >= 0:
+            taken[best_j] = True
+        hits.append(1.0 if best_j >= 0 else 0.0)
+    return hits
 
 
 def average_precision(detections: list[Detection], gts: dict[str, list[Box]]) -> float:
@@ -129,39 +149,31 @@ def average_precision(detections: list[Detection], gts: dict[str, list[Box]]) ->
     IoU >= ``HIT_IOU``, else counts as a false positive.  Duplicates
     on an already-matched ground truth are false positives.
     """
-    npos = sum(len(v) for v in gts.values())
-    if npos == 0:
-        if not detections:
-            warnings.warn("average_precision: no ground truths and no detections; AP := 0")
-        return 0.0
-    if not detections:
-        return 0.0
-
     # which ground truth a detection takes depends only on the detections of
-    # its bag ranked above it, so each bag is matched on its own, in rank
-    # order, from one IoU table read as Python floats
-    order = np.argsort(-np.array([d.score for d in detections]), kind="stable")
+    # its bag ranked above it: each bag is matched in rank order on its own
+    scores = [d.score for d in detections]
     ranked_by_bag: dict[str, list[int]] = {}
-    for i in order.tolist():
+    for i in np.argsort(-np.array(scores), kind="stable").tolist():
         ranked_by_bag.setdefault(detections[i].bag_id, []).append(i)
     hits = [0.0] * len(detections)
     for bag_id, ranked in ranked_by_bag.items():
         gt = gts.get(bag_id)
-        if not gt:
-            continue  # every detection of the bag is a false positive
-        table = iou_matrix(np.array([detections[i].box.as_list() for i in ranked]),
-                           np.array([b.as_list() for b in gt]))
-        taken = [False] * len(gt)
-        for i, row in zip(ranked, table.tolist()):
-            best_iou, best_j = 0.0, -1
-            for j, v in enumerate(row):
-                if not taken[j] and v >= HIT_IOU and v > best_iou:
-                    best_iou, best_j = v, j
-            if best_j >= 0:
-                taken[best_j] = True
-                hits[i] = 1.0
+        if gt:  # else every detection of the bag is a false positive
+            table = iou_matrix(np.array([detections[i].box.as_list() for i in ranked]),
+                               np.array([b.as_list() for b in gt]))
+            for i, hit in zip(ranked, _match(table)):
+                hits[i] = hit
+    return _ap(scores, hits, sum(len(v) for v in gts.values()))
 
-    tp = np.array(hits)[order]
+
+def _ap(scores: list[float], hits: list[float], npos: int) -> float:
+    """``average_precision`` of detections given as (score, hit) pairs,
+    ranked by a stable sort on descending score."""
+    if not (npos or scores):
+        warnings.warn("average_precision: no ground truths and no detections; AP := 0")
+    if not (npos and scores):
+        return 0.0
+    tp = np.array(hits)[np.argsort(-np.array(scores), kind="stable")]
     tp_cum = np.cumsum(tp)
     fp_cum = np.cumsum(1.0 - tp)  # every unmatched detection is a false positive
     recall = tp_cum / npos
@@ -189,32 +201,33 @@ def _weighted_overlap_stats(class_probs: np.ndarray, overlaps: np.ndarray) -> tu
     return acc, var
 
 
-def _pair_tables(bag: Bag) -> list[tuple[int, list[Box], np.ndarray]]:
-    """Each positive class of the bag that has ground truth, in class order,
-    with those ground-truth boxes and their (P, G) IoU table with the
-    proposals, cut from one table per bag.  This is the one place that
-    decides which pairs count."""
-    positive = bag.positive_classes().tolist()
-    gt = [(c, box) for c, box in bag.ground_truth or () if c in positive]
-    if not gt:
-        return []
-    table = iou_matrix(bag.box_array(), np.array([box.as_list() for _, box in gt]))
-    tables = []
-    for cls in positive:
-        cols = [j for j, (c, _) in enumerate(gt) if c == cls]
-        if cols:
-            tables.append((cls, [gt[j][1] for j in cols], table[:, cols]))
-    return tables
+def _ground_truth(bag: Bag) -> tuple[np.ndarray | None, dict[int, list[int]]]:
+    """The bag's one (P, G) IoU table of its proposals with all its ground
+    truth (None if it has none), and each class's columns of it."""
+    gt = bag.ground_truth or []
+    cols: dict[int, list[int]] = {}
+    for j, (cls, _) in enumerate(gt):
+        cols.setdefault(cls, []).append(j)
+    table = iou_matrix(bag.box_array(), np.array([box.as_list() for _, box in gt])) if gt else None
+    return table, cols
 
 
-def _bag_pairs(bag: Bag, probs: np.ndarray) -> list[_Pair]:
-    """One row per positive class of the bag that has ground truth."""
+def _pair_tables(bag: Bag, table, cols) -> list[tuple[int, list[Box], np.ndarray]]:
+    """Each positive class of the bag with ground truth, with those boxes and
+    their columns of ``table``: the one place that decides which pairs count."""
+    return [(cls, [bag.ground_truth[j][1] for j in cols[cls]], table[:, cols[cls]])
+            for cls in bag.positive_classes().tolist() if cls in cols]
+
+
+def _bag_pairs(bag: Bag, probs: np.ndarray, table, cols) -> list[_Pair]:
+    """One row per positive class of the bag that has ground truth; ``table``
+    and ``cols`` are the bag's ``_ground_truth``."""
     boxes = bag.box_array()
     tops = probs.argmax(axis=0).tolist()  # each class's top proposal
     pairs: list[_Pair] = []
-    for cls, gt, table in _pair_tables(bag):
+    for cls, gt, class_table in _pair_tables(bag, table, cols):
         top = tops[cls]
-        best = table.max(axis=1)
+        best = class_table.max(axis=1)
         cx, cy = Box(*boxes[top].tolist()).center
         pairs.append(_Pair(
             cls,
@@ -229,7 +242,8 @@ def _dataset_pairs(params: ModelParams, ds: Dataset, head) -> list[_Pair]:
     pairs: list[_Pair] = []
     for bag in ds.bags:
         if bag.positive_classes().size:  # else no pairs, so no forward pass either
-            pairs += _bag_pairs(bag, head_probs(params, bag.feature_matrix(), head))
+            pairs += _bag_pairs(bag, head_probs(params, bag.feature_matrix(), head),
+                                *_ground_truth(bag))
     return pairs
 
 
@@ -275,12 +289,8 @@ def best_gt_overlaps(ds: Dataset) -> list[tuple[Bag, list[tuple[int, np.ndarray]
     truth: per pair, the class and every proposal's best IoU with that
     class's ground truth.  Boxes do not change, so a caller that scores
     the same bags many times can compute this once."""
-    found = []
-    for bag in ds.bags:
-        rows = [(cls, table.max(axis=1)) for cls, _, table in _pair_tables(bag)]
-        if rows:
-            found.append((bag, rows))
-    return found
+    return [(bag, [(cls, t.max(axis=1)) for cls, _, t in _pair_tables(bag, *_ground_truth(bag))])
+            for bag in ds.bags if any(bag.labels[c] == 1 for c, _ in bag.ground_truth or ())]
 
 
 def dataset_loc_stats(
@@ -298,36 +308,30 @@ def dataset_loc_stats(
     return _loc_stats_of(stats)
 
 
-def evaluate(
-    params: ModelParams,
-    ds: Dataset,
-    head=None,
-    nms_iou: float = DEFAULT_NMS_IOU,
-    score_floor: float = DEFAULT_SCORE_FLOOR,
-) -> MetricsReport:
-    """Every metric from one pass: each bag's probability table is computed
-    once and feeds both its detections and its pair rows."""
-    dets_by_class: list[list[Detection]] = [[] for _ in range(ds.num_classes)]
-    gts_by_class: list[dict[str, list[Box]]] = [{} for _ in range(ds.num_classes)]
+def evaluate(params: ModelParams, ds: Dataset, head=None, nms_iou: float = DEFAULT_NMS_IOU,
+             score_floor: float = DEFAULT_SCORE_FLOOR) -> MetricsReport:
+    """Every metric from one pass: each bag's probability table and its
+    ground-truth table are computed once and feed both its detections and
+    its pair rows."""
+    # each class's detections as (score, hit) pairs, in bag and NMS order
+    scores: list[list[float]] = [[] for _ in range(ds.num_classes)]
+    hits: list[list[float]] = [[] for _ in range(ds.num_classes)]
+    npos = [0] * ds.num_classes
     pairs: list[_Pair] = []
     for bag in ds.bags:
         probs = head_probs(params, bag.feature_matrix(), head)
-        for d in _detections(bag, probs, nms_iou, score_floor):
-            dets_by_class[d.cls].append(d)
-        pairs += _bag_pairs(bag, probs)
-        for cls, box in bag.ground_truth or ():
-            gts_by_class[cls].setdefault(bag.id, []).append(box)
+        table, cols = _ground_truth(bag)
+        pairs += _bag_pairs(bag, probs, table, cols)
+        for cls, kept in _survivors(bag.box_array(), probs, nms_iou, score_floor):
+            scores[cls] += probs[kept, cls].tolist()
+            hits[cls] += _match(table[kept][:, cols[cls]]) if cls in cols else [0.0] * len(kept)
+        for cls, js in cols.items():
+            npos[cls] += len(js)
 
-    per_class_ap = [average_precision(dets_by_class[c], gts_by_class[c])
-                    for c in range(ds.num_classes)]
+    per_class_ap = [_ap(scores[c], hits[c], npos[c]) for c in range(ds.num_classes)]
     per_class_corloc, mean_corloc = _corloc_of(pairs, ds.num_classes)
     loc_acc, loc_var = _loc_stats_of([(p.loc_acc, p.loc_var) for p in pairs])
-    return MetricsReport(
-        per_class_ap=per_class_ap,
-        mean_ap=float(np.mean(per_class_ap)) if per_class_ap else 0.0,
-        per_class_corloc=per_class_corloc,
-        mean_corloc=mean_corloc,
-        pointing=_pointing_of(pairs),
-        loc_acc=loc_acc,
-        loc_var=loc_var,
-    )
+    mean_ap = float(np.mean(per_class_ap)) if per_class_ap else 0.0
+    return MetricsReport(per_class_ap=per_class_ap, mean_ap=mean_ap,
+                         per_class_corloc=per_class_corloc, mean_corloc=mean_corloc,
+                         pointing=_pointing_of(pairs), loc_acc=loc_acc, loc_var=loc_var)

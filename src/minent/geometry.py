@@ -77,13 +77,14 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table
 
 
-def nms(boxes, scores, iou_threshold: float) -> list[int]:
+def nms(boxes, scores, iou_threshold: float, ious=None) -> list[int]:
     """Greedy non-maximum suppression of an (n, 4) corner-format array-like.
 
     Repeatedly keeps the highest-scored remaining box and discards every
     remaining box whose IoU with it exceeds ``iou_threshold``.  Score ties
     are broken by lower original index.  Returns kept indices in descending
-    score order.
+    score order.  ``ious``, if given, is ``iou_matrix(boxes, boxes)``, cut
+    by a caller that suppresses the same boxes for several score columns.
 
     The pass reads no array per candidate: bit ``j`` of the Python int
     ``alive`` says whether box ``j`` survives, and keeping box ``i`` ands in
@@ -94,9 +95,11 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
         raise ValueError(f"{n} boxes but {len(scores)} scores")
     if n == 0:
         return []
+    if ious is None:
+        ious = iou_matrix(boxes, boxes)
     order = np.argsort(-np.asarray(scores, dtype=float), kind="stable").tolist()
     width = (n + 7) // 8  # bytes per row of bits
-    rows = np.packbits(iou_matrix(boxes, boxes) <= iou_threshold, axis=1, bitorder="little").tobytes()
+    rows = np.packbits(ious <= iou_threshold, axis=1, bitorder="little").tobytes()
     alive = (1 << n) - 1
     kept: list[int] = []
     for i in order:

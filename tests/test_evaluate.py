@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import minent.evaluate as evaluate_module
-from minent.data import Bag, Dataset
+from minent.data import Bag, Dataset, SynthConfig, generate_synthetic
 from minent.evaluate import (
     Detection,
     average_precision,
@@ -451,3 +451,45 @@ class TestOnePass:
             "corloc: class 2 has no positive bags with ground truth") == 2
         assert per_class == want_corloc
         assert point == want_pointing
+
+
+class TestArrayPath:
+    """``evaluate`` ranks detections as (score, hit) pairs: it builds no
+    ``Detection``, one ``Box`` per pair (its top proposal's center), and
+    two IoU tables per bag, one for NMS and one with ground truth."""
+
+    def test_objects_and_tables_per_bag(self, monkeypatch):
+        built = {"Detection": 0, "Box": 0}
+        for name in built:
+            def counted(*args, _name=name, _real=getattr(evaluate_module, name)):
+                built[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(evaluate_module, name, counted)
+        events = []
+        real_head_probs, real_iou = evaluate_module.head_probs, evaluate_module.iou_matrix
+
+        def marked_head_probs(*args, **kwargs):
+            events.append("bag")
+            return real_head_probs(*args, **kwargs)
+
+        def counted_iou(a, b):
+            events.append("nms" if a is b else "gt")
+            return real_iou(a, b)
+
+        monkeypatch.setattr(evaluate_module, "head_probs", marked_head_probs)
+        monkeypatch.setattr(evaluate_module, "iou_matrix", counted_iou)
+        ds = generate_synthetic(SynthConfig(num_classes=3, bags_per_class=3, negatives=2,
+                                            proposals_per_bag=12, feature_dim=9, seed=1))
+        params = init_params(9, 3, branches=2, seed=2, scale=1.0)
+        report = evaluate(params, ds, score_floor=0.0)
+
+        assert built["Detection"] == 0
+        pairs = sum(bag.labels[c] == 1 for bag in ds.bags
+                    for c in {c for c, _ in bag.ground_truth or ()})
+        assert 0 < built["Box"] <= pairs
+        per_bag = " ".join(events).split("bag")[1:]
+        assert len(per_bag) == len(ds.bags)
+        for bag, tables in zip(ds.bags, per_bag):
+            # at a zero floor every bag has candidates
+            assert tables.split() == (["gt", "nms"] if bag.ground_truth else ["nms"])
+        assert 0.0 < report.mean_ap < 1.0

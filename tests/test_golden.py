@@ -1,8 +1,10 @@
 """Checkpoint bytes of every ablation tier, linear and with a hidden layer,
 and the metrics bytes of ``evaluate`` on the discovery head and on a
 branch head, pinned as sha256 digests.  A pure-speed change to the
-training loop or to eval must leave all fourteen unchanged, and the two
-``l-arl`` digests of a wider fixture, whose sums run over long cliques.
+training loop or to eval must leave all fourteen unchanged, the two
+``l-arl`` digests of a wider fixture, whose sums run over long cliques,
+and the two metrics digests of a zero score floor and of detections that
+tie across bags.
 
 The digests were recorded with numpy 2.4.6, the version CI pins: another
 numpy may draw different Generator streams or sum in a different order,
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from minent.data import Bag, Dataset, SynthConfig, generate_synthetic
-from minent.evaluate import DEFAULT_SCORE_FLOOR, evaluate, head_probs
+from minent.evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate, head_probs
 from minent.geometry import Box
 from minent.jsonio import dumps_canonical
 from minent.model import init_params
@@ -42,6 +44,15 @@ DIGESTS = {
 METRICS_DIGESTS = {
     "disc": "c18ee009b742e8d14c6eba984a19ece74ec030535ccbc2b7175d0eb0453db3f9",
     1: "25686ee39036668e69252456ef106d8c90e7c491b4dfdc93800a0a4786a92467",
+}
+
+# head 1's metrics on more fixtures, by (fixture, score floor, NMS
+# threshold): with every cell a candidate, and with ties across bags
+MORE_METRICS_DIGESTS = {
+    ("scored", 0.0, 0.6):
+        "9b19c538d0aae6690df48cfda7a4ab7cfb02bd43753ef0513a28beb931e11a19",
+    ("twins", DEFAULT_SCORE_FLOOR, DEFAULT_NMS_IOU):
+        "055763e80ec18a0b83f70f4c1f428a02e18c0c465f0fe191c96076504544bfbc",
 }
 
 # l-arl on the wide fixture, by hidden_dim
@@ -172,3 +183,35 @@ def test_metrics_bytes(scored, head):
     params, ds = scored
     text = dumps_canonical(evaluate(params, ds, head).to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == METRICS_DIGESTS[head]
+
+
+@pytest.fixture(scope="module")
+def twins(scored):
+    """The scored fixture plus a twin of its hand-built bag: the same
+    features and boxes under another id, so each of its detections ties
+    one of the first bag's, but its one ground-truth box is the far box.
+    A tied pair then holds a hit and a false positive, and the rank order
+    of ties across bags decides the AP."""
+    params, ds = scored
+    first = ds.bags[-1]
+    twin = Bag(id="two-gt-twin", labels=first.labels, features=first.features,
+               boxes=first.boxes, ground_truth=[(0, Box(6, 6, 7, 7))])
+    return params, Dataset(ds.classes, ds.feature_dim, ds.bags + [twin])
+
+
+def test_twins_tie_across_bags(twins):
+    params, ds = twins
+    first, twin = ds.bags[-2:]
+    assert (head_probs(params, first.feature_matrix(), 1)
+            == head_probs(params, twin.feature_matrix(), 1)).all()
+    swapped = Dataset(ds.classes, ds.feature_dim, ds.bags[:-2] + [twin, first])
+    assert evaluate(params, swapped, 1).per_class_ap[0] != evaluate(params, ds, 1).per_class_ap[0]
+
+
+@needs_pinned_numpy
+@pytest.mark.parametrize("fixture, score_floor, nms_iou", sorted(MORE_METRICS_DIGESTS), ids=str)
+def test_more_metrics_bytes(request, fixture, score_floor, nms_iou):
+    params, ds = request.getfixturevalue(fixture)
+    report = evaluate(params, ds, 1, nms_iou=nms_iou, score_floor=score_floor)
+    digest = hashlib.sha256(dumps_canonical(report.to_dict()).encode()).hexdigest()
+    assert digest == MORE_METRICS_DIGESTS[fixture, score_floor, nms_iou]

@@ -1,4 +1,4 @@
-"""Exact oracles for the array-shaped bag visit.
+"""Exact oracles for the array-shaped bag visit and eval.
 
 A visit scores every head from one table, cuts each anchor's kernel from
 its kernel over the anchor's tau-graph component (computed once per run),
@@ -8,10 +8,20 @@ Each of these must give the bits of the loops they replaced, which are
 kept here as references: one ``localization_terms`` call per branch and
 anchor on that branch's own softmax, one kernel per anchor and visit over
 its clique's overlaps, and one column at a time per class.
+
+Eval ranks detections as (score, hit) pairs, matched per bag in NMS
+order from one ground-truth table; it must report what the object path
+did, one ``Box`` and one ``Detection`` per survivor ranked into
+``average_precision``, which is kept here too.
 """
+
+import itertools
+import warnings
 
 import numpy as np
 import pytest
+
+from minent.data import Bag, Dataset
 
 from minent.entropy import (
     EPS,
@@ -28,6 +38,19 @@ from minent.entropy import (
     singleton_partition,
     tau_graph,
 )
+from minent.evaluate import (
+    HIT_IOU,
+    Detection,
+    MetricsReport,
+    _corloc_of,
+    _loc_stats_of,
+    _Pair,
+    _pointing_of,
+    _weighted_overlap_stats,
+    evaluate,
+    head_probs,
+)
+from minent.geometry import Box, iou_matrix, nms
 from minent.model import forward, forward_heads, hidden_layer, init_params
 from minent.trainer import BagRun, TrainConfig, _localization
 
@@ -286,3 +309,177 @@ def test_score_table_equals_each_head_alone(hidden_dim):
             assert np.array_equal(bits(scores), bits(x @ w + b))
             assert np.array_equal(bits(scores), bits(forward(params, features, head)))
             assert np.array_equal(bits(p), bits(row_softmax(x @ w + b)))
+
+
+# ---------------------------------------------------------------------------
+# eval's object path
+# ---------------------------------------------------------------------------
+
+def reference_detections(bag, probs, nms_iou, score_floor):
+    """Per-class NMS over the cells at or above the floor, one ``Box`` and
+    one ``Detection`` per survivor."""
+    boxes = bag.box_array()
+    out = []
+    for cls in range(probs.shape[1]):
+        scores = probs[:, cls]
+        keep = np.flatnonzero(scores >= score_floor)
+        if keep.size == 0:
+            continue
+        kept = keep[nms(boxes[keep], scores[keep], nms_iou)]
+        for box, score in zip(boxes[kept].tolist(), scores[kept].tolist()):
+            out.append(Detection(bag.id, cls, Box(*box), score))
+    return out
+
+
+def reference_average_precision(detections, gts):
+    """One class's AP from its detections ranked by a stable sort on score,
+    each bag matched in rank order from one IoU table."""
+    npos = sum(len(v) for v in gts.values())
+    if npos == 0:
+        if not detections:
+            warnings.warn("average_precision: no ground truths and no detections; AP := 0")
+        return 0.0
+    if not detections:
+        return 0.0
+    order = np.argsort(-np.array([d.score for d in detections]), kind="stable")
+    ranked_by_bag = {}
+    for i in order.tolist():
+        ranked_by_bag.setdefault(detections[i].bag_id, []).append(i)
+    hits = [0.0] * len(detections)
+    for bag_id, ranked in ranked_by_bag.items():
+        gt = gts.get(bag_id)
+        if not gt:
+            continue
+        table = iou_matrix(np.array([detections[i].box.as_list() for i in ranked]),
+                           np.array([b.as_list() for b in gt]))
+        taken = [False] * len(gt)
+        for i, row in zip(ranked, table.tolist()):
+            best_iou, best_j = 0.0, -1
+            for j, v in enumerate(row):
+                if not taken[j] and v >= HIT_IOU and v > best_iou:
+                    best_iou, best_j = v, j
+            if best_j >= 0:
+                taken[best_j] = True
+                hits[i] = 1.0
+    tp = np.array(hits)[order]
+    tp_cum, fp_cum = np.cumsum(tp), np.cumsum(1.0 - tp)
+    recall = tp_cum / npos
+    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1])
+    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+
+
+def reference_bag_pairs(bag, probs):
+    """One row per positive class of the bag with ground truth, from an IoU
+    table over that class's boxes alone."""
+    boxes = bag.box_array()
+    pairs = []
+    for cls in bag.positive_classes().tolist():
+        gt = [box for c, box in bag.ground_truth or () if c == cls]
+        if not gt:
+            continue
+        top = int(probs[:, cls].argmax())
+        best = iou_matrix(boxes, np.array([b.as_list() for b in gt])).max(axis=1)
+        cx, cy = Box(*boxes[top].tolist()).center
+        pairs.append(_Pair(cls, bool(best[top] >= HIT_IOU),
+                           any(b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2 for b in gt),
+                           *_weighted_overlap_stats(probs[:, cls], best)))
+    return pairs
+
+
+def reference_evaluate(params, ds, head, nms_iou, score_floor):
+    dets_by_class = [[] for _ in range(ds.num_classes)]
+    gts_by_class = [{} for _ in range(ds.num_classes)]
+    pairs = []
+    for bag in ds.bags:
+        probs = head_probs(params, bag.feature_matrix(), head)
+        for d in reference_detections(bag, probs, nms_iou, score_floor):
+            dets_by_class[d.cls].append(d)
+        pairs += reference_bag_pairs(bag, probs)
+        for cls, box in bag.ground_truth or ():
+            gts_by_class[cls].setdefault(bag.id, []).append(box)
+    per_class_ap = [reference_average_precision(dets_by_class[c], gts_by_class[c])
+                    for c in range(ds.num_classes)]
+    per_class_corloc, mean_corloc = _corloc_of(pairs, ds.num_classes)
+    loc_acc, loc_var = _loc_stats_of([(p.loc_acc, p.loc_var) for p in pairs])
+    report = MetricsReport(per_class_ap, float(np.mean(per_class_ap)), per_class_corloc,
+                           mean_corloc, _pointing_of(pairs), loc_acc, loc_var)
+    return report, dets_by_class, gts_by_class
+
+
+def half_grid_boxes(rng, n):
+    """Boxes on a half-unit grid, so that equal boxes and IoUs of exactly
+    0.5 come up often."""
+    xy = rng.integers(0, 5, size=(n, 2)) / 2
+    wh = rng.integers(1, 4, size=(n, 2)) / 2
+    return np.concatenate([xy, xy + wh], axis=1)
+
+
+def random_eval_dataset(rng):
+    """1 to 3 classes and 1 to 5 bags of 1 to 8 proposals.  Features are
+    small integers, so scores tie within a bag; a bag may have a twin with
+    the same features and boxes under another id, so they tie across bags.
+    Ground truth is copied from proposals or drawn, up to three boxes of a
+    class, and sometimes on a class the bag is not labelled with.  In a
+    quarter of the draws the last class has no ground truth anywhere; the
+    second value says whether."""
+    num_classes, dim = int(rng.integers(1, 4)), 3
+    silent = rng.random() < 0.25
+    bags = []
+    for i in range(int(rng.integers(1, 6))):
+        num = int(rng.integers(1, 9))
+        boxes = half_grid_boxes(rng, num)
+        features = rng.integers(-2, 3, size=(num, dim)).astype(float)
+        for copy in range(1 + (rng.random() < 0.3)):
+            labels = (rng.random(num_classes) < 0.6).astype(int)
+            gt = []
+            for cls in range(num_classes - silent):
+                if labels[cls] or rng.random() < 0.2:
+                    for _ in range(int(rng.integers(0, 4))):
+                        copied = rng.random() < 0.6
+                        drawn = boxes[rng.integers(num)] if copied else half_grid_boxes(rng, 1)[0]
+                        gt.append((cls, Box(*drawn.tolist())))
+            bags.append(Bag(id=f"b{i}-{copy}", labels=labels, features=features, boxes=boxes,
+                            ground_truth=gt or None))
+    return Dataset([f"c{c}" for c in range(num_classes)], dim, bags), silent
+
+
+def test_evaluate_equals_object_path():
+    rng = np.random.default_rng(41)
+    settings = list(itertools.product((0.0, 1e-3, 0.05), (0.0, 0.4, 1.0), ("disc", 0, 1)))
+    seen = dict.fromkeys(["no-gt bag", "gt undetected", "two gt", "ap warning",
+                          "corloc warning", "tie in bag", "tie across bags"], 0)
+    for case in range(216):
+        score_floor, nms_iou, head = settings[case % len(settings)]
+        ds, silent = random_eval_dataset(rng)
+        params = init_params(ds.feature_dim, ds.num_classes, branches=2, seed=case,
+                             scale=(1.0, 3.0)[case % 2])
+        if silent:  # and mostly below the score floor, so it may have no detections
+            for bias in [params.disc_b, *params.loc_b]:
+                bias[-1] -= 8.0
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want, dets_by_class, gts_by_class = reference_evaluate(params, ds, head, nms_iou,
+                                                                   score_floor)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            got = evaluate(params, ds, head, nms_iou=nms_iou, score_floor=score_floor)
+        assert got.to_dict() == want.to_dict(), case
+        messages = [str(w.message) for w in warned]
+        assert messages == [str(w.message) for w in want_warned], case
+
+        seen["no-gt bag"] += sum(not bag.ground_truth for bag in ds.bags)
+        seen["ap warning"] += any("average_precision" in m for m in messages)
+        seen["corloc warning"] += any(m.startswith("corloc") for m in messages)
+        for dets, gts in zip(dets_by_class, gts_by_class):
+            found = {d.bag_id for d in dets}
+            seen["gt undetected"] += sum(bag_id not in found for bag_id in gts)
+            seen["two gt"] += sum(len(gt) > 1 for gt in gts.values())
+            scores = {}
+            for d in dets:
+                scores.setdefault(d.score, set()).add(d.bag_id)
+            seen["tie in bag"] += len(dets) - sum(len(ids) for ids in scores.values())
+            seen["tie across bags"] += sum(len(ids) > 1 for ids in scores.values())
+    assert min(seen.values()) > 10, seen
