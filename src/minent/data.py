@@ -17,7 +17,9 @@ group win — the behavior the training objective is supposed to exhibit.
 ``save_dataset`` writes the canonical JSON and, beside it, a binary sidecar
 ``<path>.npz`` with the same arrays, keyed by the SHA-256 of the JSON bytes.
 ``load_dataset`` reads the sidecar in place of parsing the JSON only when
-that hash matches the JSON file; the JSON stays the one format.
+that hash matches the JSON file; the JSON stays the one format.  A bag
+read from the sidecar holds read-only slices of its two loaded arrays, not
+copies, so the data sits in memory once.
 
 The dataset is a fixed function of the config and its seed.  A positive
 bag's boxes are rejection-sampled in blocks of tries: each round draws the
@@ -232,7 +234,7 @@ def validate_dataset(ds: Dataset) -> None:
             raise DataError(
                 f"bag '{bag.id}': labels must have length {n}, got {bag.labels.shape}"
             )
-        if not np.isin(bag.labels, (0, 1)).all():
+        if not ((bag.labels == 0) | (bag.labels == 1)).all():
             raise DataError(f"bag '{bag.id}': labels must be 0 or 1")
         if bag.features.shape != (num, ds.feature_dim):
             raise DataError(
@@ -453,6 +455,17 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _raise_malloc_thresholds() -> None:
+    """Allocate and free one untouched 16 MB block.  glibc maps a block
+    above its mmap threshold (128 KB at start), and freeing a mapped block
+    of up to 32 MB raises that threshold to its size, so temporaries below
+    it, such as a dense visit's ~210 KB or eval's NMS tables, are then
+    reused from the heap, not mapped and zeroed anew on every call (without
+    this, dense training took several times the minor page faults).  The
+    block is never written, so it costs no resident memory."""
+    np.empty(16 << 20, dtype=np.uint8)
+
+
 def _load_sidecar(path: str) -> Dataset | None:
     """The dataset from the sidecar of ``path``, or None when there is no
     sidecar, it holds the hash of other JSON bytes, or it is unreadable,
@@ -472,13 +485,11 @@ def _load_sidecar(path: str) -> Dataset | None:
                 or len(boxes) != len(features)):
             return None
         ends = np.cumsum(counts).tolist()
-        # Each bag gets its own copy, so the large loaded arrays are freed on
-        # return.  Freeing a block that large raises glibc's mmap and trim
-        # thresholds, so the trainer's ~300 KB of temporaries per visit are
-        # then reused from the heap rather than mapped anew on each visit:
-        # without the copies, dense training ran about 20% slower.
-        arrays = [(features[a:b].copy(), boxes[a:b].copy())
-                  for a, b in zip([0] + ends[:-1], ends)]
+        # after the read, so that its buffers are not kept in the heap
+        _raise_malloc_thresholds()
+        # each bag's arrays are read-only slices of the loaded pair, not copies
+        features.flags.writeable = boxes.flags.writeable = False
+        arrays = [(features[a:b], boxes[a:b]) for a, b in zip([0] + ends[:-1], ends)]
         return _dataset_from_doc(doc, arrays)
     except Exception:  # any fault in the sidecar falls back to the JSON
         return None

@@ -102,13 +102,16 @@ class LocalizationOutput:
 @dataclass(frozen=True, eq=False)
 class TauGraph:
     """One bag's IoU > ``tau`` graph, fixed while its boxes and ``tau`` are:
-    ``adjacency`` (P x P bools, no self loops) and ``component``, each
-    proposal's connected component, numbered in proposal order, with
-    ``sizes`` each component's size."""
+    ``component``, each proposal's connected component, numbered in
+    proposal order, with ``sizes`` each component's size, and ``blocks``,
+    which maps each component of two or more proposals to its members,
+    ascending, and the (size x size) bool adjacency among them (no self
+    loops).  No edge leaves a component, so the blocks are the whole graph
+    in a few cells of the P x P table."""
 
-    adjacency: np.ndarray
     component: np.ndarray
     sizes: np.ndarray
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]]
     tau: float
 
 
@@ -143,8 +146,10 @@ def tau_graph(boxes: np.ndarray, tau: float) -> TauGraph:
     adjacency = iou_matrix(boxes, boxes) > tau
     np.fill_diagonal(adjacency, False)
     component = _components(adjacency)
-    return TauGraph(adjacency=adjacency, component=component,
-                    sizes=np.bincount(component), tau=tau)
+    sizes = np.bincount(component)
+    members = {c: np.flatnonzero(component == c) for c in np.flatnonzero(sizes > 1).tolist()}
+    blocks = {c: (m, adjacency.take(m, axis=0).take(m, axis=1)) for c, m in members.items()}
+    return TauGraph(component=component, sizes=sizes, blocks=blocks, tau=tau)
 
 
 def partition_cliques(
@@ -185,9 +190,10 @@ def partition_cliques(
         fresh = len(graph.sizes)  # keys past every component's
         for cut in np.flatnonzero((pooled > 0) & (pooled < graph.sizes)).tolist():
             at = np.flatnonzero(key == cut)  # in pool order
-            nodes = order[at]
-            key[at] = fresh + _components(graph.adjacency.take(nodes, axis=0).take(nodes, axis=1))
-            fresh += len(nodes)
+            members, block = graph.blocks[cut]
+            local = members.searchsorted(order[at])
+            key[at] = fresh + _components(block.take(local, axis=0).take(local, axis=1))
+            fresh += len(local)
     # number the cliques by the pool position of their first member, the seed
     seeds: dict[int, int] = {}
     clique = np.array([seeds.setdefault(k, len(seeds)) for k in key.tolist()], dtype=int)

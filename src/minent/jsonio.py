@@ -8,6 +8,7 @@ Writes are atomic (temp file in the target directory, then rename).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import secrets
@@ -38,10 +39,33 @@ def write_atomic(path: str, write) -> None:
         raise
 
 
+def _pieces(obj):
+    """``dumps_canonical(obj)`` less its newline, in pieces: a dict with
+    string keys is written key by key, a numpy array of two or more
+    dimensions row by row, and anything else whole, an array as its
+    ``tolist()``.  No piece holds more than one row of an array."""
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "") + json.dumps(key) + ":"
+            yield from _pieces(obj[key])
+        yield "}"
+    elif getattr(obj, "ndim", 0) > 1:
+        yield "["
+        for i, row in enumerate(obj):
+            yield "," if i else ""
+            yield from _pieces(row)
+        yield "]"
+    else:
+        yield dumps_canonical(obj.tolist() if hasattr(obj, "tolist") else obj)[:-1]
+
+
 def write_json(obj, path: str) -> None:
-    """Atomically write ``obj`` to ``path`` as canonical JSON."""
-    data = dumps_canonical(obj).encode()
-    write_atomic(path, lambda f: f.write(data))
+    """Atomically write ``obj`` to ``path`` as canonical JSON, the bytes of
+    ``dumps_canonical(obj)`` with a numpy array (``obj`` or a dict's value)
+    as its ``tolist()``, encoded and written piece by piece."""
+    pieces = itertools.chain(_pieces(obj), ["\n"])
+    write_atomic(path, lambda f: f.writelines(piece.encode() for piece in pieces))
 
 
 def read_json(path: str):

@@ -462,9 +462,9 @@ def train(
     visit_order = np.random.default_rng(cfg.seed).permutation(len(train_bags))
 
     # Labels, boxes and tau are fixed for the run, so each bag's positive
-    # classes are, and so is its tau-graph: its P x P bool table and
-    # component labels, for each bag the clique partition will run on.  Its
-    # anchors' kernels fill in as visits score them.
+    # classes are, and so is its tau-graph: its component labels and each
+    # component's adjacency block, for each bag the clique partition will
+    # run on.  Its anchors' kernels fill in as visits score them.
     runs = []
     for bag in train_bags:
         positives = (bag.labels == 1).nonzero()[0]
@@ -570,9 +570,9 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         "branches": state.params.branches,
         "epoch": state.epoch,
         "config": {**asdict(state.config), **_V1_FIXED_CONFIG},
-        "params": {name: arr.tolist() for name, arr in state.params.named_arrays()},
-        "buffers": {name: arr.tolist() for name, arr in state.buffers.items()},
-        "s_h": {bag_id: arr.tolist() for bag_id, arr in state.s_h.items()},
+        "params": dict(state.params.named_arrays()),
+        "buffers": state.buffers,
+        "s_h": state.s_h,
         "rng_state": _seed_rng_state(state.config.seed),
     }
     write_json(doc, path)

@@ -429,20 +429,38 @@ class TestSidecar:
         _assert_same(via_sidecar, via_json)
         _assert_same(via_sidecar, ds)
 
-    def test_each_bag_owns_its_arrays(self, tmp_path):
-        # a bag's arrays must not keep the sidecar's whole arrays alive: the
-        # loaded arrays are freed, which keeps training's allocations cheap
+    def test_bags_are_views_of_one_loaded_pair(self, tmp_path, monkeypatch):
+        # the data sits in memory once: each bag's arrays are read-only
+        # slices of the sidecar's features and boxes, in bag order, and the
+        # malloc-threshold step runs once per load
         path = tmp_path / "ds.json"
-        save_dataset(_small(proposals=5), str(path))
-        ds = load_dataset(str(path))
-        assert len(ds.bags) > 1
-        for bag in ds.bags:
-            for arr in (bag.features, bag.boxes):
-                owner = arr
-                while isinstance(owner.base, np.ndarray):
-                    owner = owner.base
-                held = memoryview(owner if owner.base is None else owner.base).nbytes
-                assert held <= arr.nbytes
+        ds = _small(proposals=5)
+        save_dataset(ds, str(path))
+        primed = []
+        real = data_module._raise_malloc_thresholds
+        monkeypatch.setattr(data_module, "_raise_malloc_thresholds",
+                            lambda: primed.append(1) or real())
+
+        def owner(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return arr
+
+        for loads in (1, 2):
+            loaded = load_dataset(str(path))
+            assert len(primed) == loads
+            _assert_same(loaded, ds)
+            wholes = []
+            for name in ("features", "boxes"):
+                arrays = [getattr(bag, name) for bag in loaded.bags]
+                whole = owner(arrays[0])
+                assert all(owner(arr) is whole for arr in arrays)
+                assert not any(arr.flags.writeable for arr in arrays)
+                assert whole.nbytes == sum(arr.nbytes for arr in arrays)
+                assert np.array_equal(whole.reshape(-1, arrays[0].shape[1]),
+                                      np.concatenate(arrays))
+                wholes.append(whole)
+            assert not np.shares_memory(*wholes)
 
     def test_dataset_without_ground_truth(self, tmp_path, parses):
         path = tmp_path / "ds.json"

@@ -1,0 +1,103 @@
+"""``write_json`` encodes and writes a document in pieces, a dict key by
+key and an array row by row; the file must hold the bytes of
+``dumps_canonical`` of the whole document, with each array as its
+``tolist()``."""
+
+import numpy as np
+import pytest
+
+from minent import trainer as trainer_module
+from minent.data import SynthConfig, generate_synthetic
+from minent.jsonio import dumps_canonical, write_json
+from minent.trainer import ABLATION_TIERS, TrainConfig, save_checkpoint, train
+
+KEYS = ["", "a", "b", "ab", 'q"uote', "back\\slash", "new\nline", "tab\t", "\x00",
+        "été", "☃", "\U0001f600", "B", "10", "9"]
+FLOATS = [0.0, -0.0, 1e-300, 1e16, -1e16, 5e-324, 1.7976931348623157e308, 0.1, 1.0, 2.5e-7]
+
+
+def random_value(rng, depth):
+    kind = int(rng.integers(0, 9 if depth < 4 else 6))
+    if kind == 0:
+        return int(rng.integers(-10**6, 10**6)) * int(rng.choice([1, 10**12]))
+    if kind == 1:
+        return bool(rng.integers(0, 2))
+    if kind == 2:
+        return None
+    if kind == 3:
+        return float(rng.choice(FLOATS)) if rng.random() < 0.5 else float(rng.normal() * 1e3)
+    if kind == 4:
+        return str(rng.choice(KEYS))
+    if kind == 5:
+        return random_array(rng)
+    if kind == 6:  # a list is written whole, so it holds no array
+        return [listed(random_value(rng, depth + 1)) for _ in range(int(rng.integers(0, 4)))]
+    return random_doc(rng, depth + 1)
+
+
+def random_doc(rng, depth=0):
+    keys = rng.choice(KEYS, size=int(rng.integers(0, 6)), replace=False)
+    return {str(key): random_value(rng, depth) for key in keys}
+
+
+def random_array(rng):
+    shape = tuple(int(n) for n in rng.integers(0, 4, size=int(rng.integers(1, 4))))
+    if rng.random() < 0.2:
+        return rng.integers(-10**12, 10**12, size=shape)
+    arr = rng.normal(size=shape) * 10.0 ** float(rng.integers(-300, 300))
+    arr[rng.random(shape) < 0.2] = rng.choice(FLOATS)
+    return arr
+
+
+def listed(obj):
+    """``obj`` with every numpy array replaced by its ``tolist()``."""
+    if isinstance(obj, dict):
+        return {key: listed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [listed(value) for value in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def test_random_documents_match_dumps_canonical(tmp_path):
+    rng = np.random.default_rng(41)
+    path = tmp_path / "doc.json"
+    seen = {"empty_dict": 0, "rows": 0}
+    for trial in range(500):
+        doc = random_doc(rng) if trial % 10 else {}
+        write_json(doc, str(path))
+        assert path.read_bytes() == dumps_canonical(listed(doc)).encode()
+        seen["empty_dict"] += "{}" in dumps_canonical(listed(doc))
+        seen["rows"] += any(getattr(v, "ndim", 0) > 1 for v in doc.values())
+    assert all(count > 30 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("value", [[], {}, None, True, 3, -0.0, 1e-300, 1e16, "\U0001f600",
+                                   np.zeros((0, 4)), np.zeros((3, 0)), np.array(2.5)])
+def test_a_bare_value_matches_dumps_canonical(tmp_path, value):
+    path = tmp_path / "doc.json"
+    write_json(value, str(path))
+    assert path.read_bytes() == dumps_canonical(listed(value)).encode()
+
+
+def test_a_non_finite_value_writes_nothing(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        write_json({"a": np.ones((2, 2)), "b": np.array([[1.0, np.nan]])}, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 8])
+@pytest.mark.parametrize("tier", ABLATION_TIERS)
+def test_checkpoint_matches_dumps_canonical(tmp_path, monkeypatch, tier, hidden_dim):
+    ds = generate_synthetic(SynthConfig(num_classes=2, bags_per_class=3, negatives=2,
+                                        proposals_per_bag=8, feature_dim=6, seed=5))
+    state, _ = train(ds, TrainConfig(epochs=1, branches=2, seed=1, ablation=tier,
+                                     hidden_dim=hidden_dim))
+    docs = []
+    real = trainer_module.write_json
+    monkeypatch.setattr(trainer_module, "write_json",
+                        lambda doc, path: docs.append(doc) or real(doc, path))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, str(path))
+    assert ("hidden_w" in docs[0]["params"]) == (hidden_dim > 0)
+    assert path.read_bytes() == dumps_canonical(listed(docs[0])).encode()

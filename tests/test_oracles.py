@@ -9,6 +9,10 @@ kept here as references: one ``localization_terms`` call per branch and
 anchor on that branch's own softmax, one kernel per anchor and visit over
 its clique's overlaps, and one column at a time per class.
 
+A bag's tau-graph keeps each component's own adjacency block, not the
+P x P table; the partition it gives must be the one a full table gives,
+which is kept here as a reference.
+
 Eval ranks detections as (score, hit) pairs, matched per bag in NMS
 order from one ground-truth table; it must report what the object path
 did, one ``Box`` and one ``Detection`` per survivor ranked into
@@ -21,10 +25,11 @@ import warnings
 import numpy as np
 import pytest
 
-from minent.data import Bag, Dataset
+from minent.data import Bag, Dataset, SynthConfig, generate_synthetic
 
 from minent.entropy import (
     EPS,
+    _components,
     anchor_kernel,
     clique_class_probs,
     clique_weights,
@@ -204,6 +209,69 @@ def random_visit(rng, trial, boxes, graph, num_classes, positives):
     selected = {int(y): shared if rng.random() < 0.5 else int(rng.integers(0, cliques))
                 for y in positives}
     return partition, row_softmax(scores), selected
+
+
+def reference_partition(boxes, objectness, tau, top_k):
+    """``partition_cliques`` over the bag's full P x P adjacency: each
+    component the pool cuts is searched again in that table."""
+    adjacency = iou_matrix(boxes, boxes) > tau
+    np.fill_diagonal(adjacency, False)
+    component = _components(adjacency)
+    sizes = np.bincount(component)
+    order = np.argsort(-objectness, kind="stable")[:top_k]
+    key = component[order]
+    pooled = np.bincount(key, minlength=len(sizes))
+    fresh = len(sizes)
+    for cut in np.flatnonzero((pooled > 0) & (pooled < sizes)).tolist():
+        at = np.flatnonzero(key == cut)
+        nodes = order[at]
+        key[at] = fresh + _components(adjacency[np.ix_(nodes, nodes)])
+        fresh += len(nodes)
+    seeds = {}
+    clique = np.array([seeds.setdefault(k, len(seeds)) for k in key.tolist()], dtype=int)
+    return order[np.lexsort((order, clique))], np.bincount(clique)
+
+
+def test_component_blocks_partition_as_the_full_adjacency():
+    rng = np.random.default_rng(37)
+    seen = {"pair_to_one": 0, "several_cut": 0, "kept_whole": 0, "top_1": 0}
+    for trial in range(300):
+        groups = [int(n) for n in rng.choice([1, 2, 2, 3, 5, 9], size=int(rng.integers(1, 7)))]
+        boxes = clustered_boxes(rng, groups)
+        if trial % 4 == 0:  # loose boxes that may chain across the groups
+            boxes = np.concatenate([boxes, random_boxes(rng, int(rng.integers(1, 20))) * 40])
+        num = len(boxes)
+        tau = 0.7 if trial % 2 else float(rng.uniform(0.3, 0.8))
+        graph = tau_graph(boxes, tau)
+        for top_k in (num, 1, int(rng.integers(1, num + 1))):
+            obj = rng.uniform(size=num)
+            part = partition_cliques(boxes, obj, tau, top_k, graph)
+            members, sizes = reference_partition(boxes, obj, tau, top_k)
+            assert np.array_equal(part.members, members)
+            assert np.array_equal(part.sizes, sizes)
+            pooled = np.bincount(graph.component[np.argsort(-obj, kind="stable")[:top_k]],
+                                 minlength=len(graph.sizes))
+            cut = (pooled > 0) & (pooled < graph.sizes)
+            seen["pair_to_one"] += bool((cut & (graph.sizes == 2)).any())
+            seen["several_cut"] += int(cut.sum()) >= 2
+            seen["kept_whole"] += top_k == num and len(graph.blocks) > 0
+            seen["top_1"] += top_k == 1 and bool(cut.any())
+    assert all(count > 30 for count in seen.values()), seen
+
+
+def test_dense_bag_graph_keeps_few_block_cells():
+    ds = generate_synthetic(SynthConfig(num_classes=4, bags_per_class=1, negatives=0,
+                                        proposals_per_bag=300, seed=7))
+    for bag in ds.bags:
+        graph = tau_graph(bag.boxes, TrainConfig().tau)
+        num = bag.num_proposals
+        assert sum(block.size for _, block in graph.blocks.values()) < num * num / 4
+        assert sorted(graph.blocks) == np.flatnonzero(graph.sizes > 1).tolist()
+        for c, (members, block) in graph.blocks.items():
+            assert members.tolist() == np.flatnonzero(graph.component == c).tolist()
+            full = iou_matrix(bag.boxes[members], bag.boxes[members]) > graph.tau
+            np.fill_diagonal(full, False)
+            assert np.array_equal(block, full)
 
 
 def test_visit_localization_equals_per_branch_per_anchor_loop():
