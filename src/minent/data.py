@@ -17,7 +17,9 @@ group win — the behavior the training objective is supposed to exhibit.
 ``save_dataset`` writes the canonical JSON and, beside it, a binary sidecar
 ``<path>.npz`` with the same arrays, keyed by the SHA-256 of the JSON bytes.
 ``load_dataset`` reads the sidecar in place of parsing the JSON only when
-that hash matches the JSON file; the JSON stays the one format.  A bag
+that hash matches the JSON file's bytes; the JSON stays the one format.
+The file is hashed on a second thread while the sidecar loads, and that
+thread is joined before the sidecar's dataset is used or dropped.  A bag
 read from the sidecar holds read-only slices of its two loaded arrays, not
 copies, so the data sits in memory once.
 
@@ -37,6 +39,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
@@ -59,8 +62,6 @@ _MAX_TRIES = 1000
 
 # the binary sidecar of dataset file ``path`` is ``path + SIDECAR_SUFFIX``
 SIDECAR_SUFFIX = ".npz"
-# bytes read per step while hashing a dataset file
-_HASH_BLOCK = 1 << 20
 
 
 def _frozen(values) -> np.ndarray:
@@ -447,14 +448,6 @@ def save_dataset(ds: Dataset, path: str) -> None:
     ))
 
 
-def _file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(_HASH_BLOCK), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _raise_malloc_thresholds() -> None:
     """Allocate and free one untouched 16 MB block.  glibc maps a block
     above its mmap threshold (128 KB at start), and freeing a mapped block
@@ -469,30 +462,49 @@ def _raise_malloc_thresholds() -> None:
 def _load_sidecar(path: str) -> Dataset | None:
     """The dataset from the sidecar of ``path``, or None when there is no
     sidecar, it holds the hash of other JSON bytes, or it is unreadable,
-    malformed or fails a check; the caller then parses the JSON."""
+    malformed or fails a check; the caller then parses the JSON.  One
+    thread hashes the JSON while this one reads and checks the sidecar."""
     sidecar = path + SIDECAR_SUFFIX
     if not os.path.isfile(sidecar):
         return None
-    try:
-        sha256 = _file_sha256(path)
-        with np.load(sidecar, allow_pickle=False) as z:
-            if str(z["sha256"]) != sha256:
+    digest, faults = hashlib.sha256(), []
+
+    def hash_json(f, block) -> None:
+        try:
+            while n := f.readinto(block):
+                digest.update(block[:n])
+        except OSError as e:  # kept, not raised: the JSON path reports it
+            faults.append(e)
+
+    # opened here, so that a missing JSON raises before the sidecar is
+    # opened.  The one 1 MB buffer is allocated here too: allocated in the
+    # hashing thread, it raised dense eval's peak RSS.  The thread takes the
+    # GIL between blocks, and 256 KB blocks made quickstart eval slower.
+    with open(path, "rb", buffering=0) as f:
+        block = memoryview(bytearray(1 << 20))
+        hasher = threading.Thread(target=hash_json, args=(f, block))
+        hasher.start()
+        try:
+            with np.load(sidecar, allow_pickle=False) as z:
+                sha256 = str(z["sha256"])
+                doc = json.loads(z["doc"].tobytes())
+                counts, features, boxes = z["counts"], z["features"], z["boxes"]
+            if (counts.dtype.kind not in "iu" or features.dtype != np.float64
+                    or boxes.dtype != np.float64 or counts.sum() != len(features)
+                    or len(boxes) != len(features)):
                 return None
-            doc = json.loads(z["doc"].tobytes())
-            counts, features, boxes = z["counts"], z["features"], z["boxes"]
-        if (counts.dtype.kind not in "iu" or features.dtype != np.float64
-                or boxes.dtype != np.float64 or counts.sum() != len(features)
-                or len(boxes) != len(features)):
+            ends = np.cumsum(counts).tolist()
+            # after the read, so that its buffers are not kept in the heap
+            _raise_malloc_thresholds()
+            # each bag's arrays are read-only slices of the loaded pair, not copies
+            features.flags.writeable = boxes.flags.writeable = False
+            arrays = [(features[a:b], boxes[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+            ds = _dataset_from_doc(doc, arrays)
+        except Exception:  # any fault in the sidecar falls back to the JSON
             return None
-        ends = np.cumsum(counts).tolist()
-        # after the read, so that its buffers are not kept in the heap
-        _raise_malloc_thresholds()
-        # each bag's arrays are read-only slices of the loaded pair, not copies
-        features.flags.writeable = boxes.flags.writeable = False
-        arrays = [(features[a:b], boxes[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-        return _dataset_from_doc(doc, arrays)
-    except Exception:  # any fault in the sidecar falls back to the JSON
-        return None
+        finally:
+            hasher.join()
+    return ds if not faults and digest.hexdigest() == sha256 else None
 
 
 def load_dataset(path: str) -> Dataset:

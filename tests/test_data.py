@@ -5,7 +5,10 @@ import multiprocessing
 import os
 import shutil
 import stat
+import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -571,6 +574,84 @@ class TestSidecar:
         os.unlink(path)
         with pytest.raises(FileNotFoundError):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("spoil", [
+        lambda path: None,
+        lambda path: path.write_text(path.read_text().replace('"labels":[1', '"labels":[0', 1)),
+        lambda path: Path(_sidecar(path)).write_bytes(b"not a zip file"),
+        lambda path: os.unlink(_sidecar(path)),
+        lambda path: os.unlink(path),
+    ], ids=["current", "stale", "malformed", "no-sidecar", "no-json"])
+    def test_no_thread_outlives_the_load(self, tmp_path, spoil):
+        path = tmp_path / "ds.json"
+        save_dataset(_small(), str(path))
+        spoil(path)
+        before = threading.enumerate()
+        if path.exists():
+            _assert_same(load_dataset(str(path)), _json_only(path, tmp_path))
+        else:
+            with pytest.raises(FileNotFoundError):
+                load_dataset(str(path))
+        assert threading.enumerate() == before
+
+
+class _SlowSha256:
+    """``hashlib.sha256`` whose first update sleeps 50 ms, so the hashing
+    thread is still running when the sidecar's dataset is ready."""
+
+    def __init__(self):
+        self._digest = hashlib.sha256()
+        self._slept = False
+
+    def update(self, data):
+        if not self._slept:
+            self._slept = True
+            time.sleep(0.05)
+        self._digest.update(data)
+
+    def hexdigest(self):
+        return self._digest.hexdigest()
+
+
+class TestSlowHash:
+    """The sidecar's dataset is used or dropped only once the JSON's hash is
+    complete, and a sidecar without its JSON is never opened."""
+
+    @pytest.fixture
+    def opened(self, tmp_path, monkeypatch):
+        """Saves ``_small()`` to ``tmp_path / "ds.json"``, slows the hash
+        ``load_dataset`` makes, and counts the archives it opens."""
+        save_dataset(_small(), str(tmp_path / "ds.json"))
+        monkeypatch.setattr(data_module, "hashlib", SimpleNamespace(sha256=_SlowSha256))
+        calls = []
+        real = np.load
+
+        def counting(file, *args, **kwargs):
+            calls.append(file)
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(data_module.np, "load", counting)
+        return calls
+
+    def test_current_sidecar_is_used(self, tmp_path, parses, opened):
+        loaded = load_dataset(str(tmp_path / "ds.json"))
+        assert parses == [] and len(opened) == 1
+        _assert_same(loaded, _small())
+
+    def test_one_byte_edit_falls_back(self, tmp_path, parses, opened):
+        path = tmp_path / "ds.json"
+        path.write_text(path.read_text().replace('"labels":[1', '"labels":[0', 1))
+        loaded = load_dataset(str(path))
+        assert len(parses) == 1 and len(opened) == 1
+        assert loaded.bags[0].labels.tolist() == [0, 0]
+
+    def test_sidecar_without_json_is_never_opened(self, tmp_path, opened):
+        path = tmp_path / "ds.json"
+        os.unlink(path)
+        with pytest.raises(FileNotFoundError):
+            load_dataset(str(path))
+        assert opened == []
+        assert os.path.isfile(_sidecar(path))
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
