@@ -158,6 +158,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                            + ("it is a directory" if os.path.isdir(out) else "no such directory"))
     ds = _load_ds(args.data)
     state, reports = train(ds, cfg, state=state, csv_path=args.csv, stop_after=stop_after)
+    del ds  # freed first, so the checkpoint's write does not raise train's peak RSS
     save_checkpoint(state, args.out_checkpoint)
 
     if reports:

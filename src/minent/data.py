@@ -14,14 +14,13 @@ therefore concentrates on the many high-scoring parts, while grouping
 overlapping boxes and scoring groups by their mean lets the near-object
 group win — the behavior the training objective is supposed to exhibit.
 
-``save_dataset`` writes the canonical JSON and, beside it, a binary sidecar
-``<path>.npz`` with the same arrays, keyed by the SHA-256 of the JSON bytes.
-``load_dataset`` reads the sidecar in place of parsing the JSON only when
-that hash matches the JSON file's bytes; the JSON stays the one format.
-The file is hashed on a second thread while the sidecar loads, and that
-thread is joined before the sidecar's dataset is used or dropped.  A bag
-read from the sidecar holds read-only slices of its two loaded arrays, not
-copies, so the data sits in memory once.
+``save_dataset`` writes the canonical JSON and its binary twin
+(``jsonio.write_twin``): the bags' concatenated features and boxes, each
+bag's proposal count, and the document without ``proposals``.
+``load_dataset`` builds the dataset from a current twin
+(``jsonio.read_twin``), else from the JSON.  A bag read from the twin holds
+read-only slices of its two loaded arrays, not copies, so the data sits in
+memory once.
 
 The dataset is a fixed function of the config and its seed.  A positive
 bag's boxes are rejection-sampled in blocks of tries: each round draws the
@@ -35,18 +34,15 @@ takes a variable share of the stream.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
-import threading
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
 
 from .geometry import Box, iou_matrix
-from .jsonio import dumps_canonical, read_json, write_atomic
+from .jsonio import dumps_canonical, read_json, read_twin, write_twin
 
 
 class DataError(ValueError):
@@ -59,9 +55,6 @@ class GenerationError(RuntimeError):
 
 # rejection-sampling budget per generated box
 _MAX_TRIES = 1000
-
-# the binary sidecar of dataset file ``path`` is ``path + SIDECAR_SUFFIX``
-SIDECAR_SUFFIX = ".npz"
 
 
 def _frozen(values) -> np.ndarray:
@@ -151,12 +144,14 @@ def finite_number(value) -> bool:
 
 
 def number_array(values, what: str) -> np.ndarray:
-    """``values``, nested lists of JSON numbers, as a float array.  Raises
-    ValueError when a cell is a string, a boolean or null, or when the
-    nesting is ragged."""
+    """``values``, nested lists of JSON numbers or a numeric array, as a new
+    float array.  Raises ValueError when a cell is a string, a boolean or
+    null, or when the nesting is ragged."""
     arr = np.array(values)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{what} must hold JSON numbers only")
+    if isinstance(values, np.ndarray):  # its dtype says it holds no boolean
+        return arr.astype(float, copy=False)
     # numpy reads [true, 0.5] as [1.0, 0.5], so a boolean can hide only in a
     # cell that reads 0 or 1.  |x - 0.5| == 0.5 flags those (and any value
     # that rounds onto them), and only flagged cells are looked up in the source
@@ -261,7 +256,7 @@ def validate_dataset(ds: Dataset) -> None:
 
 
 def _bag_meta(bag: Bag) -> dict:
-    """The record of ``bag`` without its ``proposals``: the sidecar's ``doc``."""
+    """The record of ``bag`` without its ``proposals``, as the twin holds it."""
     rec = {"id": bag.id, "labels": [int(v) for v in bag.labels]}
     if bag.ground_truth is not None:
         rec["ground_truth"] = [
@@ -282,7 +277,7 @@ def _bag_to_record(bag: Bag) -> dict:
 
 def _bag_from_record(rec: dict, arrays=None) -> Bag:
     """The bag of one dataset record.  ``arrays`` is its (features, boxes)
-    pair from the sidecar; without it they are read from the record's
+    pair from the twin; without it they are read from the record's
     ``proposals``."""
     bag_id = rec.get("id")
     if not isinstance(bag_id, str) or not bag_id:
@@ -416,12 +411,11 @@ def _encode_records(bags: list[Bag]) -> list[bytes]:
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    """Write ``ds`` to ``path`` as canonical JSON, and its sidecar to
-    ``path + SIDECAR_SUFFIX``: the bags' concatenated features and boxes,
-    each bag's proposal count, the document without ``proposals``, and the
-    SHA-256 of the JSON bytes.  The bag records are encoded on every usable
-    CPU (``_encode_records``); the bytes are those of ``dumps_canonical``
-    of the whole document."""
+    """Write ``ds`` to ``path`` as canonical JSON, and its twin: the bags'
+    concatenated features and boxes, each bag's proposal count, and the
+    document without ``proposals``.  The bag records are encoded on every
+    usable CPU (``_encode_records``); the bytes are those of
+    ``dumps_canonical`` of the whole document."""
     validate_dataset(ds)
     head = {"classes": list(ds.classes), "feature_dim": int(ds.feature_dim)}
     # "bags" sorts first, so the document is this opening, the records
@@ -431,21 +425,11 @@ def save_dataset(ds: Dataset, path: str) -> None:
     for part in _encode_records(ds.bags):
         pieces += [part, b","]
     pieces[-1] = dumps_canonical({**head, "bags": []}).encode()[len(opening) :]
-    sha256 = hashlib.sha256()
-    for piece in pieces:
-        sha256.update(piece)
-    meta = dumps_canonical({**head, "bags": [_bag_meta(b) for b in ds.bags]}).encode()
-    # the JSON goes first, so a failed write leaves no sidecar behind; a
-    # sidecar that is missing or holds another file's hash is never read
-    write_atomic(path, lambda f: f.writelines(pieces))
-    write_atomic(path + SIDECAR_SUFFIX, lambda f: np.savez(
-        f,
-        sha256=np.array(sha256.hexdigest()),
-        doc=np.frombuffer(meta, dtype=np.uint8),
-        counts=np.array([b.num_proposals for b in ds.bags]),
-        features=np.concatenate([b.features for b in ds.bags]),
-        boxes=np.concatenate([b.boxes for b in ds.bags]),
-    ))
+    write_twin(path, pieces, {**head, "bags": [_bag_meta(b) for b in ds.bags]}, {
+        "counts": np.array([b.num_proposals for b in ds.bags]),
+        "features": np.concatenate([b.features for b in ds.bags]),
+        "boxes": np.concatenate([b.boxes for b in ds.bags]),
+    })
 
 
 def _raise_malloc_thresholds() -> None:
@@ -459,60 +443,25 @@ def _raise_malloc_thresholds() -> None:
     np.empty(16 << 20, dtype=np.uint8)
 
 
-def _load_sidecar(path: str) -> Dataset | None:
-    """The dataset from the sidecar of ``path``, or None when there is no
-    sidecar, it holds the hash of other JSON bytes, or it is unreadable,
-    malformed or fails a check; the caller then parses the JSON.  One
-    thread hashes the JSON while this one reads and checks the sidecar."""
-    sidecar = path + SIDECAR_SUFFIX
-    if not os.path.isfile(sidecar):
-        return None
-    digest, faults = hashlib.sha256(), []
-
-    def hash_json(f, block) -> None:
-        try:
-            while n := f.readinto(block):
-                digest.update(block[:n])
-        except OSError as e:  # kept, not raised: the JSON path reports it
-            faults.append(e)
-
-    # opened here, so that a missing JSON raises before the sidecar is
-    # opened.  The one 1 MB buffer is allocated here too: allocated in the
-    # hashing thread, it raised dense eval's peak RSS.  The thread takes the
-    # GIL between blocks, and 256 KB blocks made quickstart eval slower.
-    with open(path, "rb", buffering=0) as f:
-        block = memoryview(bytearray(1 << 20))
-        hasher = threading.Thread(target=hash_json, args=(f, block))
-        hasher.start()
-        try:
-            with np.load(sidecar, allow_pickle=False) as z:
-                sha256 = str(z["sha256"])
-                doc = json.loads(z["doc"].tobytes())
-                counts, features, boxes = z["counts"], z["features"], z["boxes"]
-            if (counts.dtype.kind not in "iu" or features.dtype != np.float64
-                    or boxes.dtype != np.float64 or counts.sum() != len(features)
-                    or len(boxes) != len(features)):
-                return None
-            ends = np.cumsum(counts).tolist()
-            # after the read, so that its buffers are not kept in the heap
-            _raise_malloc_thresholds()
-            # each bag's arrays are read-only slices of the loaded pair, not copies
-            features.flags.writeable = boxes.flags.writeable = False
-            arrays = [(features[a:b], boxes[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-            ds = _dataset_from_doc(doc, arrays)
-        except Exception:  # any fault in the sidecar falls back to the JSON
-            return None
-        finally:
-            hasher.join()
-    return ds if not faults and digest.hexdigest() == sha256 else None
+def _dataset_from_twin(doc, arrays) -> Dataset:
+    """The dataset of a twin's document and arrays; raises on any fault."""
+    counts, features, boxes = arrays["counts"], arrays["features"], arrays["boxes"]
+    if (counts.dtype.kind not in "iu" or not features.dtype == boxes.dtype == np.float64
+            or not counts.sum() == len(features) == len(boxes)):
+        raise DataError("twin arrays do not fit together")
+    ends = np.cumsum(counts).tolist()
+    # after the read, so that its buffers are not kept in the heap
+    _raise_malloc_thresholds()
+    # each bag's arrays are read-only slices of the loaded pair, not copies
+    features.flags.writeable = boxes.flags.writeable = False
+    return _dataset_from_doc(doc, [(features[a:b], boxes[a:b])
+                                   for a, b in zip([0] + ends[:-1], ends)])
 
 
 def load_dataset(path: str) -> Dataset:
-    """The dataset in the JSON file ``path``, taken from its sidecar when
-    that holds the SHA-256 of the file's bytes, else parsed from the JSON.
-    Both give the same dataset, after the same checks, and only the JSON
-    path raises."""
-    ds = _load_sidecar(path)
+    """The dataset in the JSON file ``path``, from its twin when that is
+    current (``read_twin``), else from the JSON, after the same checks."""
+    ds = read_twin(path, _dataset_from_twin)
     return ds if ds is not None else _dataset_from_doc(read_json(path))
 
 

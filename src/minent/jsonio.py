@@ -8,10 +8,17 @@ Writes are atomic (temp file in the target directory, then rename).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import math
 import os
 import secrets
+import threading
+
+import numpy as np
+
+TWIN_SUFFIX = ".npz"  # the twin of JSON file ``path`` is ``path + TWIN_SUFFIX``
 
 
 def dumps_canonical(obj) -> str:
@@ -60,12 +67,85 @@ def _pieces(obj):
         yield dumps_canonical(obj.tolist() if hasattr(obj, "tolist") else obj)[:-1]
 
 
-def write_json(obj, path: str) -> None:
+def write_json(obj, path: str, twin=()) -> None:
     """Atomically write ``obj`` to ``path`` as canonical JSON, the bytes of
     ``dumps_canonical(obj)`` with a numpy array (``obj`` or a dict's value)
-    as its ``tolist()``, encoded and written piece by piece."""
-    pieces = itertools.chain(_pieces(obj), ["\n"])
-    write_atomic(path, lambda f: f.writelines(piece.encode() for piece in pieces))
+    as its ``tolist()``, encoded and written piece by piece.  ``twin`` names
+    keys of ``obj`` whose tables of arrays ``write_twin`` stores as arrays."""
+    pieces = (piece.encode() for piece in itertools.chain(_pieces(obj), ["\n"]))
+    if twin:
+        rest = {key: value for key, value in obj.items() if key not in twin}
+        return write_twin(path, pieces, rest, {key: obj[key] for key in twin})
+    write_atomic(path, lambda f: f.writelines(pieces))
+
+
+def write_twin(path: str, pieces, doc: dict, arrays: dict) -> None:
+    """Atomically write the bytes ``pieces`` to ``path``, then its twin: an
+    archive of their SHA-256 (taken as written), ``doc`` as canonical JSON
+    and the named ``arrays``, a table (a dict of float arrays) as one flat
+    array in sorted name order with its names and shapes in ``doc``.  The
+    JSON goes first, so a failed write leaves no twin behind."""
+    sha256 = hashlib.sha256()
+
+    def hashed():
+        for piece in pieces:
+            sha256.update(piece)
+            yield piece
+
+    write_atomic(path, lambda f: f.writelines(hashed()))
+    tables = {key: dict(sorted(t.items())) for key, t in arrays.items() if isinstance(t, dict)}
+    doc = {**doc, **{key: {name: a.shape for name, a in t.items()} for key, t in tables.items()}}
+    arrays = {**arrays, **{key: np.concatenate([np.empty(0)] + [a.ravel() for a in t.values()])
+                           for key, t in tables.items()}}
+    write_atomic(path + TWIN_SUFFIX, lambda f: np.savez(
+        f, sha256=np.array(sha256.hexdigest()),
+        doc=np.frombuffer(dumps_canonical(doc).encode(), dtype=np.uint8), **arrays))
+
+
+def read_twin(path: str, build):
+    """``build(doc, arrays)`` of the twin of the JSON file ``path``, each
+    table back in ``doc``; or None when there is no twin, it holds the hash
+    of other bytes, it is malformed, or ``build`` raises, and the caller then
+    parses the JSON.  A second thread hashes the JSON meanwhile."""
+    twin = path + TWIN_SUFFIX
+    if not os.path.isfile(twin):
+        return None
+    digest, faults = hashlib.sha256(), []
+
+    def hash_json(f, block) -> None:
+        try:
+            while n := f.readinto(block):
+                digest.update(block[:n])
+        except OSError as e:  # kept, not raised: the JSON path reports it
+            faults.append(e)
+
+    # opened here, so that a missing JSON raises before the twin is opened.  So
+    # is the buffer: allocated in the thread, it raised dense eval's peak RSS.
+    # 256 KB blocks made quickstart slower (the thread takes the GIL per block),
+    # and a block larger than a small file raised quickstart eval's peak RSS.
+    with open(path, "rb", buffering=0) as f:
+        block = memoryview(bytearray(min(1 << 20, os.fstat(f.fileno()).st_size)))
+        hasher = threading.Thread(target=hash_json, args=(f, block))
+        hasher.start()
+        try:
+            # opened here, not by np.load, so a malformed archive closes it too
+            with open(twin, "rb") as zf, np.load(zf, allow_pickle=False) as z:
+                sha256 = str(z["sha256"])
+                doc = json.loads(z["doc"].tobytes())
+                arrays = {name: z[name] for name in z.files if name not in ("sha256", "doc")}
+            for key in doc.keys() & arrays.keys():  # the tables
+                flat, shapes = arrays.pop(key), doc[key]
+                sizes = [math.prod(shape) for shape in shapes.values()]
+                if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+                    raise ValueError(f"table '{key}' does not fit its shapes")
+                parts = np.split(flat, np.cumsum(sizes[:-1], dtype=int))
+                doc[key] = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), parts)}
+            built = build(doc, arrays)
+        except Exception:  # any fault in the twin falls back to the JSON
+            return None
+        finally:
+            hasher.join()
+    return built if not faults and digest.hexdigest() == sha256 else None
 
 
 def read_json(path: str):

@@ -51,7 +51,7 @@ from .entropy import (
 )
 from .evaluate import best_gt_overlaps, dataset_loc_stats
 from .geometry import box_iou
-from .jsonio import dumps_canonical, read_json, write_json
+from .jsonio import dumps_canonical, read_json, read_twin, write_json
 from .model import (
     ModelParams,
     backward_head,
@@ -575,14 +575,24 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         "s_h": state.s_h,
         "rng_state": _seed_rng_state(state.config.seed),
     }
-    write_json(doc, path)
+    write_json(doc, path, twin=("params", "buffers", "s_h"))
 
 
 def load_checkpoint(path: str) -> TrainState:
+    """The state in the checkpoint file ``path``, from its twin when that is
+    current (``read_twin``), else from the JSON, after the same checks."""
+    state = read_twin(path, lambda doc, _: _state_from_doc(path, doc))
+    if state is not None:
+        return state
     try:
         doc = read_json(path)
     except ValueError as e:
         raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
+    return _state_from_doc(path, doc)
+
+
+def _state_from_doc(path: str, doc) -> TrainState:
+    """The checked state of a parsed checkpoint document."""
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -10,10 +10,12 @@ import pytest
 
 from minent import cli
 from minent import data as data_module
+from minent import trainer as trainer_module
 from minent.cli import main
-from minent.data import SIDECAR_SUFFIX, Bag, Dataset, load_dataset, save_dataset
+from minent.data import Bag, Dataset, load_dataset, save_dataset
 from minent.entropy import Clique, localization_loss, row_softmax
 from minent.geometry import Box
+from minent.jsonio import TWIN_SUFFIX
 from minent.model import forward
 from minent.trainer import csv_header, load_checkpoint
 
@@ -764,16 +766,69 @@ class TestSidecarByteIdentity:
             return ck.read_bytes(), rows, metrics.read_bytes(), inspected
 
         before = listing()
-        assert [name for name, _ in before] == ["ds.json", "ds.json" + SIDECAR_SUFFIX]
+        assert [name for name, _ in before] == ["ds.json", "ds.json" + TWIN_SUFFIX]
         with_sidecar = run(tmp_path / "with")
         assert listing() == before
         assert parses == []
-        os.unlink(str(ds) + SIDECAR_SUFFIX)
+        os.unlink(str(ds) + TWIN_SUFFIX)
         before = listing()
         without = run(tmp_path / "without")
         assert listing() == before
         assert parses == [str(ds)] * 3
         assert with_sidecar == without
+
+
+class TestCheckpointTwinByteIdentity:
+    """``eval``, ``inspect`` and ``train --resume`` give the same bytes
+    whether the checkpoint loads through its twin or its JSON, parse the
+    checkpoint's JSON only when the twin is gone, and write nothing beside
+    the checkpoint."""
+
+    @pytest.mark.parametrize("tier", [
+        ["--ablation", "clique"],
+        ["--ablation", "l-arl"],
+        ["--ablation", "l-arl", "--hidden-dim", "8"],
+    ], ids=" ".join)
+    def test_outputs_equal_without_twin(self, tmp_path, capsys, monkeypatch, tier):
+        ds = tmp_path / "ds.json"
+        assert main(GEN + ["--out", str(ds)]) == 0
+        ck_dir = tmp_path / "ck"
+        ck_dir.mkdir()
+        ck = ck_dir / "ck.json"
+        assert main(["train", "--data", str(ds), "--out-checkpoint", str(ck), "--epochs", "2",
+                     "--stop-after", "1", "--seed", "0", *tier]) == 0
+        parses = []
+        real = trainer_module.read_json
+        monkeypatch.setattr(trainer_module, "read_json",
+                            lambda path: parses.append(path) or real(path))
+
+        def listing():
+            return sorted((p.name, p.stat().st_mtime_ns) for p in ck_dir.iterdir())
+
+        def run(out):
+            out.mkdir()
+            metrics, csv, resumed = out / "metrics.json", out / "m.csv", out / "resumed.json"
+            assert main(["eval", "--data", str(ds), "--checkpoint", str(ck),
+                         "--out", str(metrics), "--csv", str(csv)]) == 0
+            capsys.readouterr()
+            assert main(["inspect", "--data", str(ds), "--checkpoint", str(ck),
+                         "--bag", "pos-c1-0001"]) == 0
+            inspected = capsys.readouterr().out
+            assert main(["train", "--data", str(ds), "--resume", str(ck),
+                         "--out-checkpoint", str(resumed)]) == 0
+            return metrics.read_bytes(), csv.read_bytes(), inspected, resumed.read_bytes()
+
+        before = listing()
+        assert [name for name, _ in before] == ["ck.json", "ck.json" + TWIN_SUFFIX]
+        with_twin = run(tmp_path / "with")
+        assert listing() == before
+        assert parses == []
+        os.unlink(str(ck) + TWIN_SUFFIX)
+        before = listing()
+        without = run(tmp_path / "without")
+        assert listing() == before
+        assert parses == [str(ck)] * 3
+        assert with_twin == without
 
 
 class TestMain:

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from minent import data as data_module
+from minent import jsonio as jsonio_module
 from minent.cli import main
 from minent.data import (
-    SIDECAR_SUFFIX,
     Bag,
     DataError,
     Dataset,
@@ -28,7 +28,7 @@ from minent.data import (
     validate_dataset,
 )
 from minent.geometry import Box, iou_matrix
-from minent.jsonio import dumps_canonical, write_json
+from minent.jsonio import TWIN_SUFFIX, dumps_canonical, write_json
 
 # mutual-IoU floor of a near or part group: one clique under the default
 # overlap threshold 0.7, with a margin
@@ -363,7 +363,7 @@ def _small(seed=0, classes=2, proposals=6, negatives=2):
 
 
 def _sidecar(path):
-    return str(path) + SIDECAR_SUFFIX
+    return str(path) + TWIN_SUFFIX
 
 
 def _json_only(path, tmp_path):
@@ -622,7 +622,7 @@ class TestSlowHash:
         """Saves ``_small()`` to ``tmp_path / "ds.json"``, slows the hash
         ``load_dataset`` makes, and counts the archives it opens."""
         save_dataset(_small(), str(tmp_path / "ds.json"))
-        monkeypatch.setattr(data_module, "hashlib", SimpleNamespace(sha256=_SlowSha256))
+        monkeypatch.setattr(jsonio_module, "hashlib", SimpleNamespace(sha256=_SlowSha256))
         calls = []
         real = np.load
 
@@ -630,7 +630,7 @@ class TestSlowHash:
             calls.append(file)
             return real(file, *args, **kwargs)
 
-        monkeypatch.setattr(data_module.np, "load", counting)
+        monkeypatch.setattr(jsonio_module.np, "load", counting)
         return calls
 
     def test_current_sidecar_is_used(self, tmp_path, parses, opened):
@@ -662,7 +662,7 @@ def test_outputs_are_created_with_the_umask(tmp_path, umask):
         write_json({"a": 1}, str(tmp_path / "m.json"))
     finally:
         os.umask(previous)
-    names = ["ds.json", "ds.json" + SIDECAR_SUFFIX, "m.json"]
+    names = ["ds.json", "ds.json" + TWIN_SUFFIX, "m.json"]
     assert sorted(os.listdir(tmp_path)) == sorted(names)
     for name in names:
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask

@@ -96,7 +96,7 @@ def test_checkpoint_matches_dumps_canonical(tmp_path, monkeypatch, tier, hidden_
     docs = []
     real = trainer_module.write_json
     monkeypatch.setattr(trainer_module, "write_json",
-                        lambda doc, path: docs.append(doc) or real(doc, path))
+                        lambda doc, path, twin: docs.append(doc) or real(doc, path, twin))
     path = tmp_path / "ckpt.json"
     save_checkpoint(state, str(path))
     assert ("hidden_w" in docs[0]["params"]) == (hidden_dim > 0)

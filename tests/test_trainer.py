@@ -1,6 +1,10 @@
+import hashlib
 import json
+import os
+import shutil
 from dataclasses import asdict, fields
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from minent.data import SynthConfig, generate_synthetic
 from minent.entropy import tau_graph
 from minent.evaluate import dataset_loc_stats, evaluate
 from minent.geometry import Box
+from minent.jsonio import TWIN_SUFFIX
 from minent.model import init_params
 from minent.trainer import (
     ABLATION_TIERS,
@@ -653,6 +658,179 @@ class TestCheckpoint:
         path.write_text('{"format": "minent-checkpoint", "version": 99}')
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(str(path))
+
+
+# ---------------------------------------------------------------------------
+# The checkpoint's binary twin: a current twin gives the state that parsing
+# the JSON gives, bit for bit, and anything else falls back to the JSON.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def ckpt_parses(monkeypatch):
+    """Counts the checkpoint JSON parses ``load_checkpoint`` makes."""
+    calls = []
+    real = trainer_module.read_json
+    monkeypatch.setattr(trainer_module, "read_json", lambda path: calls.append(path) or real(path))
+    return calls
+
+
+def _twin(path):
+    return str(path) + TWIN_SUFFIX
+
+
+def _ckpt_json_only(path, tmp_path):
+    """``load_checkpoint`` of a copy of ``path`` that has no twin."""
+    bare = tmp_path / "bare"
+    bare.mkdir(exist_ok=True)
+    copy = bare / os.path.basename(str(path))
+    shutil.copyfile(path, copy)
+    return load_checkpoint(str(copy))
+
+
+def _twin_members(path) -> dict:
+    with np.load(_twin(path), allow_pickle=False) as z:
+        return {k: z[k] for k in z.files}
+
+
+def _truncate(name):
+    with open(name, "r+b") as f:
+        f.truncate(os.path.getsize(name) // 2)
+
+
+def _rewrite_twin(path, **changes):
+    """Rewrite the twin with ``changes`` to its members, keeping its hash;
+    a member changed to None is dropped."""
+    members = {**_twin_members(path), **changes}
+    with open(_twin(path), "wb") as f:
+        np.savez(f, **{k: v for k, v in members.items() if v is not None})
+
+
+def _assert_same_state(a, b):
+    assert a.epoch == b.epoch and type(a.epoch) is type(b.epoch)
+    assert a.config == b.config
+    pairs = list(zip(a.params.named_arrays(), b.params.named_arrays()))
+    for table in ("buffers", "s_h"):
+        x, y = getattr(a, table), getattr(b, table)
+        assert sorted(x) == sorted(y)
+        pairs += [((name, x[name]), (name, y[name])) for name in x]
+    for (na, u), (nb, v) in pairs:
+        assert na == nb
+        assert u.dtype == v.dtype == np.float64 and u.shape == v.shape
+        assert u.tobytes() == v.tobytes()
+
+
+def _edit_one_param_digit(path):
+    """Change the leading nonzero digit of the first ``disc_b`` parameter,
+    keeping the file's length."""
+    text = Path(path).read_text()
+    at = text.index('"disc_b":[', text.index('"params":')) + len('"disc_b":[')
+    while text[at] in "-0.":
+        at += 1
+    edited = text[:at] + ("8" if text[at] == "9" else str(int(text[at]) + 1)) + text[at + 1:]
+    assert len(edited) == len(text) and edited != text
+    Path(path).write_text(edited)
+
+
+class TestCheckpointTwin:
+    @pytest.mark.parametrize("hidden_dim", [0, 8])
+    @pytest.mark.parametrize("tier", ABLATION_TIERS)
+    def test_equals_the_json_path(self, tmp_path, ckpt_parses, tier, hidden_dim):
+        state, _ = train(small_ds(), small_cfg(ablation=tier, hidden_dim=hidden_dim))
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        assert os.path.isfile(_twin(path))
+        via_twin = load_checkpoint(str(path))
+        assert ckpt_parses == []
+        via_json = _ckpt_json_only(path, tmp_path)
+        assert len(ckpt_parses) == 1
+        _assert_same_state(via_twin, via_json)
+        _assert_same_state(via_twin, state)
+        for table in ("buffers", "s_h"):
+            assert list(getattr(via_twin, table)) == list(getattr(via_json, table))
+
+    def test_twin_holds_the_json_hash_and_flat_arrays(self, tmp_path):
+        state, _ = train(small_ds(), small_cfg(hidden_dim=4))
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        z = _twin_members(path)
+        assert set(z) == {"sha256", "doc", "params", "buffers", "s_h"}
+        assert str(z["sha256"]) == hashlib.sha256(path.read_bytes()).hexdigest()
+        full = json.loads(path.read_text())
+        doc = json.loads(z["doc"].tobytes())
+        for key in ("params", "buffers", "s_h"):
+            table = full.pop(key)
+            assert doc.pop(key) == {name: list(np.shape(v)) for name, v in table.items()}
+            flat = np.concatenate([np.ravel(table[name]) for name in sorted(table)])
+            assert z[key].dtype == np.float64 and z[key].tobytes() == flat.tobytes()
+        assert doc == full
+
+    @pytest.mark.parametrize("spoil", [
+        lambda path: _edit_one_param_digit(path),
+        lambda path: _truncate(_twin(path)),
+        lambda path: Path(_twin(path)).write_bytes(b"not a zip file"),
+        lambda path: _rewrite_twin(path, params=_twin_members(path)["params"].astype(np.float32)),
+        lambda path: _rewrite_twin(path, s_h=_twin_members(path)["s_h"][:-1]),
+        lambda path: _rewrite_twin(path, buffers=None),
+    ], ids=["stale", "truncated", "not-a-zip", "float32-params", "short-s_h", "no-buffers"])
+    def test_spoiled_twin_gives_the_json_state(self, tmp_path, ckpt_parses, spoil):
+        state, _ = train(small_ds(), small_cfg())
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        spoil(path)
+        loaded = load_checkpoint(str(path))
+        assert ckpt_parses == [str(path)]
+        _assert_same_state(loaded, _ckpt_json_only(path, tmp_path))
+
+    def test_one_digit_edit_is_read_from_the_json(self, tmp_path):
+        state, _ = train(small_ds(), small_cfg())
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        _edit_one_param_digit(path)
+        loaded = load_checkpoint(str(path))
+        assert loaded.params.disc_b[0] != state.params.disc_b[0]
+        assert loaded.params.disc_b[0] == json.loads(path.read_text())["params"]["disc_b"][0]
+
+    @pytest.mark.parametrize("spoil", ["stale", "truncated", "not-a-zip"])
+    def test_spoiled_twin_gives_the_json_error(self, tmp_path, spoil):
+        state, _ = train(small_ds(), small_cfg(epochs=2))
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        if spoil == "truncated":
+            _truncate(_twin(path))
+        elif spoil == "not-a-zip":
+            Path(_twin(path)).write_bytes(b"not a zip file")
+        # a same-length edit that makes the JSON's epoch past its config's
+        path.write_text(path.read_text().replace('"epoch":2', '"epoch":3', 1))
+        with pytest.raises(CheckpointError) as with_twin:
+            load_checkpoint(str(path))
+        with pytest.raises(CheckpointError) as bare:
+            _ckpt_json_only(path, tmp_path)
+        assert str(with_twin.value) == str(bare.value).replace("bare" + os.sep, "")
+        assert "epoch 3 is past" in str(bare.value)
+
+    @pytest.mark.parametrize("fault", ["nan-param", "path-is-a-directory"])
+    def test_failed_write_leaves_no_twin(self, tmp_path, fault):
+        state, _ = train(small_ds(), small_cfg(epochs=1))
+        path = tmp_path / "ck.json"
+        if fault == "nan-param":
+            state.params.disc_w[0, 0] = np.nan
+        else:
+            path.mkdir()
+        with pytest.raises((ValueError, OSError)):
+            save_checkpoint(state, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ([] if fault == "nan-param" else ["ck.json"])
+
+    def test_failed_rewrite_keeps_the_current_pair(self, tmp_path, ckpt_parses):
+        good, _ = train(small_ds(), small_cfg(epochs=1))
+        path = tmp_path / "ck.json"
+        save_checkpoint(good, str(path))
+        bad, _ = train(small_ds(), small_cfg(epochs=1))
+        bad.params.disc_b[0] = np.inf
+        with pytest.raises(ValueError):
+            save_checkpoint(bad, str(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck.json" + TWIN_SUFFIX]
+        _assert_same_state(load_checkpoint(str(path)), good)
+        assert ckpt_parses == []
 
 
 class TestEpochReport:
