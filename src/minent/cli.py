@@ -29,24 +29,19 @@ from .data import (
     save_dataset,
     whole_number,
 )
-from .entropy import (
-    clique_mean_scores,
-    discovery_loss,
-    hard_negatives,
-    localization_loss,
-    select_object,
-)
+from .entropy import clique_mean_scores
 from .evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate
 from .jsonio import dumps_canonical, read_json, write_atomic, write_json
 from .trainer import (
     ABLATION_TIERS,
     TrainConfig,
+    bag_run,
     check_dims,
     load_checkpoint,
-    partition_step,
     save_checkpoint,
     tier_switches,
     train,
+    visit,
 )
 
 
@@ -236,54 +231,32 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     except KeyError as e:
         raise RuntimeError(f"unknown bag id '{args.bag}'") from e
 
-    cfg = state.config
-    switches = tier_switches(cfg)
-    features = bag.feature_matrix()  # inspection never applies score scaling
-    boxes = bag.box_array()
-    positives = np.flatnonzero(bag.labels == 1)
-    # without positive labels there is nothing to discover; the partition is
-    # still shown over all-class objectness
-    classes = positives if positives.size else np.arange(ds.num_classes)
-    # the final active branch scores the localization, else the discovery head
-    final = [switches.active_branches - 1] if switches.active_branches else []
-    scores, probs, partition = partition_step(
-        state.params, cfg, switches.use_cliques, features, boxes, classes, final
-    )
-    disc_scores, q_disc, loc_probs = scores[0], probs[0], probs[-1]
-    disc_out, _ = discovery_loss(bag.labels, partition, disc_scores)
-    mean_scores = clique_mean_scores(partition, disc_scores)
-
-    selected: dict[str, int] = {}
-    h_star: dict[str, int] = {}
-    weights: dict[str, list[float]] = {}
-    negatives: dict[str, list[int]] = {}
-    for y in positives:
-        y = int(y)
-        ci = disc_out.selected[y]
-        clique = partition.cliques[ci]
-        h = select_object(clique, q_disc, y)
-        loc_out, _ = localization_loss(clique, h, loc_probs, boxes, cfg.kernel_a, y)
-        selected[str(y)] = ci
-        h_star[str(y)] = h
-        weights[str(y)] = [float(v) for v in loc_out.soft_weights]
-        negatives[str(y)] = hard_negatives(clique, h, boxes)
+    cfg, switches = state.config, tier_switches(state.config)
+    # what one training visit of the bag would do at the checkpoint's
+    # parameters, on the bag's own features: like eval, it never applies s(h)
+    seen = visit(state.params, cfg, switches, bag, bag.feature_matrix(),
+                 bag_run(bag, cfg, switches))
+    boxes, partition = bag.box_array(), seen.partition
+    cliques = []
+    if partition is not None:
+        for i, mean_scores in enumerate(clique_mean_scores(partition, seen.scores[0]).tolist()):
+            members = partition.clique_members(i).tolist()
+            cliques.append({"members": members, "boxes": boxes[members].tolist(),
+                            "mean_scores": mean_scores})
+    branches = [[] for _ in seen.terms]
+    for y, h, start, home, weights in seen.blocks:
+        for k, w in enumerate(weights.tolist(), start):
+            anchors = branches[k]  # a branch's terms run in its anchors' order
+            anchors.append({"class": y, "h": h, "members": home.tolist(), "weights": w,
+                            "loss": seen.terms[k][len(anchors)]})
 
     doc = {
         "bag": bag.id,
-        "labels": [int(v) for v in bag.labels],
-        "tau": partition.tau,
-        "cliques": [
-            {
-                "members": list(c.members),
-                "boxes": [boxes[m].tolist() for m in c.members],
-                "mean_scores": mean_scores[i].tolist(),
-            }
-            for i, c in enumerate(partition.cliques)
-        ],
-        "selected": selected,
-        "h_star": h_star,
-        "weights": weights,
-        "hard_negatives": negatives,
+        "labels": bag.labels.tolist(),
+        "cliques": cliques,
+        "selected": {str(y): ci for y, ci in seen.disc.selected.items()},
+        "disc_loss": seen.disc.loss,
+        "branches": [{"anchors": anchors} for anchors in branches],
     }
     sys.stdout.write(dumps_canonical(doc))
     return 0
@@ -351,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", help="JSON file with evaluation settings")
     e.set_defaults(handler=cmd_eval)
 
-    i = sub.add_parser("inspect", help="dump one bag's cliques/selection as JSON")
+    i = sub.add_parser("inspect", help="dump one training visit of a bag as JSON: its "
+                       "cliques, selection and each branch's anchors")
     i.add_argument("--data", required=True)
     i.add_argument("--checkpoint", required=True)
     i.add_argument("--bag", required=True, help="bag id to inspect")
@@ -379,6 +353,9 @@ def main(argv=None) -> int:
             return 2
         except (RuntimeError, OSError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
+            return 1
+        except MemoryError as e:  # numpy's message names the allocation that failed
+            print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
             return 1
 
 

@@ -332,22 +332,6 @@ def select_object(clique, proposal_probs: np.ndarray, cls: int) -> int:
     return int(members[proposal_probs[members, cls].argmax()])
 
 
-def member_overlaps(clique, h_star: int, boxes: np.ndarray) -> np.ndarray:
-    """IoU of each member of ``clique`` (or of these member indices) with
-    the selected object, in member order."""
-    members = np.asarray(getattr(clique, "members", clique))
-    if h_star not in members:
-        raise ValueError(f"h_star {h_star} not a member of the clique")
-    boxes = np.asarray(boxes, dtype=float)
-    return box_iou(boxes[members], boxes[h_star])
-
-
-def hard_negatives(clique: Clique, h_star: int, boxes: np.ndarray) -> list[int]:
-    """Clique members overlapping the selected object below 0.5 IoU."""
-    overlap = member_overlaps(clique, h_star, boxes)
-    return [m for m, o in zip(clique.members, overlap) if o < 0.5]
-
-
 def localization_terms(rows: np.ndarray, kernel: np.ndarray, cls: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """``localization_loss`` on n heads at once.  ``rows`` is a C-ordered
@@ -384,10 +368,13 @@ def localization_loss(
     them at once, with its ``anchor_kernel``, computed once.
     """
     members = np.asarray(clique.members)
-    ious = member_overlaps(members, h_star, boxes)  # raises unless h_star is a member
+    if h_star not in members:
+        raise ValueError(f"h_star {h_star} not a member of the clique")
+    boxes = np.asarray(boxes, dtype=float)
     probs = np.asarray(proposal_probs, dtype=float)
     rows = probs[members][None]
-    w, losses = localization_terms(rows, anchor_kernel(ious, a), cls)
+    w, losses = localization_terms(rows, anchor_kernel(box_iou(boxes[members], boxes[h_star]), a),
+                                   cls)
     # += onto zeros, as a per-member loop would: each cell is 0.0 + v
     grad = np.zeros_like(probs)
     grad[members] += rows[0]

@@ -3,10 +3,13 @@ objective, with score-feedback recurrence and branch accumulation.
 
 Each epoch visits bags one at a time (batch size 1) in a seeded shuffle
 that is fixed across epochs, keeping per-epoch loss series comparable.
-For a bag, the discovery head's softmax supplies per-proposal objectness;
-overlapping top proposals are grouped into cliques; the discovery loss and
-per-branch localization losses produce analytic gradients that are chained
-through the heads and applied with momentum SGD.  After the parameter
+A bag's ``visit`` is the three steps of the model at fixed parameters:
+the discovery head's softmax supplies per-proposal objectness, by which
+overlapping top proposals are grouped into cliques; the discovery loss
+selects a clique per positive class; and per-branch localization losses
+score anchors in it.  A training step chains the visit's analytic gradients
+through the heads and applies them with momentum SGD; ``inspect`` prints
+the visit of one bag at a checkpoint's parameters.  After the parameter
 update, the final active branch's probabilities become the bag's new
 per-proposal scores s(h), which scale that bag's features on its next
 visit.  Inference never applies the scaling.
@@ -32,12 +35,15 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, check_field_types, number_array, whole_number
 from .entropy import (
+    CliquePartition,
+    DiscoveryOutput,
     TauGraph,
     anchor_kernel,
     discovery_loss,
@@ -264,41 +270,6 @@ def _check_compat(state: TrainState, cfg: TrainConfig, ds: Dataset) -> None:
         raise CheckpointError(f"checkpoint score state missing or mis-sized for bags: {bad[:3]}")
 
 
-def partition_step(
-    params: ModelParams, cfg: TrainConfig, use_cliques: bool, features, boxes, classes,
-    branches=(), graph=None, hidden=None,
-):
-    """One bag's (1 + len(branches), P, N) table of raw scores, the
-    discovery head's then those of the localization heads ``branches``,
-    its per-row softmax, and the bag's clique partition (singletons unless
-    ``use_cliques``), with objectness the discovery head's best probability
-    over ``classes``; without classes the partition is None.  ``graph`` is
-    the bag's ``tau_graph(boxes, cfg.tau)`` and ``hidden`` its
-    ``hidden_layer(params, features)``, if the caller has them."""
-    scores = forward_heads(params, features, ["disc", *branches], hidden=hidden)
-    if not np.isfinite(scores[0]).all():
-        raise TrainingDiverged("discovery scores non-finite")
-    probs = row_softmax(scores)
-    if not classes.size:
-        return scores, probs, None
-    objectness = row_max(probs[0][:, classes])
-    if use_cliques:
-        partition = partition_cliques(boxes, objectness, cfg.tau, cfg.top_k, graph)
-    else:
-        partition = singleton_partition(objectness, cfg.top_k)
-    return scores, probs, partition
-
-
-class Visit(NamedTuple):
-    """One visit's losses: each branch's is 0.0 if it did not train, and
-    the localization terms run branch, then class, then anchor."""
-
-    disc_loss: float
-    loc_losses: list[float]
-    global_entropies: list[float]
-    local_entropies: list[float]
-
-
 class BagRun(NamedTuple):
     """One bag's data that holds for a ``train`` call: its positive classes,
     its ``tau_graph`` (None where nothing is partitioned), and each scored
@@ -307,6 +278,32 @@ class BagRun(NamedTuple):
     positives: np.ndarray
     graph: TauGraph | None
     kernels: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def bag_run(bag, cfg: TrainConfig, switches: TierSwitches) -> BagRun:
+    """``bag``'s ``BagRun``, with no kernel yet and a tau-graph only where
+    the tier partitions cliques and the bag has a class to discover."""
+    positives = (bag.labels == 1).nonzero()[0]
+    graph = tau_graph(bag.boxes, cfg.tau) if switches.use_cliques and positives.size else None
+    return BagRun(positives, graph, {})
+
+
+class Visit(NamedTuple):
+    """One visit of a bag at fixed parameters: the (1 + K, P, N) score and
+    softmax tables of the discovery head and the K branches that train on
+    it (none, and no partition, on a bag without a positive class), each
+    branch's localization terms, their (K, P, N) gradient, and the
+    (class, anchor, first branch, home clique, soft weights) blocks, one
+    weight row per branch from the first; a branch's terms follow its blocks."""
+
+    scores: np.ndarray
+    probs: np.ndarray
+    partition: CliquePartition | None
+    disc: DiscoveryOutput
+    disc_grad: np.ndarray
+    terms: list[list[float]]
+    branch_grad: np.ndarray
+    blocks: list[tuple[int, int, int, np.ndarray, np.ndarray]]
 
 
 def _home_kernel(run: BagRun, boxes: np.ndarray, h: int, home: np.ndarray, a: float):
@@ -321,10 +318,10 @@ def _home_kernel(run: BagRun, boxes: np.ndarray, h: int, home: np.ndarray, a: fl
 
 
 def _localization(cfg: TrainConfig, partition, selected, probs, run: BagRun, boxes):
-    """Each branch's localization terms on one visit and its raw-score
-    gradient, in one (branches, P, N) table.  ``probs`` is the visit's
-    softmax table, discovery head first; ``selected`` maps each positive
-    class to its discovered clique.
+    """Each branch's localization terms on one visit, its raw-score gradient,
+    in one (branches, P, N) table, and the visit's blocks, as ``Visit``
+    holds them.  ``probs`` is the visit's softmax table, discovery head
+    first; ``selected`` maps each positive class to its discovered clique.
 
     Branch k scores, per class, the discovery head's best member of that
     clique, then the own picks (most probable pooled proposal) of branches
@@ -337,41 +334,70 @@ def _localization(cfg: TrainConfig, partition, selected, probs, run: BagRun, box
     pool = np.sort(partition.members)
     # picks of every branch but the last, which feeds no later branch
     own = pool[branch_probs[:-1][:, pool[:, None], run.positives].argmax(axis=1)].T.tolist()
-    blocks = []  # (class, anchor, first branch that scores it)
+    anchors = []  # (class, anchor, first branch that scores it)
     for y, picks in zip(run.positives.tolist(), own):
         first = {select_object(partition.clique_members(selected[y]), q_disc, y): 0}
         for k, h in enumerate(picks):
             first.setdefault(h, k + 1)
-        blocks += [(y, h, k) for h, k in first.items()]
+        anchors += [(y, h, k) for h, k in first.items()]
 
-    homes = {}
-    for _, h, _ in blocks:
-        if h not in homes:
-            home = partition.clique_members(partition.label[h])
-            homes[h] = home, _home_kernel(run, boxes, h, home, cfg.kernel_a)
+    homes, blocks = {}, []
     branch_index = np.arange(n_branches)[:, None]
     grad = np.zeros(branch_probs.shape)
     terms = [[] for _ in range(n_branches)]
-    for y, h, start in blocks:
+    for y, h, start in anchors:
+        if h not in homes:
+            home = partition.clique_members(partition.label[h])
+            homes[h] = home, _home_kernel(run, boxes, h, home, cfg.kernel_a)
         home, kernel = homes[h]
         at = (branch_index[start:], home)
         rows = branch_probs[at]  # C-ordered (branches, members, N)
-        _, losses = localization_terms(rows, kernel, y)
+        weights, losses = localization_terms(rows, kernel, y)
         grad[at] += rows
         for k, loss in enumerate(losses.tolist(), start):
             terms[k].append(loss)
+        blocks.append((y, h, start, home, weights))
     for k, branch_terms in enumerate(terms):
         if not all(map(math.isfinite, branch_terms)):
             raise TrainingDiverged(f"localization loss non-finite on branch {k + 1}")
-    return terms, grad
+    return terms, grad, blocks
 
 
-def _bag_step(
-    state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, run: BagRun, flat,
-    lr: float,
-) -> Visit:
-    """One SGD step at learning rate ``lr`` on one bag.  ``flat`` holds the
-    flat parameter, buffer and gradient vectors and the gradient's views."""
+def visit(params: ModelParams, cfg: TrainConfig, switches: TierSwitches, bag, features,
+          run: BagRun, hidden=None) -> Visit:
+    """The bag's ``Visit`` at ``params`` on ``features``: training passes the
+    s(h)-scaled features, ``inspect`` the bag's own.  The partition groups
+    the top proposals by objectness, the discovery head's best probability
+    over the bag's positive classes (singletons unless the tier uses
+    cliques).  ``hidden`` is ``hidden_layer(params, features)``, if the
+    caller has it."""
+    positives = run.positives
+    # the branches train only on a bag with a class to localize
+    branches = range(switches.active_branches if positives.size else 0)
+    scores = forward_heads(params, features, ["disc", *branches], hidden=hidden)
+    if not np.isfinite(scores[0]).all():
+        raise TrainingDiverged("discovery scores non-finite")
+    probs = row_softmax(scores)
+    partition = None
+    if positives.size:
+        objectness = row_max(probs[0][:, positives])
+        partition = (partition_cliques(bag.boxes, objectness, cfg.tau, cfg.top_k, run.graph)
+                     if switches.use_cliques else singleton_partition(objectness, cfg.top_k))
+    disc, disc_grad = discovery_loss(bag.labels, partition, scores[0], softmax=probs[0])
+    if not np.isfinite(disc.loss):
+        raise TrainingDiverged("discovery loss non-finite")
+    terms, branch_grad, blocks = [], probs[1:], []  # without branches, an empty table
+    if branches:
+        terms, branch_grad, blocks = _localization(cfg, partition, disc.selected, probs, run,
+                                                   bag.boxes)
+    return Visit(scores, probs, partition, disc, disc_grad, terms, branch_grad, blocks)
+
+
+def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, run: BagRun,
+              flat, lr: float) -> Visit:
+    """One SGD step at learning rate ``lr`` on one bag: its ``visit``, then
+    the backward pass, the update and the score feedback.  ``flat`` holds
+    the flat parameter, buffer and gradient vectors and the gradient's views."""
     params = state.params
     s = state.s_h[bag.id] if switches.use_feedback else None
     feats_eff = bag.features * s[:, None] if s is not None else bag.features
@@ -382,38 +408,20 @@ def _bag_step(
     # it, and a head without one updates by exactly wd * param
     flat_grads.fill(-0.0)
 
-    # the branches train only on a bag with a class to localize
-    positives = run.positives
-    branches = range(switches.active_branches if positives.size else 0)
-    scores, probs, partition = partition_step(
-        params, cfg, switches.use_cliques, feats_eff, bag.boxes, positives, branches,
-        run.graph, hidden
-    )
-    disc_out, disc_grad = discovery_loss(bag.labels, partition, scores[0], softmax=probs[0])
-    if not np.isfinite(disc_out.loss):
-        raise TrainingDiverged("discovery loss non-finite")
-    backward_head(params, feats_eff, "disc", disc_grad, hidden=hidden, into=grads)
-
-    loc_losses, local_entropies = [0.0] * cfg.branches, []
-    if branches:
-        terms, branch_grads = _localization(
-            cfg, partition, disc_out.selected, probs, run, bag.boxes
-        )
-        branch_grads *= cfg.loc_weight
-        for k in branches:
-            for loss in terms[k]:
-                loc_losses[k] += loss
-            local_entropies += terms[k]
-            backward_head(params, feats_eff, k, branch_grads[k], hidden=hidden, into=grads)
+    seen = visit(params, cfg, switches, bag, feats_eff, run, hidden)
+    backward_head(params, feats_eff, "disc", seen.disc_grad, hidden=hidden, into=grads)
+    for k, branch_grad in enumerate(seen.branch_grad):
+        branch_grad *= cfg.loc_weight  # in place, in the record too
+        backward_head(params, feats_eff, k, branch_grad, hidden=hidden, into=grads)
 
     sgd_step(flat_params, flat_grads, flat_buffers, lr, cfg.momentum, cfg.weight_decay)
 
-    if switches.use_feedback and positives.size:
+    if switches.use_feedback and run.positives.size:
         final_k = switches.active_branches - 1
         probs_final = row_softmax(forward(params, feats_eff, final_k))
-        state.s_h[bag.id] = row_max(probs_final[:, positives])
+        state.s_h[bag.id] = row_max(probs_final[:, run.positives])
 
-    return Visit(disc_out.loss, loc_losses, list(disc_out.entropies.values()), local_entropies)
+    return seen
 
 
 def _mean_or_zero(values: list[float]) -> float:
@@ -461,15 +469,7 @@ def train(
     # the same order.
     visit_order = np.random.default_rng(cfg.seed).permutation(len(train_bags))
 
-    # Labels, boxes and tau are fixed for the run, so each bag's positive
-    # classes are, and so is its tau-graph: its component labels and each
-    # component's adjacency block, for each bag the clique partition will
-    # run on.  Its anchors' kernels fill in as visits score them.
-    runs = []
-    for bag in train_bags:
-        positives = (bag.labels == 1).nonzero()[0]
-        graph = tau_graph(bag.boxes, cfg.tau) if switches.use_cliques and positives.size else None
-        runs.append(BagRun(positives, graph, {}))
+    runs = [bag_run(bag, cfg, switches) for bag in train_bags]
     # The per-epoch diagnostic reads each proposal's best ground-truth IoU,
     # which is fixed for the run as well.
     gt_overlaps = best_gt_overlaps(ds)
@@ -508,14 +508,18 @@ def train(
                 for i in visit_order.tolist():
                     bag = train_bags[i]
                     try:
-                        visit = _bag_step(state, cfg, switches, bag, runs[i], flat, lr)
+                        seen = _bag_step(state, cfg, switches, bag, runs[i], flat, lr)
                     except TrainingDiverged as e:
                         raise TrainingDiverged(f"{e} at epoch {epoch}, bag '{bag.id}'") from None
-                    disc.append(visit.disc_loss)
-                    for losses, loss in zip(loc, visit.loc_losses):
-                        losses.append(loss)
-                    glob += visit.global_entropies
-                    local += visit.local_entropies
+                    disc.append(seen.disc.loss)
+                    glob += seen.disc.entropies.values()
+                    # a branch that did not train on the visit counts 0.0
+                    for losses, terms in zip_longest(loc, seen.terms, fillvalue=()):
+                        total = 0.0
+                        for loss in terms:
+                            total += loss
+                        losses.append(total)
+                        local += terms
                 # the checks above miss an update that overflows on the last visit
                 arrays = [flat_params] + list(state.s_h.values())
                 if not all(np.isfinite(a).all() for a in arrays):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,10 +14,8 @@ from minent import data as data_module
 from minent import trainer as trainer_module
 from minent.cli import main
 from minent.data import Bag, Dataset, load_dataset, save_dataset
-from minent.entropy import Clique, localization_loss, row_softmax
 from minent.geometry import Box
 from minent.jsonio import TWIN_SUFFIX
-from minent.model import forward
 from minent.trainer import csv_header, load_checkpoint
 
 GEN = [
@@ -105,6 +104,22 @@ class TestTrain:
             "--out-checkpoint", str(workspace / "junk.json"), "--epochs", "0",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 74.5 GiB for an array with shape (100000000, 100)", ""])
+    def test_out_of_memory_is_one_error_line(self, workspace, tmp_path, capsys, monkeypatch,
+                                             message):
+        # what a --hidden-dim too wide to allocate raises, without allocating it
+        def no_memory(**kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(trainer_module, "init_params", no_memory)
+        out = tmp_path / "ck.json"
+        assert main(["train", "--data", str(workspace / "ds.json"), "--out-checkpoint", str(out),
+                     "--hidden-dim", "100000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+        assert captured.out == "" and not out.exists()
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main([
@@ -394,26 +409,39 @@ class TestInspect:
         rc, out = self.run(workspace, capsys, "pos-c0-0000")
         assert rc == 0
         doc = json.loads(out)
-        assert {"cliques", "selected", "h_star", "weights", "hard_negatives"} <= set(doc)
+        assert set(doc) == {"bag", "labels", "cliques", "selected", "disc_loss", "branches"}
         assert doc["labels"] == [1, 0]
-        members = {m for c in doc["cliques"] for m in c["members"]}
-        assert members == set(range(10))
-        ci = doc["selected"]["0"]
-        clique = doc["cliques"][ci]
-        assert doc["h_star"]["0"] in clique["members"]
-        w = np.array(doc["weights"]["0"])
-        assert w.shape == (len(clique["members"]),)
-        assert np.isfinite(w).all() and (w >= 0).all()
-        assert doc["h_star"]["0"] not in doc["hard_negatives"]["0"]
+        members = [m for c in doc["cliques"] for m in c["members"]]
+        assert sorted(members) == list(range(10))
+        assert all(len(c["boxes"]) == len(c["members"]) and len(c["mean_scores"]) == 2
+                   for c in doc["cliques"])
+        clique = doc["cliques"][doc["selected"]["0"]]["members"]
+        # the default tier trains three branches; each scores the discovery
+        # anchor of the selected clique first, then its predecessors' picks
+        assert len(doc["branches"]) == 3
+        anchors = [branch["anchors"] for branch in doc["branches"]]
+        assert len({a["h"] for a in anchors[0]}) == len(anchors[0]) == 1
+        assert all(branch[0]["h"] == anchors[0][0]["h"] for branch in anchors)
+        assert anchors[0][0]["h"] in clique
+        for branch in anchors:
+            for a in branch:
+                assert a["class"] == 0 and a["h"] in a["members"]
+                assert a["members"] in [c["members"] for c in doc["cliques"]]
+                w = np.array(a["weights"])
+                assert w.shape == (len(a["members"]),)
+                assert np.isfinite(w).all() and (w >= 0).all()
+                assert math.isfinite(a["loss"]) and a["loss"] >= 0
 
     def test_negative_bag_has_no_selection(self, workspace, capsys):
+        # training builds no partition for a bag without a positive class
         rc, out = self.run(workspace, capsys, "neg-0000")
         assert rc == 0
         doc = json.loads(out)
-        assert doc["cliques"]
+        assert doc["labels"] == [0, 0]
+        assert doc["cliques"] == []
         assert doc["selected"] == {}
-        assert doc["h_star"] == {}
-        assert doc["weights"] == {}
+        assert doc["branches"] == []
+        assert doc["disc_loss"] > 0
 
     def test_unknown_bag_is_runtime_error(self, workspace, capsys):
         rc, _ = self.run(workspace, capsys, "no-such-bag")
@@ -436,10 +464,10 @@ class TestInspect:
         assert len(doc["cliques"]) == 1
         assert doc["cliques"][0]["members"] == [0]
         assert doc["selected"] == {"0": 0}
-        assert doc["h_star"] == {"0": 0}
-        assert doc["weights"]["0"] == [1.0]
+        assert [[(a["h"], a["members"], a["weights"]) for a in branch["anchors"]]
+                for branch in doc["branches"]] == [[(0, [0], [1.0])]] * 3
 
-    def test_branchless_tier_weights_come_from_discovery(self, workspace, tmp_path, capsys):
+    def test_branchless_tier_prints_no_branches(self, workspace, tmp_path, capsys):
         data = str(workspace / "ds.json")
         ck = tmp_path / "clique.json"
         assert main(["train", "--data", data, "--out-checkpoint", str(ck),
@@ -449,16 +477,9 @@ class TestInspect:
                      "--bag", "pos-c1-0000"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["labels"] == [0, 1]
-        members = doc["cliques"][doc["selected"]["1"]]["members"]
-        h = doc["h_star"]["1"]
-        assert h in members
-        # a tier without branches weighs the clique by discovery probabilities
-        state = load_checkpoint(str(ck))
-        bag = load_dataset(data).bag_by_id("pos-c1-0000")
-        q_disc = row_softmax(forward(state.params, bag.features, "disc"))
-        clique = Clique(tuple(members))
-        out, _ = localization_loss(clique, h, q_disc, bag.boxes, state.config.kernel_a, 1)
-        assert doc["weights"]["1"] == [float(v) for v in out.soft_weights]
+        assert set(doc["selected"]) == {"1"} and doc["cliques"]
+        # no training path of a tier without branches scores an anchor
+        assert doc["branches"] == []
 
 
 class TestCorruptCheckpoint:

@@ -12,17 +12,15 @@ from minent.entropy import (
     clique_mean_scores,
     clique_weights,
     discovery_loss,
-    hard_negatives,
     localization_loss,
     localization_terms,
-    member_overlaps,
     partition_cliques,
     row_softmax,
     select_object,
     singleton_partition,
     tau_graph,
 )
-from minent.geometry import iou_matrix
+from minent.geometry import box_iou, iou_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -731,24 +729,6 @@ class TestSelectObject:
             assert type(pick) is int and pick == select_object(Clique(tuple(members)), probs, 1)
 
 
-class TestHardNegatives:
-    def test_all_near_gives_empty(self):
-        boxes = np.array([[0, 0, 1, 1], [0.02, 0, 1.02, 1.0]])
-        assert hard_negatives(Clique((0, 1)), 0, boxes) == []
-
-    def test_far_member_included(self):
-        boxes = np.array([[0, 0, 1, 1], [0.5, 0.5, 1.5, 1.5]])  # IoU = 1/7 < 0.5
-        assert hard_negatives(Clique((0, 1)), 0, boxes) == [1]
-
-    def test_h_star_never_included(self):
-        boxes = np.array([[0, 0, 1, 1], [0.5, 0.5, 1.5, 1.5]])
-        assert 0 not in hard_negatives(Clique((0, 1)), 0, boxes)
-
-    def test_h_star_must_be_member(self):
-        with pytest.raises(ValueError):
-            hard_negatives(Clique((0, 1)), 2, np.zeros((3, 4)) + [[0, 0, 1, 1]])
-
-
 class TestLocalizationLoss:
     def test_perfect_probs_zero_loss(self):
         probs = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -829,7 +809,7 @@ class TestLocalizationLoss:
             boxes = random_boxes(rng, n_prop)
             clique = Clique(tuple(range(n_prop)))
             h_star = int(rng.integers(0, n_prop))
-            ious = member_overlaps(clique, h_star, boxes)
+            ious = box_iou(boxes, boxes[h_star])
             want = iou_matrix(boxes, boxes[h_star : h_star + 1])[:, 0]
             assert np.array_equal(ious, want)
             out, grad = localization_loss(clique, h_star, probs, boxes, 4.0, 1)
@@ -839,7 +819,6 @@ class TestLocalizationLoss:
             w, losses = localization_terms(rows, kernel, 1)
             assert losses[0] == out.loss and np.array_equal(w[0], out.soft_weights)
             assert np.array_equal(rows[0], grad[list(clique.members)])
-            assert np.array_equal(member_overlaps(np.arange(n_prop), h_star, boxes), ious)
 
     def test_terms_added_in_place_equal_summed_gradients(self):
         # the trainer adds each anchor's block, over the heads that score it,
@@ -858,7 +837,7 @@ class TestLocalizationLoss:
                                              replace=False))
                 h_star, cls = int(rng.choice(members)), int(rng.integers(0, n_cls))
                 heads = np.arange(int(rng.integers(0, n_heads)), n_heads)[:, None]
-                kernel = anchor_kernel(member_overlaps(members, h_star, boxes), 4.0)
+                kernel = anchor_kernel(box_iou(boxes[members], boxes[h_star]), 4.0)
                 rows = probs[heads, members]
                 w, losses = localization_terms(rows, kernel, cls)
                 acc[heads, members] += rows

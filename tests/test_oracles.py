@@ -20,22 +20,24 @@ did, one ``Box`` and one ``Detection`` per survivor ranked into
 """
 
 import itertools
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from minent.data import Bag, Dataset, SynthConfig, generate_synthetic
+from minent.cli import main
+from minent.data import Bag, Dataset, SynthConfig, generate_synthetic, save_dataset
 
 from minent.entropy import (
     EPS,
+    CliquePartition,
     _components,
     anchor_kernel,
     clique_class_probs,
     clique_weights,
     discovery_loss,
     localization_terms,
-    member_overlaps,
     partition_cliques,
     row_max,
     row_softmax,
@@ -55,9 +57,9 @@ from minent.evaluate import (
     evaluate,
     head_probs,
 )
-from minent.geometry import Box, iou_matrix, nms
+from minent.geometry import Box, box_iou, iou_matrix, nms
 from minent.model import forward, forward_heads, hidden_layer, init_params
-from minent.trainer import BagRun, TrainConfig, _localization
+from minent.trainer import BagRun, TrainConfig, _localization, save_checkpoint, train
 
 HOME_SIZES = (1, 7, 8, 130)
 
@@ -100,32 +102,36 @@ def reference_localization_terms(members, kernel, proposal_probs, cls, grad):
 def reference_localization(kernel_a, partition, selected, probs, positives, boxes):
     """A visit's localization, branch after branch: each branch scores each
     class's anchors on its own softmax, one call per anchor, then adds its
-    own pick to the anchors of the branches after it."""
+    own pick to the anchors of the branches after it.  Returns each
+    branch's terms, its gradient and its (class, anchor, home, soft
+    weights) in scoring order."""
     n_branches = len(probs) - 1
     pool = np.flatnonzero(partition.label >= 0)
     first = {y: select_object(partition.clique_members(selected[y]), probs[0], y)
              for y in positives.tolist()}
     inherited = {y: [] for y in first}
-    homes, terms, grads = {}, [], []
+    homes, terms, grads, anchors = {}, [], [], []
     for k in range(n_branches):
         probs_k = probs[1 + k].copy()
         branch_grad = np.zeros_like(probs_k)
         terms.append([])
+        anchors.append([])
         for y, top in first.items():
             for h_star in [top] + [h for h in inherited[y] if h != top]:
                 if h_star not in homes:
                     home = partition.clique_members(partition.label[h_star])
-                    kernel = reference_anchor_kernel(member_overlaps(home, h_star, boxes),
+                    kernel = reference_anchor_kernel(box_iou(boxes[home], boxes[h_star]),
                                                      kernel_a)
                     homes[h_star] = home, kernel
                 home, kernel = homes[h_star]
-                _, loss = reference_localization_terms(home, kernel, probs_k, y, branch_grad)
+                w, loss = reference_localization_terms(home, kernel, probs_k, y, branch_grad)
                 terms[k].append(loss)
+                anchors[k].append((y, h_star, home, w))
             own = int(pool[np.argmax(probs_k[pool, y])])
             if own not in inherited[y]:
                 inherited[y].append(own)
         grads.append(branch_grad)
-    return terms, np.array(grads)
+    return terms, np.array(grads), anchors
 
 
 def reference_discovery_loss(labels, partition, scores):
@@ -286,11 +292,20 @@ def test_visit_localization_equals_per_branch_per_anchor_loop():
             partition, probs, selected = random_visit(rng, trial, boxes, graph, num_classes,
                                                       positives)
             cached = len(run.kernels)
-            terms, grad = _localization(cfg, partition, selected, probs, run, boxes)
-            want_terms, want_grad = reference_localization(cfg.kernel_a, partition, selected,
-                                                           probs, positives, boxes)
+            terms, grad, blocks = _localization(cfg, partition, selected, probs, run, boxes)
+            want_terms, want_grad, want_anchors = reference_localization(
+                cfg.kernel_a, partition, selected, probs, positives, boxes)
             assert terms == want_terms
             assert np.array_equal(bits(grad), bits(want_grad))
+            # one block per (class, anchor), read per branch, is the loop's
+            # anchors with their soft weights
+            assert len({(y, h) for y, h, *_ in blocks}) == len(blocks)
+            scored = [[] for _ in terms]
+            for y, h, start, home, weights in blocks:
+                for k, w in enumerate(weights, start):
+                    scored[k].append((y, h, home.tolist(), bits(w).tolist()))
+            assert scored == [[(y, h, home.tolist(), bits(w).tolist()) for y, h, home, w in branch]
+                              for branch in want_anchors]
             picks = sum(len(t) for t in terms[1:])
             seen["inherited"] += picks > len(positives) * (len(terms) - 1)
             seen["homes"].update(int(partition.sizes[selected[y]]) for y in positives.tolist())
@@ -298,6 +313,48 @@ def test_visit_localization_equals_per_branch_per_anchor_loop():
             seen["cached"] += 0 < cached == len(run.kernels)
     assert seen["inherited"] > 50 and seen["shared"] > 50 and seen["cached"] > 10
     assert set(HOME_SIZES) <= seen["homes"]
+
+
+def test_inspect_prints_the_per_branch_loop(tmp_path, capsys):
+    # at a trained l-arl checkpoint, inspect's partition, selection and each
+    # branch's anchors, soft weights and losses are the reference loops' on
+    # the bag's unscaled features
+    ds = generate_synthetic(SynthConfig(num_classes=2, bags_per_class=6, negatives=3,
+                                        proposals_per_bag=12, feature_dim=8, seed=7))
+    cfg = TrainConfig(epochs=3, seed=0)
+    state, _ = train(ds, cfg)
+    data, ck = str(tmp_path / "ds.json"), str(tmp_path / "ck.json")
+    save_dataset(ds, data)
+    save_checkpoint(state, ck)
+    inherited = 0
+    for bag in ds.bags:
+        assert main(["inspect", "--data", data, "--checkpoint", ck, "--bag", bag.id]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        positives = np.flatnonzero(bag.labels == 1)
+        if not positives.size:
+            assert doc["cliques"] == [] and doc["selected"] == {} and doc["branches"] == []
+            continue
+        scores = np.stack([forward(state.params, bag.features, head)
+                           for head in ["disc", *range(cfg.branches)]])
+        probs = row_softmax(scores)
+        members, sizes = reference_partition(bag.boxes, probs[0][:, positives].max(axis=1),
+                                             cfg.tau, cfg.top_k)
+        partition = CliquePartition(members, sizes, cfg.tau, bag.num_proposals)
+        loss, _, selected, _ = reference_discovery_loss(bag.labels, partition, scores[0])
+        terms, _, anchors = reference_localization(cfg.kernel_a, partition, selected, probs,
+                                                   positives, bag.boxes)
+        assert [c["members"] for c in doc["cliques"]] == [
+            partition.clique_members(i).tolist() for i in range(len(sizes))]
+        assert doc["selected"] == {str(y): c for y, c in selected.items()}
+        assert doc["disc_loss"] == loss
+        got = [[(a["class"], a["h"], a["members"], a["weights"], a["loss"])
+                for a in branch["anchors"]] for branch in doc["branches"]]
+        assert got == [[(y, h, home.tolist(), w.tolist(), term)
+                        for (y, h, home, w), term in zip(branch, branch_terms)]
+                       for branch, branch_terms in zip(anchors, terms)]
+        # a later branch scores an anchor that an earlier branch's pick supplied
+        inherited += any(len(branch) > len(positives) for branch in got[1:])
+    assert inherited > 0
 
 
 def test_blocks_equal_one_call_per_head():

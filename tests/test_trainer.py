@@ -12,7 +12,8 @@ import pytest
 from minent import evaluate as evaluate_module
 from minent import model as model_module
 from minent import trainer as trainer_module
-from minent.data import SynthConfig, generate_synthetic
+from minent.cli import main
+from minent.data import SynthConfig, generate_synthetic, save_dataset
 from minent.entropy import tau_graph
 from minent.evaluate import dataset_loc_stats, evaluate
 from minent.geometry import Box
@@ -327,15 +328,23 @@ class TestTrain:
             id(g) for g in built[positive_bags * per_positive_bag:]}
 
     @pytest.mark.parametrize("classes", [1, 2])
-    def test_training_builds_no_clique(self, built_cliques, monkeypatch, classes):
-        # partitions, anchors and losses are read as arrays on every tier
+    def test_training_builds_no_clique(self, built_cliques, monkeypatch, tmp_path, capsys,
+                                       classes):
+        # partitions, anchors and losses are read as arrays on every tier,
+        # by training and by inspect of every bag at its checkpoint
         ds = generate_synthetic(SynthConfig(num_classes=classes, bags_per_class=4, negatives=2,
                                             proposals_per_bag=8, feature_dim=6, seed=3))
+        data, ck = str(tmp_path / "ds.json"), str(tmp_path / "ck.json")
+        save_dataset(ds, data)
         scored, terms = [], trainer_module.localization_terms
         monkeypatch.setattr(trainer_module, "localization_terms",
                             lambda rows, *args: scored.append(rows.shape) or terms(rows, *args))
         for tier in ABLATION_TIERS:
-            train(ds, small_cfg(ablation=tier))
+            state, _ = train(ds, small_cfg(ablation=tier))
+            save_checkpoint(state, ck)
+            for bag in ds.bags:
+                assert main(["inspect", "--data", data, "--checkpoint", ck, "--bag", bag.id]) == 0
+                assert json.loads(capsys.readouterr().out)["bag"] == bag.id
             assert built_cliques == [], tier
         # the localization tiers scored their anchors' homes as (branches,
         # members, classes) blocks of probability rows
