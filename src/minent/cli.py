@@ -34,9 +34,11 @@ from .evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate
 from .jsonio import dumps_canonical, read_json, write_atomic, write_json
 from .trainer import (
     ABLATION_TIERS,
+    CheckpointError,
     TrainConfig,
     bag_run,
     check_dims,
+    check_resume,
     load_checkpoint,
     save_checkpoint,
     tier_switches,
@@ -124,13 +126,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     file_cfg = _config_file(args, _TRAIN_FIELDS)
     provided = _provided(args, _TRAIN_FIELDS)
 
-    state = None
-    if getattr(args, "resume", None):
-        state = _load_ckpt(args.resume)
-        base = asdict(state.config)  # resumed runs inherit their own config
-    else:
-        base = asdict(TrainConfig())
-    merged = {**base, **file_cfg, **provided}
+    state = _load_ckpt(args.resume) if args.resume else None
+    # resumed runs inherit their own config
+    merged = {**asdict(state.config if state else TrainConfig()), **file_cfg, **provided}
     try:
         cfg = TrainConfig(**merged)
     except (TypeError, ValueError) as e:
@@ -141,12 +139,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(f"--stop-after must be >= 1, got {stop_after}")
 
     if state is not None:
-        # the checkpoint's config fits its parameters; a changed tier or
-        # seed would also break "resumed equals uninterrupted"
-        for name in ("branches", "hidden_dim", "ablation", "seed"):
-            theirs, ours = getattr(state.config, name), getattr(cfg, name)
-            if ours != theirs:
-                raise UsageError(f"--resume cannot change {name} from {theirs} to {ours}")
+        try:
+            check_resume(state, cfg)
+        except CheckpointError as e:
+            raise UsageError(f"--resume {e}") from e
     out, parent = args.out_checkpoint, os.path.dirname(os.path.abspath(args.out_checkpoint))
     if not out or os.path.isdir(out) or not os.path.isdir(parent):  # fail before training
         raise RuntimeError(f"cannot write checkpoint {out!r}: "

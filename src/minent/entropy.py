@@ -57,7 +57,6 @@ class CliquePartition:
 
     members: np.ndarray
     sizes: np.ndarray
-    tau: float
     num_proposals: int
     label: np.ndarray = field(init=False, repr=False)
 
@@ -198,7 +197,7 @@ def partition_cliques(
     seeds: dict[int, int] = {}
     clique = np.array([seeds.setdefault(k, len(seeds)) for k in key.tolist()], dtype=int)
     members = order[np.lexsort((order, clique))]
-    return CliquePartition(members=members, sizes=np.bincount(clique), tau=tau,
+    return CliquePartition(members=members, sizes=np.bincount(clique),
                            num_proposals=len(objectness))
 
 
@@ -206,7 +205,7 @@ def singleton_partition(objectness: np.ndarray, top_k: int) -> CliquePartition:
     """Each top-k proposal forms its own clique (the no-grouping ablation)."""
     objectness = np.asarray(objectness, dtype=float)
     pool = np.sort(np.argsort(-objectness, kind="stable")[:top_k])
-    return CliquePartition(members=pool, sizes=np.ones(len(pool), dtype=int), tau=0.0,
+    return CliquePartition(members=pool, sizes=np.ones(len(pool), dtype=int),
                            num_proposals=len(objectness))
 
 
@@ -246,11 +245,15 @@ def clique_mean_scores(partition: CliquePartition, scores: np.ndarray) -> np.nda
     return sums / partition.sizes[:, None]
 
 
+def joint_softmax(table: np.ndarray) -> np.ndarray:
+    """One softmax over every cell of ``table``, its sum floored at ``EPS``."""
+    e = np.exp(table - table.max())
+    return e / max(float(e.sum()), EPS)
+
+
 def clique_class_probs(partition: CliquePartition, scores: np.ndarray) -> np.ndarray:
     """Softmax over the whole (clique, class) table of mean scores."""
-    m = clique_mean_scores(partition, scores)
-    e = np.exp(m - m.max())
-    return e / max(float(e.sum()), EPS)
+    return joint_softmax(clique_mean_scores(partition, scores))
 
 
 def clique_weights(clique_probs: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Bag, Dataset
-from .entropy import EPS
+from .entropy import joint_softmax
 from .geometry import Box, iou_matrix, nms
 from .model import ModelParams, forward
 
@@ -88,9 +88,7 @@ def head_probs(params: ModelParams, features: np.ndarray, head=None) -> np.ndarr
     """
     if head is None:
         head = params.branches - 1
-    scores = forward(params, features, head)
-    shifted = np.exp(scores - scores.max())
-    return shifted / max(float(shifted.sum()), EPS)
+    return joint_softmax(forward(params, features, head))
 
 
 def _survivors(boxes: np.ndarray, probs: np.ndarray, nms_iou: float, score_floor: float):

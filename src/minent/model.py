@@ -19,14 +19,20 @@ import numpy as np
 
 @dataclass
 class ModelParams:
-    feature_dim: int
-    num_classes: int
     hidden_w: np.ndarray | None  # (D, H) or None for linear heads
     hidden_b: np.ndarray | None  # (H,)
     disc_w: np.ndarray  # (D or H, N)
     disc_b: np.ndarray  # (N,)
     loc_w: list[np.ndarray] = field(default_factory=list)  # B of (D or H, N)
     loc_b: list[np.ndarray] = field(default_factory=list)  # B of (N,)
+
+    @property
+    def feature_dim(self) -> int:
+        return (self.disc_w if self.hidden_w is None else self.hidden_w).shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.disc_w.shape[1]
 
     @property
     def branches(self) -> int:
@@ -53,12 +59,18 @@ class ModelParams:
         ends = np.cumsum([arr.size for arr in arrays]).tolist()
         views = [flat[a:b].reshape(arr.shape) for arr, a, b in zip(arrays, [0] + ends, ends)]
         hidden, heads = (views[:2], views[2:]) if self.hidden_w is not None else ([None] * 2, views)
-        return ModelParams(self.feature_dim, self.num_classes, *hidden, *heads[:2],
-                           heads[2::2], heads[3::2])
+        return ModelParams(*hidden, *heads[:2], heads[2::2], heads[3::2])
 
     def validate(self) -> None:
+        """Raise ValueError unless every array is finite and of the shape the
+        others give it; ranks first, so every dimension read after them exists."""
+        arrays = list(self.named_arrays())
+        for name, arr in arrays:
+            rank = 2 if "_w" in name else 1
+            if arr.ndim != rank:
+                raise ValueError(f"{name} has rank {arr.ndim}, not {rank}")
         width = self.hidden_dim or self.feature_dim
-        for name, arr in self.named_arrays():
+        for name, arr in arrays:
             if not np.isfinite(arr).all():
                 raise ValueError(f"parameter '{name}' has non-finite entries")
             if name.startswith("hidden"):
@@ -91,19 +103,10 @@ def init_params(
         return rng.uniform(-scale, scale, size=shape)
 
     width = hidden_dim if hidden_dim else feature_dim
-    hidden_w = draw(feature_dim, hidden_dim) if hidden_dim else None
-    hidden_b = np.zeros(hidden_dim) if hidden_dim else None
-    loc_w = [draw(width, num_classes) for _ in range(branches)]
-    return ModelParams(
-        feature_dim=feature_dim,
-        num_classes=num_classes,
-        hidden_w=hidden_w,
-        hidden_b=hidden_b,
-        disc_w=draw(width, num_classes),
-        disc_b=np.zeros(num_classes),
-        loc_w=loc_w,
-        loc_b=[np.zeros(num_classes) for _ in range(branches)],
-    )
+    hidden = (draw(feature_dim, hidden_dim), np.zeros(hidden_dim)) if hidden_dim else (None, None)
+    loc_w = [draw(width, num_classes) for _ in range(branches)]  # drawn before disc_w
+    return ModelParams(*hidden, draw(width, num_classes), np.zeros(num_classes), loc_w,
+                       [np.zeros(num_classes) for _ in range(branches)])
 
 
 def _head_arrays(params: ModelParams, head) -> tuple[np.ndarray, np.ndarray, str, str]:

@@ -240,31 +240,27 @@ def init_state(ds: Dataset, cfg: TrainConfig) -> TrainState:
 def check_dims(params: ModelParams, ds: Dataset) -> None:
     """Raise CheckpointError unless ``params`` fit the dataset's feature
     and class counts."""
-    if params.feature_dim != ds.feature_dim:
-        raise CheckpointError(
-            f"checkpoint feature_dim {params.feature_dim} "
-            f"!= dataset feature_dim {ds.feature_dim}"
-        )
-    if params.num_classes != ds.num_classes:
-        raise CheckpointError(
-            f"checkpoint num_classes {params.num_classes} "
-            f"!= dataset num_classes {ds.num_classes}"
-        )
-
-
-def _check_shape(cfg: TrainConfig, params: ModelParams) -> None:
-    """Raise CheckpointError unless ``cfg``'s branches and hidden_dim fit ``params``."""
-    for name in ("branches", "hidden_dim"):
-        ours, theirs = getattr(cfg, name), getattr(params, name)
+    for name in ("feature_dim", "num_classes"):
+        ours, theirs = getattr(params, name), getattr(ds, name)
         if ours != theirs:
-            raise CheckpointError(f"config {name} {ours} does not fit the parameters' {theirs}")
+            raise CheckpointError(f"checkpoint {name} {ours} != dataset {name} {theirs}")
+
+
+def check_resume(state: TrainState, cfg: TrainConfig) -> None:
+    """Raise CheckpointError if ``cfg`` changes a setting of ``state``'s
+    config that a resume keeps: the parameters' shape, the tier and the
+    seed, so that a resumed run equals an uninterrupted one."""
+    for name in ("branches", "hidden_dim", "ablation", "seed"):
+        theirs, ours = getattr(state.config, name), getattr(cfg, name)
+        if ours != theirs:
+            raise CheckpointError(f"cannot change {name} from {theirs} to {ours}")
 
 
 def _check_compat(state: TrainState, cfg: TrainConfig, ds: Dataset) -> None:
-    """``check_dims`` and ``_check_shape``, plus a score state s(h) of the
+    """``check_dims`` and ``check_resume``, plus a score state s(h) of the
     right length for every bag, which only training reads."""
     check_dims(state.params, ds)
-    _check_shape(cfg, state.params)
+    check_resume(state, cfg)
     bad = [bag.id for bag in ds.bags if len(state.s_h.get(bag.id, ())) != bag.num_proposals]
     if bad:
         raise CheckpointError(f"checkpoint score state missing or mis-sized for bags: {bad[:3]}")
@@ -444,7 +440,9 @@ def train(
     off — an interrupted run and an uninterrupted one produce identical
     report series (wall time aside).  The state then carries ``cfg``, so a
     checkpoint saved from it records the config it was trained with.  A
-    state already past ``cfg.epochs`` raises CheckpointError.
+    ``cfg`` that ``check_resume`` refuses, or a state already past
+    ``cfg.epochs``, raises CheckpointError before any epoch runs or any CSV
+    row is written.
     """
     if not ds.bags:
         raise ValueError("dataset has no bags")
@@ -613,8 +611,6 @@ def _state_from_doc(path: str, doc) -> TrainState:
         cfg = TrainConfig(**cfg_doc)
         raw = {name: number_array(v, f"params '{name}'") for name, v in doc["params"].items()}
         params = ModelParams(
-            feature_dim=doc["feature_dim"],
-            num_classes=doc["num_classes"],
             hidden_w=raw["hidden_w"] if doc["hidden_dim"] else None,
             hidden_b=raw["hidden_b"] if doc["hidden_dim"] else None,
             disc_w=raw["disc_w"],
@@ -622,11 +618,13 @@ def _state_from_doc(path: str, doc) -> TrainState:
             loc_w=[raw[f"loc_w.{k}"] for k in range(doc["branches"])],
             loc_b=[raw[f"loc_b.{k}"] for k in range(doc["branches"])],
         )
+        params.validate()  # before any count is read from the arrays
         for key in ("feature_dim", "num_classes", "hidden_dim", "branches"):
             if not whole_number(doc[key]) or doc[key] != getattr(params, key):
                 raise ValueError(f"{key} {doc[key]!r} is not a count that fits the parameters")
-        params.validate()
-        _check_shape(cfg, params)
+            if getattr(cfg, key, doc[key]) != doc[key]:  # cfg holds only the last two
+                raise ValueError(f"config {key} {getattr(cfg, key)} does not fit the "
+                                 f"parameters' {doc[key]}")
         buffers = {name: number_array(v, f"buffer '{name}'") for name, v in doc["buffers"].items()}
         shapes = {name: arr.shape for name, arr in params.named_arrays()}
         if {name: buf.shape for name, buf in buffers.items()} != shapes or set(raw) != set(shapes):

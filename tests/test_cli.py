@@ -202,7 +202,10 @@ class TestTrain:
         (["--ablation", "clique"], "ablation from l-arl to clique"),
         (["--seed", "3"], "seed from 0 to 3"),
     ])
-    def test_resume_rejects_shape_change(self, workspace, tmp_path, capsys, flag, change):
+    def test_resume_rejects_shape_change(self, workspace, tmp_path, capsys, monkeypatch, flag,
+                                         change):
+        # the rule is checked before the dataset is read
+        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("dataset loaded"))
         out, csv = tmp_path / "ck.json", tmp_path / "ep.csv"
         rc = main(["train", "--data", str(workspace / "ds.json"), "--resume",
                    str(workspace / "ck.json"), "--out-checkpoint", str(out),
@@ -482,13 +485,36 @@ class TestInspect:
         assert doc["branches"] == []
 
 
+@pytest.fixture(scope="module")
+def hidden_run(workspace, tmp_path_factory):
+    """A directory whose ``ck.json`` is one epoch on the workspace dataset
+    with a 3-wide hidden layer: 8 features, 2 classes, 3 branches."""
+    root = tmp_path_factory.mktemp("hidden")
+    assert main(["train", "--data", str(workspace / "ds.json"), "--out-checkpoint",
+                 str(root / "ck.json"), "--epochs", "1", "--hidden-dim", "3"]) == 0
+    return root
+
+
 class TestCorruptCheckpoint:
     def edited(self, workspace, tmp_path, edit):
+        """``workspace``'s ``ck.json``, edited, as JSON without a twin."""
         doc = json.loads((workspace / "ck.json").read_text())
         edit(doc)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
         return str(path)
+
+    def assert_every_command_rejects(self, ck, data, tmp_path, capsys):
+        for argv in (
+            ["train", "--data", data, "--resume", ck, "--epochs", "3",
+             "--out-checkpoint", str(tmp_path / "out.json")],
+            ["eval", "--data", data, "--checkpoint", ck],
+            ["inspect", "--data", data, "--checkpoint", ck, "--bag", "neg-0000"],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: corrupt checkpoint") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["buffers"].pop("disc_w"),
@@ -535,17 +561,17 @@ class TestCorruptCheckpoint:
             "extra-param", "epoch-past-config", "init_scale-overflows"])
     def test_every_command_rejects_it(self, workspace, tmp_path, capsys, edit):
         ck = self.edited(workspace, tmp_path, edit)
-        data = str(workspace / "ds.json")
-        for argv in (
-            ["train", "--data", data, "--resume", ck, "--epochs", "3",
-             "--out-checkpoint", str(tmp_path / "out.json")],
-            ["eval", "--data", data, "--checkpoint", ck],
-            ["inspect", "--data", data, "--checkpoint", ck, "--bag", "neg-0000"],
-        ):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: corrupt checkpoint") and err.count("\n") == 1
-        assert not (tmp_path / "out.json").exists()
+        self.assert_every_command_rejects(ck, str(workspace / "ds.json"), tmp_path, capsys)
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    @pytest.mark.parametrize("name", ["hidden_w", "hidden_b", "disc_w", "disc_b", "loc_w.0",
+                                      "loc_b.0", "loc_w.1", "loc_b.1", "loc_w.2", "loc_b.2"])
+    def test_every_command_rejects_a_parameter_of_another_rank(
+            self, workspace, hidden_run, tmp_path, capsys, name, rank):
+        # no side of any parameter is 4, so the array fits no parameter
+        bad = np.full((4,) * rank, 0.1).tolist()
+        ck = self.edited(hidden_run, tmp_path, lambda d: d["params"].update({name: bad}))
+        self.assert_every_command_rejects(ck, str(workspace / "ds.json"), tmp_path, capsys)
 
     def test_score_state_length_must_match_bag(self, workspace, tmp_path, capsys):
         ck = self.edited(workspace, tmp_path, lambda d: d["s_h"].update({"pos-c0-0000": [1.0]}))

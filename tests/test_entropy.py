@@ -141,12 +141,12 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def partition_of(cliques, tau=0.7):
+def partition_of(cliques):
     """The partition whose cliques are ``cliques``, as member tuples, of a
     bag with one proposal past the last member, outside the pool."""
     members = [m for c in cliques for m in c]
     return CliquePartition(members=np.array(members, dtype=int),
-                           sizes=np.array([len(c) for c in cliques], dtype=int), tau=tau,
+                           sizes=np.array([len(c) for c in cliques], dtype=int),
                            num_proposals=max(members, default=-1) + 2)
 
 

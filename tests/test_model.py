@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,22 @@ def test_validate_catches_nonfinite_and_bad_shape():
     q.loc_w[0] = np.zeros((5, 2))
     with pytest.raises(ValueError, match="loc_w.0"):
         q.validate()
+
+
+def test_dimensions_are_read_from_the_arrays():
+    assert [f.name for f in fields(ModelParams)] == [
+        "hidden_w", "hidden_b", "disc_w", "disc_b", "loc_w", "loc_b"]
+    for hidden_dim in (0, 4):
+        p = init_params(3, 2, 5, hidden_dim=hidden_dim)
+        assert (p.feature_dim, p.num_classes, p.hidden_dim, p.branches) == (3, 2, hidden_dim, 5)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("hidden_w", ()), ("hidden_w", (3,)), ("hidden_w", (3, 4, 1)), ("hidden_b", ()),
+    ("disc_w", (4,)), ("disc_b", (2, 1)),
+])
+def test_validate_checks_ranks_before_reading_a_dimension(name, shape):
+    p = init_params(3, 2, 1, hidden_dim=4)
+    setattr(p, name, np.zeros(shape))
+    with pytest.raises(ValueError, match=f"{name} has rank {len(shape)}"):
+        p.validate()

@@ -339,7 +339,7 @@ def test_inspect_prints_the_per_branch_loop(tmp_path, capsys):
         probs = row_softmax(scores)
         members, sizes = reference_partition(bag.boxes, probs[0][:, positives].max(axis=1),
                                              cfg.tau, cfg.top_k)
-        partition = CliquePartition(members, sizes, cfg.tau, bag.num_proposals)
+        partition = CliquePartition(members, sizes, bag.num_proposals)
         loss, _, selected, _ = reference_discovery_loss(bag.labels, partition, scores[0])
         terms, _, anchors = reference_localization(cfg.kernel_a, partition, selected, probs,
                                                    positives, bag.boxes)

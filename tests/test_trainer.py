@@ -572,10 +572,10 @@ class TestCheckpoint:
         assert params_equal(resumed_state.params, full_state.params)
 
     @pytest.mark.parametrize("change", [
-        {"ablation": "clique"},
-        {"seed": 5},
+        {"lr": 0.01},
+        {"tau": 0.6},
         {"epochs": 3},
-        {"epochs": 4, "ablation": "clique", "seed": 5},
+        {"epochs": 4, "tau": 0.6, "lr": 0.01},
     ], ids=json.dumps)
     def test_resume_saves_the_config_it_trained_with(self, tmp_path, change):
         ds = small_ds()
@@ -596,12 +596,13 @@ class TestCheckpoint:
         csv = tmp_path / "ep.csv"
         csv.write_text("not,a,header\n")
         with pytest.raises(ValueError, match="header"):
-            train(ds, small_cfg(epochs=3, seed=5), state=state, csv_path=str(csv))
+            train(ds, small_cfg(epochs=3, lr=0.01), state=state, csv_path=str(csv))
         assert state.config == small_cfg(epochs=3) and state.epoch == 1
 
-    @pytest.mark.parametrize("change", [{"branches": 5}, {"branches": 1}, {"hidden_dim": 4}],
-                             ids=json.dumps)
+    @pytest.mark.parametrize("change", [{"branches": 5}, {"branches": 1}, {"hidden_dim": 4},
+                                        {"ablation": "clique"}, {"seed": 5}], ids=json.dumps)
     def test_resume_rejects_a_shape_change(self, tmp_path, monkeypatch, change):
+        # and a change of tier or seed: a resume keeps all four settings
         ds, base = small_ds(), dict(epochs=2, branches=3)
         state, _ = train(ds, small_cfg(**base), stop_after=1)
         path = tmp_path / "ck.json"
@@ -614,7 +615,7 @@ class TestCheckpoint:
         csv = tmp_path / "ep.csv"
         loaded = load_checkpoint(str(path))
         name = next(iter(change))
-        with pytest.raises(CheckpointError, match=f"config {name}"):
+        with pytest.raises(CheckpointError, match=f"cannot change {name}"):
             train(ds, small_cfg(**{**base, **change}), state=loaded, csv_path=str(csv))
         assert not csv.exists()
         assert loaded.epoch == 1 and loaded.config == small_cfg(**base)
