@@ -26,6 +26,7 @@ from .data import (
     finite_number,
     generate_synthetic,
     load_dataset,
+    open_dataset,
     save_dataset,
     whole_number,
 )
@@ -76,18 +77,20 @@ def _config_file(args: argparse.Namespace, allowed: set[str]) -> dict:
     return doc
 
 
-def _load_ds(path: str):
+def _read(what: str, load, path: str):
     try:
-        return load_dataset(path)
+        return load(path)
     except OSError as e:
-        raise RuntimeError(f"cannot read dataset {path}: {e}") from e
+        raise RuntimeError(f"cannot read {what} {path}: {e}") from e
 
 
-def _load_ckpt(path: str):
-    try:
-        return load_checkpoint(path)
-    except OSError as e:
-        raise RuntimeError(f"cannot read checkpoint {path}: {e}") from e
+def _check_outputs(*targets) -> None:
+    """Fail before any work unless each ``(path, what)`` not None can be created."""
+    for path, what in targets:
+        if path is not None and (not path or os.path.isdir(path)
+                                 or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+            why = "it is a directory" if os.path.isdir(path) else "no such directory"
+            raise RuntimeError(f"cannot write {what} {path!r}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +116,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cfg = SynthConfig(**merged)
     except (TypeError, DataError) as e:
         raise UsageError(str(e)) from e
+    _check_outputs((args.out, "dataset"))
     ds = generate_synthetic(cfg)
     save_dataset(ds, args.out)
     print(
@@ -125,8 +129,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     file_cfg = _config_file(args, _TRAIN_FIELDS)
     provided = _provided(args, _TRAIN_FIELDS)
+    if args.stop_after is not None and args.stop_after < 1:
+        raise UsageError(f"--stop-after must be >= 1, got {args.stop_after}")
+    _check_outputs((args.out_checkpoint, "checkpoint"), (args.csv, "epoch CSV"))
 
-    state = _load_ckpt(args.resume) if args.resume else None
+    state = _read("checkpoint", load_checkpoint, args.resume) if args.resume else None
     # resumed runs inherit their own config
     merged = {**asdict(state.config if state else TrainConfig()), **file_cfg, **provided}
     try:
@@ -134,21 +141,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as e:
         raise UsageError(str(e)) from e
 
-    stop_after = getattr(args, "stop_after", None)
-    if stop_after is not None and stop_after < 1:
-        raise UsageError(f"--stop-after must be >= 1, got {stop_after}")
-
     if state is not None:
         try:
             check_resume(state, cfg)
         except CheckpointError as e:
             raise UsageError(f"--resume {e}") from e
-    out, parent = args.out_checkpoint, os.path.dirname(os.path.abspath(args.out_checkpoint))
-    if not out or os.path.isdir(out) or not os.path.isdir(parent):  # fail before training
-        raise RuntimeError(f"cannot write checkpoint {out!r}: "
-                           + ("it is a directory" if os.path.isdir(out) else "no such directory"))
-    ds = _load_ds(args.data)
-    state, reports = train(ds, cfg, state=state, csv_path=args.csv, stop_after=stop_after)
+    ds = _read("dataset", load_dataset, args.data)
+    state, reports = train(ds, cfg, state=state, csv_path=args.csv, stop_after=args.stop_after)
     del ds  # freed first, so the checkpoint's write does not raise train's peak RSS
     save_checkpoint(state, args.out_checkpoint)
 
@@ -182,6 +181,8 @@ def _metrics_csv(report_dict: dict) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    """Score the dataset's twin while the JSON's hash runs (``open_dataset``),
+    and check the hash before any output; a stale twin costs a second pass."""
     allowed = {"nms_iou", "score_floor"}
     merged = {
         "nms_iou": DEFAULT_NMS_IOU,
@@ -197,17 +198,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if merged["score_floor"] < 0.0:
         raise UsageError(f"--score-floor must be >= 0, got {merged['score_floor']}")
 
-    state = _load_ckpt(args.checkpoint)
-    ds = _load_ds(args.data)
-    if not ds.has_ground_truth():
-        raise RuntimeError("evaluation requires ground-truth boxes; the dataset has none")
-    check_dims(state.params, ds)
-
+    _check_outputs((args.out, "metrics file"), (args.csv, "metrics CSV"))
+    state = _read("checkpoint", load_checkpoint, args.checkpoint)
     head = tier_switches(state.config).detect_head
-    report = evaluate(
-        state.params, ds, head=head,
-        nms_iou=merged["nms_iou"], score_floor=merged["score_floor"],
-    )
+
+    def score(ds):
+        if not ds.has_ground_truth():
+            raise RuntimeError("evaluation requires ground-truth boxes; the dataset has none")
+        check_dims(state.params, ds)
+        return evaluate(state.params, ds, head=head, **merged)
+
+    ds, current = _read("dataset", open_dataset, args.data)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            report, fault = score(ds), None
+        except Exception as e:
+            report, fault = None, e
+        finally:
+            fresh = current()
+    del ds
+    if not fresh:  # the stale pass is dropped: its result, exception and warnings
+        caught, fault = [], None
+        report = score(_read("dataset", load_dataset, args.data))
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if fault is not None:
+        raise fault
     doc = report.to_dict()
     sys.stdout.write(dumps_canonical(doc))
     if getattr(args, "out", None):
@@ -219,8 +235,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    state = _load_ckpt(args.checkpoint)
-    ds = _load_ds(args.data)
+    state = _read("checkpoint", load_checkpoint, args.checkpoint)
+    ds = _read("dataset", load_dataset, args.data)
     check_dims(state.params, ds)
     try:
         bag = ds.bag_by_id(args.bag)

@@ -18,9 +18,9 @@ group win — the behavior the training objective is supposed to exhibit.
 (``jsonio.write_twin``): the bags' concatenated features and boxes, each
 bag's proposal count, and the document without ``proposals``.
 ``load_dataset`` builds the dataset from a current twin
-(``jsonio.read_twin``), else from the JSON.  A bag read from the twin holds
-read-only slices of its two loaded arrays, not copies, so the data sits in
-memory once.
+(``jsonio.read_twin``), else from the JSON; ``open_dataset`` checks the
+hash later.  A bag read from the twin holds read-only slices of its two
+loaded arrays, not copies, so the data sits in memory once.
 
 The dataset is a fixed function of the config and its seed.  A positive
 bag's boxes are rejection-sampled in blocks of tries: each round draws the
@@ -458,11 +458,21 @@ def _dataset_from_twin(doc, arrays) -> Dataset:
                                    for a, b in zip([0] + ends[:-1], ends)])
 
 
+def open_dataset(path: str):
+    """``(dataset, current)`` of the JSON file ``path``, from its twin while
+    its hash still runs (``read_twin``), else from the JSON.  Call
+    ``current()`` on every path; unless True, discard all made of the dataset."""
+    return read_twin(path, _dataset_from_twin) or (_dataset_from_doc(read_json(path)), lambda: True)
+
+
 def load_dataset(path: str) -> Dataset:
     """The dataset in the JSON file ``path``, from its twin when that is
-    current (``read_twin``), else from the JSON, after the same checks."""
-    ds = read_twin(path, _dataset_from_twin)
-    return ds if ds is not None else _dataset_from_doc(read_json(path))
+    current (``open_dataset``), else from the JSON, after the same checks."""
+    ds, current = open_dataset(path)
+    if current():
+        return ds
+    del ds  # freed before the JSON is parsed
+    return _dataset_from_doc(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -103,14 +103,16 @@ def write_twin(path: str, pieces, doc: dict, arrays: dict) -> None:
 
 
 def read_twin(path: str, build):
-    """``build(doc, arrays)`` of the twin of the JSON file ``path``, each
-    table back in ``doc``; or None when there is no twin, it holds the hash
-    of other bytes, it is malformed, or ``build`` raises, and the caller then
-    parses the JSON.  A second thread hashes the JSON meanwhile."""
+    """``(build(doc, arrays), current)`` of the twin of the JSON file
+    ``path``, each table back in ``doc``; or None when there is no twin, it
+    is malformed, or ``build`` raises, and the caller then parses the JSON.
+    A second thread hashes the JSON meanwhile: ``current()`` waits for it,
+    closes the JSON and says whether the twin holds its SHA-256.  Call it on
+    every path, and unless True, discard the build and all made of it."""
     twin = path + TWIN_SUFFIX
     if not os.path.isfile(twin):
         return None
-    digest, faults = hashlib.sha256(), []
+    digest, faults, sha256 = hashlib.sha256(), [], None
 
     def hash_json(f, block) -> None:
         try:
@@ -123,29 +125,39 @@ def read_twin(path: str, build):
     # is the buffer: allocated in the thread, it raised dense eval's peak RSS.
     # 256 KB blocks made quickstart slower (the thread takes the GIL per block),
     # and a block larger than a small file raised quickstart eval's peak RSS.
-    with open(path, "rb", buffering=0) as f:
-        block = memoryview(bytearray(min(1 << 20, os.fstat(f.fileno()).st_size)))
-        hasher = threading.Thread(target=hash_json, args=(f, block))
+    f = open(path, "rb", buffering=0)
+    try:
+        size = min(1 << 20, os.fstat(f.fileno()).st_size)
+        hasher = threading.Thread(target=hash_json, args=(f, memoryview(bytearray(size))))
         hasher.start()
-        try:
-            # opened here, not by np.load, so a malformed archive closes it too
-            with open(twin, "rb") as zf, np.load(zf, allow_pickle=False) as z:
-                sha256 = str(z["sha256"])
-                doc = json.loads(z["doc"].tobytes())
-                arrays = {name: z[name] for name in z.files if name not in ("sha256", "doc")}
-            for key in doc.keys() & arrays.keys():  # the tables
-                flat, shapes = arrays.pop(key), doc[key]
-                sizes = [math.prod(shape) for shape in shapes.values()]
-                if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
-                    raise ValueError(f"table '{key}' does not fit its shapes")
-                parts = np.split(flat, np.cumsum(sizes[:-1], dtype=int))
-                doc[key] = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), parts)}
-            built = build(doc, arrays)
-        except Exception:  # any fault in the twin falls back to the JSON
+    except BaseException:
+        f.close()
+        raise
+
+    def current() -> bool:
+        hasher.join()
+        f.close()
+        return not faults and digest.hexdigest() == sha256
+
+    try:
+        # opened here, not by np.load, so a malformed archive closes it too
+        with open(twin, "rb") as zf, np.load(zf, allow_pickle=False) as z:
+            sha256 = str(z["sha256"])
+            doc = json.loads(z["doc"].tobytes())
+            arrays = {name: z[name] for name in z.files if name not in ("sha256", "doc")}
+        for key in doc.keys() & arrays.keys():  # the tables
+            flat, shapes = arrays.pop(key), doc[key]
+            sizes = [math.prod(shape) for shape in shapes.values()]
+            if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+                raise ValueError(f"table '{key}' does not fit its shapes")
+            parts = np.split(flat, np.cumsum(sizes[:-1], dtype=int))
+            doc[key] = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), parts)}
+        return build(doc, arrays), current
+    except BaseException as e:
+        current()  # joins the hash thread and closes the JSON
+        if isinstance(e, Exception):  # any fault in the twin falls back to the JSON
             return None
-        finally:
-            hasher.join()
-    return built if not faults and digest.hexdigest() == sha256 else None
+        raise
 
 
 def read_json(path: str):

@@ -583,9 +583,9 @@ def save_checkpoint(state: TrainState, path: str) -> None:
 def load_checkpoint(path: str) -> TrainState:
     """The state in the checkpoint file ``path``, from its twin when that is
     current (``read_twin``), else from the JSON, after the same checks."""
-    state = read_twin(path, lambda doc, _: _state_from_doc(path, doc))
-    if state is not None:
-        return state
+    opened = read_twin(path, lambda doc, _: _state_from_doc(path, doc))
+    if opened is not None and opened[1]():
+        return opened[0]
     try:
         doc = read_json(path)
     except ValueError as e:

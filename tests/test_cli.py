@@ -1,22 +1,27 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from minent import cli
 from minent import data as data_module
+from minent import jsonio as jsonio_module
 from minent import trainer as trainer_module
 from minent.cli import main
 from minent.data import Bag, Dataset, load_dataset, save_dataset
 from minent.geometry import Box
 from minent.jsonio import TWIN_SUFFIX
 from minent.trainer import csv_header, load_checkpoint
+from test_data import _SlowSha256
 
 GEN = [
     "gen", "--classes", "2", "--bags", "6", "--negatives", "3",
@@ -652,13 +657,28 @@ class TestNegativeSeed:
 
 class TestUnwritableOutput:
     """A path that cannot be written is exit 1 with one ``error:`` line that
-    names that path, and leaves no file behind."""
+    names that path and nothing on stdout, before any dataset is generated
+    or any file is loaded, and leaves no file behind."""
+
+    KINDS = ["directory", "missing parent", "file parent", "empty"]
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        for name in ("generate_synthetic", "load_checkpoint", "load_dataset", "open_dataset"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} called"))
 
     def _tree(self, root):
         return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
+    def _target(self, tmp_path, kind):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        return {"directory": tmp_path / "adir", "missing parent": tmp_path / "absent" / "x.json",
+                "file parent": tmp_path / "afile" / "x.json", "empty": ""}[kind]
+
     def _one_error_naming(self, capsys, path):
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert repr(str(path)) in err and ".tmp" not in err
 
@@ -689,21 +709,26 @@ class TestUnwritableOutput:
         self._one_error_naming(capsys, out)
         assert self._tree(tmp_path) == []
 
-    @pytest.mark.parametrize("kind", ["directory", "missing parent", "file parent", "empty"])
-    def test_train_checks_the_checkpoint_before_training(
-            self, workspace, tmp_path, monkeypatch, capsys, kind):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_checks_the_checkpoint_before_training(self, workspace, tmp_path, capsys, kind):
         # the target is checked before the dataset loads, so no epoch runs
         # and the CSV gets no row; a rerun would otherwise append them again
-        out = {"directory": tmp_path / "adir", "missing parent": tmp_path / "absent" / "ck.json",
-               "file parent": tmp_path / "afile" / "ck.json", "empty": ""}[kind]
-        (tmp_path / "adir").mkdir()
-        (tmp_path / "afile").write_text("")
+        out = self._target(tmp_path, kind)
         before = self._tree(tmp_path)
-        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("dataset loaded"))
         csv = tmp_path / "ep.csv"
         assert main(["train", "--data", str(workspace / "ds.json"), "--out-checkpoint", str(out),
                      "--epochs", "5", "--csv", str(csv)]) == 1
         self._one_error_naming(capsys, out)
+        assert self._tree(tmp_path) == before
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_checks_the_csv_before_any_load(self, workspace, tmp_path, capsys, kind):
+        csv = self._target(tmp_path, kind)
+        before = self._tree(tmp_path)
+        assert main(["train", "--data", str(workspace / "ds.json"),
+                     "--out-checkpoint", str(tmp_path / "ck.json"),
+                     "--resume", str(workspace / "ck.json"), "--csv", str(csv)]) == 1
+        self._one_error_naming(capsys, csv)
         assert self._tree(tmp_path) == before
 
     def test_eval_names_the_metrics_file(self, workspace, tmp_path, capsys):
@@ -713,20 +738,31 @@ class TestUnwritableOutput:
         self._one_error_naming(capsys, out)
         assert self._tree(tmp_path) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eval_checks_its_outputs_before_any_load(self, workspace, tmp_path, capsys, flag,
+                                                     kind):
+        target = self._target(tmp_path, kind)
+        before = self._tree(tmp_path)
+        assert main(["eval", "--data", str(workspace / "ds.json"),
+                     "--checkpoint", str(workspace / "ck.json"), flag, str(target)]) == 1
+        self._one_error_naming(capsys, target)
+        assert self._tree(tmp_path) == before
+
 
 class TestLoadOrder:
     """``eval`` and ``inspect`` open the checkpoint before the dataset."""
 
     @pytest.fixture
     def loads(self, monkeypatch):
+        """The paths that ``load_dataset`` and ``open_dataset`` are called with."""
         calls = []
-        real = cli.load_dataset
+        for name in ("load_dataset", "open_dataset"):
+            def counting(path, real=getattr(cli, name)):
+                calls.append(path)
+                return real(path)
 
-        def counting(path):
-            calls.append(path)
-            return real(path)
-
-        monkeypatch.setattr(cli, "load_dataset", counting)
+            monkeypatch.setattr(cli, name, counting)
         return calls
 
     @staticmethod
@@ -876,6 +912,124 @@ class TestCheckpointTwinByteIdentity:
         assert listing() == before
         assert parses == [str(ck)] * 3
         assert with_twin == without
+
+
+class TestDeferredDatasetHash:
+    """``eval`` scores a dataset twin while the JSON's hash still runs and
+    checks the hash before it prints or writes; a stale twin's pass is
+    discarded and the JSON scored, so every outcome equals that of ``eval``
+    without the twin, and no thread or file stays open."""
+
+    @pytest.fixture
+    def data(self, workspace, tmp_path):
+        """A copy of the workspace dataset with its twin."""
+        for name in ("ds.json", "ds.json" + TWIN_SUFFIX):
+            shutil.copyfile(workspace / name, tmp_path / name)
+        return tmp_path / "ds.json"
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every file that ``jsonio`` opens."""
+        files = []
+
+        def tracking(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(jsonio_module, "open", tracking, raising=False)
+        return files
+
+    @staticmethod
+    def run(capsys, workspace, data):
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(workspace / "ck.json")])
+        return (rc, *capsys.readouterr())
+
+    def without_twin(self, capsys, workspace, data):
+        os.unlink(str(data) + TWIN_SUFFIX)
+        return self.run(capsys, workspace, data)
+
+    def test_scoring_starts_before_the_hash_ends(self, workspace, data, capsys, monkeypatch):
+        monkeypatch.setattr(jsonio_module, "hashlib", SimpleNamespace(sha256=_SlowSha256))
+        threads, hashing, real = threading.active_count(), [], cli.evaluate
+
+        def evaluate(*args, **kwargs):
+            hashing.append(threading.active_count() == threads + 1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        with_twin = self.run(capsys, workspace, data)
+        assert hashing == [True] and threading.active_count() == threads
+        assert with_twin == self.without_twin(capsys, workspace, data)
+        assert with_twin[0] == 0 and with_twin[2] == ""
+
+    @pytest.mark.parametrize("case", ["current", "stale", "malformed twin", "missing JSON",
+                                      "other feature_dim", "no ground truth", "evaluate raises"])
+    def test_no_thread_or_file_stays_open(self, workspace, data, capsys, monkeypatch, opened,
+                                          case):
+        if case == "stale":
+            data.write_text(data.read_text().replace('"labels":[1', '"labels":[0', 1))
+        elif case == "malformed twin":
+            Path(str(data) + TWIN_SUFFIX).write_bytes(b"not an archive")
+        elif case == "missing JSON":
+            os.unlink(data)
+        elif case == "other feature_dim":
+            assert main(["gen", "--classes", "2", "--bags", "2", "--negatives", "0",
+                         "--proposals", "8", "--dim", "12", "--seed", "1",
+                         "--out", str(data)]) == 0
+        elif case == "no ground truth":
+            save_dataset(load_dataset(str(data)).training_view(), str(data))
+        elif case == "evaluate raises":
+            def evaluate(*args, **kwargs):
+                raise ValueError("evaluate failed")
+
+            monkeypatch.setattr(cli, "evaluate", evaluate)
+        capsys.readouterr()
+        opened.clear()
+        threads = threading.active_count()
+        rc, out, err = self.run(capsys, workspace, data)
+        assert rc == (0 if case in ("current", "stale", "malformed twin") else 1)
+        assert (out == "") == (rc == 1) and err.count("error:") == rc
+        assert threading.active_count() == threads
+        names, read = [f.name for f in opened], case != "missing JSON"
+        assert opened and all(f.closed for f in opened)
+        assert (str(data) in names) == (str(data) + TWIN_SUFFIX in names) == read
+
+    @pytest.mark.parametrize("edit", ['"labels":[0', '"labels":[2'])
+    def test_stale_twin_equals_no_twin(self, workspace, data, capsys, edit):
+        current = self.run(capsys, workspace, data)
+        data.write_text(data.read_text().replace('"labels":[1', edit, 1))
+        stale = self.run(capsys, workspace, data)
+        assert stale == self.without_twin(capsys, workspace, data)
+        if edit == '"labels":[0':  # metrics change
+            assert stale[0] == 0 and stale[1] != current[1] and stale[2] == ""
+        else:  # the JSON's DataError, and nothing of the twin's pass
+            assert stale[:2] == (1, "") and stale[2].startswith("error: bag 'pos-c0-0000'")
+
+    def test_stale_twin_pass_warns_nothing(self, workspace, data, capsys):
+        def warned(path):  # eval as a user runs it: a warning prints, not raises
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                return self.run(capsys, workspace, path)
+
+        full = data.read_bytes()
+        doc = json.loads(full)
+        for rec in doc["bags"]:
+            if "ground_truth" in rec:
+                rec["ground_truth"] = [g for g in rec["ground_truth"] if g["class"] != 1]
+        data.write_text(json.dumps(doc))
+        os.unlink(str(data) + TWIN_SUFFIX)
+        save_dataset(load_dataset(str(data)), str(data))  # twin and JSON without class 1's boxes
+        bare = data.parent / "bare" / "ds.json"
+        bare.parent.mkdir()
+        shutil.copyfile(data, bare)
+        current = warned(data)
+        assert current == warned(bare)
+        assert current[2] == "warning: corloc: class 1 has no positive bags with ground truth\n"
+        data.write_bytes(full)  # the twin's pass would warn, the JSON's does not
+        stale = warned(data)
+        os.unlink(str(data) + TWIN_SUFFIX)
+        assert stale == warned(data)
+        assert stale[0] == 0 and stale[2] == ""
 
 
 class TestMain:
