@@ -77,9 +77,9 @@ def _config_file(args: argparse.Namespace, allowed: set[str]) -> dict:
     return doc
 
 
-def _read(what: str, load, path: str):
+def _read(what: str, load, path: str, *args):
     try:
-        return load(path)
+        return load(path, *args)
     except OSError as e:
         raise RuntimeError(f"cannot read {what} {path}: {e}") from e
 
@@ -181,8 +181,8 @@ def _metrics_csv(report_dict: dict) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    """Score the dataset's twin while the JSON's hash runs (``open_dataset``),
-    and check the hash before any output; a stale twin costs a second pass."""
+    """Score the dataset through ``open_dataset``: a twin's dataset is scored
+    while the JSON's hash runs, and counts only if the twin proves current."""
     allowed = {"nms_iou", "score_floor"}
     merged = {
         "nms_iou": DEFAULT_NMS_IOU,
@@ -208,22 +208,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         check_dims(state.params, ds)
         return evaluate(state.params, ds, head=head, **merged)
 
-    ds, current = _read("dataset", open_dataset, args.data)
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            report, fault = score(ds), None
-        except Exception as e:
-            report, fault = None, e
-        finally:
-            fresh = current()
-    del ds
-    if not fresh:  # the stale pass is dropped: its result, exception and warnings
-        caught, fault = [], None
-        report = score(_read("dataset", load_dataset, args.data))
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    if fault is not None:
-        raise fault
+    report = _read("dataset", open_dataset, args.data, score)
     doc = report.to_dict()
     sys.stdout.write(dumps_canonical(doc))
     if getattr(args, "out", None):

@@ -17,10 +17,10 @@ group win — the behavior the training objective is supposed to exhibit.
 ``save_dataset`` writes the canonical JSON and its binary twin
 (``jsonio.write_twin``): the bags' concatenated features and boxes, each
 bag's proposal count, and the document without ``proposals``.
-``load_dataset`` builds the dataset from a current twin
-(``jsonio.read_twin``), else from the JSON; ``open_dataset`` checks the
-hash later.  A bag read from the twin holds read-only slices of its two
-loaded arrays, not copies, so the data sits in memory once.
+``load_dataset`` builds the dataset from a current twin, else from the JSON
+(``jsonio.read_checked``); ``open_dataset`` also uses the twin's dataset
+while the hash runs.  A bag read from the twin holds read-only slices of its
+two loaded arrays, not copies, so the data sits in memory once.
 
 The dataset is a fixed function of the config and its seed.  A positive
 bag's boxes are rejection-sampled in blocks of tries: each round draws the
@@ -42,7 +42,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .geometry import Box, iou_matrix
-from .jsonio import dumps_canonical, read_json, read_twin, write_twin
+from .jsonio import dumps_canonical, read_checked, read_json, write_twin
 
 
 class DataError(ValueError):
@@ -458,21 +458,23 @@ def _dataset_from_twin(doc, arrays) -> Dataset:
                                    for a, b in zip([0] + ends[:-1], ends)])
 
 
-def open_dataset(path: str):
-    """``(dataset, current)`` of the JSON file ``path``, from its twin while
-    its hash still runs (``read_twin``), else from the JSON.  Call
-    ``current()`` on every path; unless True, discard all made of the dataset."""
-    return read_twin(path, _dataset_from_twin) or (_dataset_from_doc(read_json(path)), lambda: True)
+def open_dataset(path: str, use=lambda ds: ds):
+    """``use(dataset)`` of the JSON file ``path``, the twin's dataset used while
+    the hash runs and kept only if the twin is current (``jsonio.read_checked``)."""
+    def parse() -> Dataset:
+        try:
+            doc = read_json(path)
+        except ValueError as e:
+            raise DataError(f"unreadable dataset {path}: {e}") from e
+        return _dataset_from_doc(doc)
+
+    return read_checked(path, _dataset_from_twin, parse, use)
 
 
 def load_dataset(path: str) -> Dataset:
     """The dataset in the JSON file ``path``, from its twin when that is
-    current (``open_dataset``), else from the JSON, after the same checks."""
-    ds, current = open_dataset(path)
-    if current():
-        return ds
-    del ds  # freed before the JSON is parsed
-    return _dataset_from_doc(read_json(path))
+    current, else from the JSON, after the same checks."""
+    return open_dataset(path)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ All persisted files (datasets, checkpoints, metrics) go through these so
 that a fixed object always serializes to identical bytes: keys sorted,
 compact separators, floats at full round-trip precision, trailing newline.
 Writes are atomic (temp file in the target directory, then rename).
+``read_checked`` is the one rule for a file with a binary twin (``write_twin``):
+use the twin only if it holds the JSON's SHA-256, else parse the JSON.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import os
 import secrets
 import threading
+import warnings
 
 import numpy as np
 
@@ -102,17 +105,34 @@ def write_twin(path: str, pieces, doc: dict, arrays: dict) -> None:
         doc=np.frombuffer(dumps_canonical(doc).encode(), dtype=np.uint8), **arrays))
 
 
-def read_twin(path: str, build):
-    """``(build(doc, arrays), current)`` of the twin of the JSON file
-    ``path``, each table back in ``doc``; or None when there is no twin, it
-    is malformed, or ``build`` raises, and the caller then parses the JSON.
-    A second thread hashes the JSON meanwhile: ``current()`` waits for it,
-    closes the JSON and says whether the twin holds its SHA-256.  Call it on
-    every path, and unless True, discard the build and all made of it."""
+def _built(twin: str, build):
+    """``(sha256, build(doc, arrays))`` of the archive ``twin``, each table back
+    in ``doc``; raises on any fault.  ``doc`` and ``arrays`` die with the frame."""
+    # opened here, not by np.load, so a malformed archive closes it too
+    with open(twin, "rb") as zf, np.load(zf, allow_pickle=False) as z:
+        sha256 = str(z["sha256"])
+        doc = json.loads(z["doc"].tobytes())
+        arrays = {name: z[name] for name in z.files if name not in ("sha256", "doc")}
+    for key in doc.keys() & arrays.keys():  # the tables
+        flat, shapes = arrays.pop(key), doc[key]
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+            raise ValueError(f"table '{key}' does not fit its shapes")
+        parts = np.split(flat, np.cumsum(sizes[:-1], dtype=int))
+        doc[key] = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), parts)}
+    return sha256, build(doc, arrays)
+
+
+def read_checked(path: str, build, parse, use=lambda obj: obj):
+    """``use(obj)``, where ``obj`` is ``build(doc, arrays)`` of the twin of
+    the JSON file ``path`` if the twin holds the JSON's SHA-256, else
+    ``parse()``.  A second thread hashes the JSON while the twin is read,
+    built and used; that pass's result, exception and warnings count only if
+    the twin is current.  Else it is dropped and freed, and ``use(parse())`` runs."""
     twin = path + TWIN_SUFFIX
     if not os.path.isfile(twin):
-        return None
-    digest, faults, sha256 = hashlib.sha256(), [], None
+        return use(parse())
+    digest, faults = hashlib.sha256(), []
 
     def hash_json(f, block) -> None:
         try:
@@ -121,43 +141,32 @@ def read_twin(path: str, build):
         except OSError as e:  # kept, not raised: the JSON path reports it
             faults.append(e)
 
+    obj = result = fault = sha256 = None
     # opened here, so that a missing JSON raises before the twin is opened.  So
     # is the buffer: allocated in the thread, it raised dense eval's peak RSS.
     # 256 KB blocks made quickstart slower (the thread takes the GIL per block),
     # and a block larger than a small file raised quickstart eval's peak RSS.
-    f = open(path, "rb", buffering=0)
-    try:
+    with open(path, "rb", buffering=0) as f:
         size = min(1 << 20, os.fstat(f.fileno()).st_size)
         hasher = threading.Thread(target=hash_json, args=(f, memoryview(bytearray(size))))
         hasher.start()
-    except BaseException:
-        f.close()
-        raise
-
-    def current() -> bool:
-        hasher.join()
-        f.close()
-        return not faults and digest.hexdigest() == sha256
-
-    try:
-        # opened here, not by np.load, so a malformed archive closes it too
-        with open(twin, "rb") as zf, np.load(zf, allow_pickle=False) as z:
-            sha256 = str(z["sha256"])
-            doc = json.loads(z["doc"].tobytes())
-            arrays = {name: z[name] for name in z.files if name not in ("sha256", "doc")}
-        for key in doc.keys() & arrays.keys():  # the tables
-            flat, shapes = arrays.pop(key), doc[key]
-            sizes = [math.prod(shape) for shape in shapes.values()]
-            if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
-                raise ValueError(f"table '{key}' does not fit its shapes")
-            parts = np.split(flat, np.cumsum(sizes[:-1], dtype=int))
-            doc[key] = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), parts)}
-        return build(doc, arrays), current
-    except BaseException as e:
-        current()  # joins the hash thread and closes the JSON
-        if isinstance(e, Exception):  # any fault in the twin falls back to the JSON
-            return None
-        raise
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                try:  # a fault in the twin leaves sha256 None: the JSON is parsed
+                    sha256, obj = _built(twin, build)
+                    result = use(obj)
+                except Exception as e:
+                    fault = e
+        finally:  # an interrupt, too, joins the hash thread before the JSON closes
+            hasher.join()
+    if not faults and digest.hexdigest() == sha256:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if fault is not None:
+            raise fault
+        return result
+    del obj, result, fault, caught  # the stale pass, freed before the JSON is parsed
+    return use(parse())
 
 
 def read_json(path: str):

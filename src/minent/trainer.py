@@ -57,7 +57,7 @@ from .entropy import (
 )
 from .evaluate import best_gt_overlaps, dataset_loc_stats
 from .geometry import box_iou
-from .jsonio import dumps_canonical, read_json, read_twin, write_json
+from .jsonio import dumps_canonical, read_checked, read_json, write_json
 from .model import (
     ModelParams,
     backward_head,
@@ -582,15 +582,15 @@ def save_checkpoint(state: TrainState, path: str) -> None:
 
 def load_checkpoint(path: str) -> TrainState:
     """The state in the checkpoint file ``path``, from its twin when that is
-    current (``read_twin``), else from the JSON, after the same checks."""
-    opened = read_twin(path, lambda doc, _: _state_from_doc(path, doc))
-    if opened is not None and opened[1]():
-        return opened[0]
-    try:
-        doc = read_json(path)
-    except ValueError as e:
-        raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
-    return _state_from_doc(path, doc)
+    current, else from the JSON (``jsonio.read_checked``), after the same checks."""
+    def parse() -> TrainState:
+        try:
+            doc = read_json(path)
+        except ValueError as e:
+            raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
+        return _state_from_doc(path, doc)
+
+    return read_checked(path, lambda doc, _: _state_from_doc(path, doc), parse)
 
 
 def _state_from_doc(path: str, doc) -> TrainState:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -758,9 +759,9 @@ class TestLoadOrder:
         """The paths that ``load_dataset`` and ``open_dataset`` are called with."""
         calls = []
         for name in ("load_dataset", "open_dataset"):
-            def counting(path, real=getattr(cli, name)):
+            def counting(path, *args, real=getattr(cli, name), **kwargs):
                 calls.append(path)
-                return real(path)
+                return real(path, *args, **kwargs)
 
             monkeypatch.setattr(cli, name, counting)
         return calls
@@ -804,6 +805,72 @@ class TestLoadOrder:
         assert main(self.argv(command, str(bad), ck)) == 1
         assert capsys.readouterr().err == "error: dataset file missing 'feature_dim'\n"
         assert loads == [missing, str(bad)]
+
+
+class TestUnreadableDataset:
+    """A dataset file that is not JSON exits 1 with one ``error:`` line that
+    names it as the dataset, and nothing on stdout."""
+
+    @pytest.mark.parametrize("content", [b"not json\n", b'{"classes":["a"],"bags":[', b"\xff\xfe"],
+                             ids=["text", "truncated", "not utf-8"])
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    def test_error_names_the_dataset(self, workspace, tmp_path, capsys, command, content):
+        data = tmp_path / "ds.json"
+        data.write_bytes(content)
+        ck = str(workspace / "ck.json")
+        rest = {"train": ["--out-checkpoint", str(tmp_path / "out.json")],
+                "eval": ["--checkpoint", ck],
+                "inspect": ["--checkpoint", ck, "--bag", "neg-0000"]}[command]
+        assert main([command, "--data", str(data), *rest]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: unreadable dataset {data}: ")
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestStaleTwin:
+    """A stale dataset or checkpoint twin gives ``train``, ``train --resume``
+    and ``inspect`` the same bytes as no twin."""
+
+    @pytest.mark.parametrize("stale", ["dataset", "checkpoint"])
+    def test_stale_twin_equals_no_twin(self, tmp_path, capsys, stale):
+        ds, ck, out = tmp_path / "ds.json", tmp_path / "ck.json", tmp_path / "out"
+        assert main(GEN + ["--out", str(ds)]) == 0
+        assert main(["train", "--data", str(ds), "--out-checkpoint", str(ck), "--epochs", "2",
+                     "--stop-after", "1", "--seed", "0"]) == 0
+        capsys.readouterr()
+
+        def run():
+            """Each command's stdout, checkpoint, and CSV lines less ``seconds``."""
+            outputs = []
+            for command, *rest in (["train", "--epochs", "2"], ["train", "--resume", str(ck)],
+                                   ["inspect", "--checkpoint", str(ck), "--bag", "pos-c0-0000"]):
+                shutil.rmtree(out, ignore_errors=True)
+                out.mkdir()
+                if command == "train":
+                    rest += ["--out-checkpoint", str(out / "ck.json"), "--csv", str(out / "ep.csv")]
+                assert main([command, "--data", str(ds), *rest]) == 0
+                written = None
+                if command == "train":  # seconds is the CSV's last column
+                    written = (out / "ck.json").read_bytes(), [
+                        line.rsplit(",", 1)[0] for line in (out / "ep.csv").read_text().splitlines()]
+                outputs.append((capsys.readouterr().out, written))
+            return outputs
+
+        fresh = run()
+        if stale == "dataset":  # a same-length label edit
+            target = ds
+            ds.write_text(ds.read_text().replace('"labels":[1', '"labels":[0', 1))
+        else:
+            target, doc = ck, json.loads(ck.read_text())
+            doc["params"]["disc_b"][0] += 1.0
+            ck.write_text(json.dumps(doc))
+        with_twin = run()
+        os.unlink(str(target) + TWIN_SUFFIX)
+        assert with_twin == run()
+        # the edit shows in every output that reads the edited file
+        changed = [a != b for a, b in zip(with_twin, fresh)]
+        assert changed == [stale == "dataset", True, True]
 
 
 class TestSidecarByteIdentity:
@@ -963,9 +1030,11 @@ class TestDeferredDatasetHash:
         assert with_twin[0] == 0 and with_twin[2] == ""
 
     @pytest.mark.parametrize("case", ["current", "stale", "malformed twin", "missing JSON",
-                                      "other feature_dim", "no ground truth", "evaluate raises"])
+                                      "other feature_dim", "no ground truth", "evaluate raises",
+                                      "scoring interrupted"])
     def test_no_thread_or_file_stays_open(self, workspace, data, capsys, monkeypatch, opened,
                                           case):
+        scored = []
         if case == "stale":
             data.write_text(data.read_text().replace('"labels":[1', '"labels":[0', 1))
         elif case == "malformed twin":
@@ -983,16 +1052,41 @@ class TestDeferredDatasetHash:
                 raise ValueError("evaluate failed")
 
             monkeypatch.setattr(cli, "evaluate", evaluate)
+        elif case == "scoring interrupted":  # while the slowed hash still runs
+            def evaluate(*args, **kwargs):
+                scored.append(1)
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cli, "evaluate", evaluate)
+            monkeypatch.setattr(jsonio_module, "hashlib", SimpleNamespace(sha256=_SlowSha256))
         capsys.readouterr()
         opened.clear()
         threads = threading.active_count()
-        rc, out, err = self.run(capsys, workspace, data)
-        assert rc == (0 if case in ("current", "stale", "malformed twin") else 1)
-        assert (out == "") == (rc == 1) and err.count("error:") == rc
+        try:
+            rc, out, err = self.run(capsys, workspace, data)
+        except KeyboardInterrupt:  # at once: no JSON pass follows
+            rc, out, err = None, *capsys.readouterr()
+            assert scored == [1]
+        ok = {"current": 0, "stale": 0, "malformed twin": 0, "scoring interrupted": None}
+        assert rc == ok.get(case, 1)
+        assert (out == "") == (rc != 0) and err.count("error:") == (rc == 1)
         assert threading.active_count() == threads
         names, read = [f.name for f in opened], case != "missing JSON"
         assert opened and all(f.closed for f in opened)
         assert (str(data) in names) == (str(data) + TWIN_SUFFIX in names) == read
+
+    def test_stale_twin_costs_one_build_and_one_hash(self, workspace, data, capsys, monkeypatch):
+        ck = data.parent / "ck.json"
+        shutil.copyfile(workspace / "ck.json", ck)  # no twin, so every hash is the dataset's
+        data.write_text(data.read_text().replace('"labels":[1', '"labels":[0', 1))
+        builds, hashes = [], []
+        build = data_module._dataset_from_twin
+        monkeypatch.setattr(data_module, "_dataset_from_twin",
+                            lambda *args: builds.append(1) or build(*args))
+        monkeypatch.setattr(jsonio_module, "hashlib", SimpleNamespace(
+            sha256=lambda: hashes.append(1) or hashlib.sha256()))
+        assert main(["eval", "--data", str(data), "--checkpoint", str(ck)]) == 0
+        assert (len(builds), len(hashes)) == (1, 1)
 
     @pytest.mark.parametrize("edit", ['"labels":[0', '"labels":[2'])
     def test_stale_twin_equals_no_twin(self, workspace, data, capsys, edit):
