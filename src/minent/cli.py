@@ -18,8 +18,6 @@ import sys
 import warnings
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from .data import (
     DataError,
     SynthConfig,
@@ -84,13 +82,33 @@ def _read(what: str, load, path: str, *args):
         raise RuntimeError(f"cannot read {what} {path}: {e}") from e
 
 
-def _check_outputs(*targets) -> None:
-    """Fail before any work unless each ``(path, what)`` not None can be created."""
-    for path, what in targets:
-        if path is not None and (not path or os.path.isdir(path)
-                                 or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args: argparse.Namespace, **outputs: str) -> None:
+    """Fail before any work unless the path of each output flag given, as
+    ``dest=what``, can be created and names no file of an input flag or an
+    earlier output.  ``train`` may write the checkpoint it resumes: it reads
+    that file whole first."""
+    inputs = ("data", "checkpoint", "resume", "config")
+    taken = [(dest, getattr(args, dest, None)) for dest in inputs]
+    for dest, what in outputs.items():
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        if (not path or os.path.isdir(path)
+                or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
             why = "it is a directory" if os.path.isdir(path) else "no such directory"
             raise RuntimeError(f"cannot write {what} {path!r}: {why}")
+        for other, given in taken:
+            if (given is not None and (dest, other) != ("out_checkpoint", "resume")
+                    and _same_file(path, given)):
+                flags = ["--" + name.replace("_", "-") for name in (dest, other)]
+                raise RuntimeError(f"{flags[0]} {path!r} names the same file as {flags[1]}")
+        taken.append((dest, path))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +134,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cfg = SynthConfig(**merged)
     except (TypeError, DataError) as e:
         raise UsageError(str(e)) from e
-    _check_outputs((args.out, "dataset"))
+    _check_outputs(args, out="dataset")
     ds = generate_synthetic(cfg)
     save_dataset(ds, args.out)
     print(
@@ -131,7 +149,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     provided = _provided(args, _TRAIN_FIELDS)
     if args.stop_after is not None and args.stop_after < 1:
         raise UsageError(f"--stop-after must be >= 1, got {args.stop_after}")
-    _check_outputs((args.out_checkpoint, "checkpoint"), (args.csv, "epoch CSV"))
+    _check_outputs(args, out_checkpoint="checkpoint", csv="epoch CSV")
 
     state = _read("checkpoint", load_checkpoint, args.resume) if args.resume else None
     # resumed runs inherit their own config
@@ -198,7 +216,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if merged["score_floor"] < 0.0:
         raise UsageError(f"--score-floor must be >= 0, got {merged['score_floor']}")
 
-    _check_outputs((args.out, "metrics file"), (args.csv, "metrics CSV"))
+    _check_outputs(args, out="metrics file", csv="metrics CSV")
     state = _read("checkpoint", load_checkpoint, args.checkpoint)
     head = tier_switches(state.config).detect_head
 
@@ -240,20 +258,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             members = partition.clique_members(i).tolist()
             cliques.append({"members": members, "boxes": boxes[members].tolist(),
                             "mean_scores": mean_scores})
-    branches = [[] for _ in seen.terms]
-    for y, h, start, home, weights in seen.blocks:
-        for k, w in enumerate(weights.tolist(), start):
-            anchors = branches[k]  # a branch's terms run in its anchors' order
-            anchors.append({"class": y, "h": h, "members": home.tolist(), "weights": w,
-                            "loss": seen.terms[k][len(anchors)]})
-
     doc = {
         "bag": bag.id,
         "labels": bag.labels.tolist(),
         "cliques": cliques,
         "selected": {str(y): ci for y, ci in seen.disc.selected.items()},
         "disc_loss": seen.disc.loss,
-        "branches": [{"anchors": anchors} for anchors in branches],
+        "branches": [{"anchors": [{"class": y, "h": h, "members": home.tolist(),
+                                   "weights": w.tolist(), "loss": loss}
+                                  for y, h, home, w, loss in scored]}
+                     for scored in seen.anchors],
     }
     sys.stdout.write(dumps_canonical(doc))
     return 0

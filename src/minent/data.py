@@ -319,6 +319,8 @@ def _dataset_from_doc(doc, arrays=None) -> Dataset:
         raise DataError("'bags' must be a list of objects")
     if arrays is None:
         arrays = [None] * len(bags)
+    # after the read of the JSON or twin, so that its buffers are not kept in the heap
+    _raise_malloc_thresholds()
     ds = Dataset(
         classes=classes,
         feature_dim=doc["feature_dim"],
@@ -450,8 +452,6 @@ def _dataset_from_twin(doc, arrays) -> Dataset:
             or not counts.sum() == len(features) == len(boxes)):
         raise DataError("twin arrays do not fit together")
     ends = np.cumsum(counts).tolist()
-    # after the read, so that its buffers are not kept in the heap
-    _raise_malloc_thresholds()
     # each bag's arrays are read-only slices of the loaded pair, not copies
     features.flags.writeable = boxes.flags.writeable = False
     return _dataset_from_doc(doc, [(features[a:b], boxes[a:b])

@@ -288,18 +288,16 @@ class Visit(NamedTuple):
     """One visit of a bag at fixed parameters: the (1 + K, P, N) score and
     softmax tables of the discovery head and the K branches that train on
     it (none, and no partition, on a bag without a positive class), each
-    branch's localization terms, their (K, P, N) gradient, and the
-    (class, anchor, first branch, home clique, soft weights) blocks, one
-    weight row per branch from the first; a branch's terms follow its blocks."""
+    branch's scored anchors in its scoring order, as (class, anchor, home
+    clique, soft weights, loss) entries, and their (K, P, N) gradient."""
 
     scores: np.ndarray
     probs: np.ndarray
     partition: CliquePartition | None
     disc: DiscoveryOutput
     disc_grad: np.ndarray
-    terms: list[list[float]]
+    anchors: list[list[tuple[int, int, np.ndarray, np.ndarray, float]]]
     branch_grad: np.ndarray
-    blocks: list[tuple[int, int, int, np.ndarray, np.ndarray]]
 
 
 def _home_kernel(run: BagRun, boxes: np.ndarray, h: int, home: np.ndarray, a: float):
@@ -314,49 +312,45 @@ def _home_kernel(run: BagRun, boxes: np.ndarray, h: int, home: np.ndarray, a: fl
 
 
 def _localization(cfg: TrainConfig, partition, selected, probs, run: BagRun, boxes):
-    """Each branch's localization terms on one visit, its raw-score gradient,
-    in one (branches, P, N) table, and the visit's blocks, as ``Visit``
-    holds them.  ``probs`` is the visit's softmax table, discovery head
-    first; ``selected`` maps each positive class to its discovered clique.
+    """Each branch's scored anchors on one visit and their raw-score
+    gradient, in one (branches, P, N) table, as ``Visit`` holds them.
+    ``probs`` is the visit's softmax table, discovery head first;
+    ``selected`` maps each positive class to its discovered clique.
 
     Branch k scores, per class, the discovery head's best member of that
     clique, then the own picks (most probable pooled proposal) of branches
     before k.  These depend only on the visit's parameters, so each
-    (class, anchor) is one block over the branches that score it.  Blocks
-    run in each branch's (class, anchor) order, so a branch's terms and
-    gradient sums come in the order of a per-anchor loop."""
+    (class, anchor) is one ``localization_terms`` call over the branches
+    that score it.  The calls run in each branch's (class, anchor) order, so
+    a branch's entries and gradient sums come in the order of a per-anchor loop."""
     q_disc, branch_probs = probs[0], probs[1:]
     n_branches = len(branch_probs)
     pool = np.sort(partition.members)
     # picks of every branch but the last, which feeds no later branch
     own = pool[branch_probs[:-1][:, pool[:, None], run.positives].argmax(axis=1)].T.tolist()
-    anchors = []  # (class, anchor, first branch that scores it)
+    firsts = []  # (class, anchor, first branch that scores it)
     for y, picks in zip(run.positives.tolist(), own):
         first = {select_object(partition.clique_members(selected[y]), q_disc, y): 0}
         for k, h in enumerate(picks):
             first.setdefault(h, k + 1)
-        anchors += [(y, h, k) for h, k in first.items()]
+        firsts += [(y, h, k) for h, k in first.items()]
 
-    homes, blocks = {}, []
     branch_index = np.arange(n_branches)[:, None]
     grad = np.zeros(branch_probs.shape)
-    terms = [[] for _ in range(n_branches)]
-    for y, h, start in anchors:
-        if h not in homes:
-            home = partition.clique_members(partition.label[h])
-            homes[h] = home, _home_kernel(run, boxes, h, home, cfg.kernel_a)
-        home, kernel = homes[h]
+    anchors = [[] for _ in range(n_branches)]
+    for y, h, start in firsts:
+        home = partition.clique_members(partition.label[h])
         at = (branch_index[start:], home)
         rows = branch_probs[at]  # C-ordered (branches, members, N)
-        weights, losses = localization_terms(rows, kernel, y)
+        weights, losses = localization_terms(
+            rows, _home_kernel(run, boxes, h, home, cfg.kernel_a), y)
         grad[at] += rows
-        for k, loss in enumerate(losses.tolist(), start):
-            terms[k].append(loss)
-        blocks.append((y, h, start, home, weights))
-    for k, branch_terms in enumerate(terms):
-        if not all(map(math.isfinite, branch_terms)):
+        for scored, w, loss in zip(anchors[start:], weights, losses.tolist()):
+            scored.append((y, h, home, w, loss))
+    for k, scored in enumerate(anchors):
+        if not all(math.isfinite(loss) for *_, loss in scored):
             raise TrainingDiverged(f"localization loss non-finite on branch {k + 1}")
-    return terms, grad, blocks
+    return anchors, grad
 
 
 def visit(params: ModelParams, cfg: TrainConfig, switches: TierSwitches, bag, features,
@@ -382,11 +376,10 @@ def visit(params: ModelParams, cfg: TrainConfig, switches: TierSwitches, bag, fe
     disc, disc_grad = discovery_loss(bag.labels, partition, scores[0], softmax=probs[0])
     if not np.isfinite(disc.loss):
         raise TrainingDiverged("discovery loss non-finite")
-    terms, branch_grad, blocks = [], probs[1:], []  # without branches, an empty table
+    anchors, branch_grad = [], probs[1:]  # without branches, an empty table
     if branches:
-        terms, branch_grad, blocks = _localization(cfg, partition, disc.selected, probs, run,
-                                                   bag.boxes)
-    return Visit(scores, probs, partition, disc, disc_grad, terms, branch_grad, blocks)
+        anchors, branch_grad = _localization(cfg, partition, disc.selected, probs, run, bag.boxes)
+    return Visit(scores, probs, partition, disc, disc_grad, anchors, branch_grad)
 
 
 def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, run: BagRun,
@@ -512,12 +505,12 @@ def train(
                     disc.append(seen.disc.loss)
                     glob += seen.disc.entropies.values()
                     # a branch that did not train on the visit counts 0.0
-                    for losses, terms in zip_longest(loc, seen.terms, fillvalue=()):
+                    for losses, scored in zip_longest(loc, seen.anchors, fillvalue=()):
                         total = 0.0
-                        for loss in terms:
+                        for *_, loss in scored:
                             total += loss
+                            local.append(loss)
                         losses.append(total)
-                        local += terms
                 # the checks above miss an update that overflows on the last visit
                 arrays = [flat_params] + list(state.s_h.values())
                 if not all(np.isfinite(a).all() for a in arrays):

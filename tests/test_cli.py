@@ -751,6 +751,63 @@ class TestUnwritableOutput:
         assert self._tree(tmp_path) == before
 
 
+class TestOutputNamesAnInput:
+    """An output that is the file of an input flag or of another output is
+    exit 1 with one ``error:`` line naming both flags and nothing on stdout,
+    before any work, so every file stays as it was; ``train`` may write the
+    checkpoint it resumes."""
+
+    EVAL = ["eval", "--data", "ds.json", "--checkpoint", "ck.json"]
+    TRAIN = ["train", "--data", "ds.json"]
+
+    @pytest.fixture
+    def files(self, workspace, tmp_path, monkeypatch):
+        for name in ("ds.json", "ck.json"):
+            for path in (name, name + TWIN_SUFFIX):
+                shutil.copy(workspace / path, tmp_path / path)
+        (tmp_path / "c.json").write_text('{"seed": 7}')
+        os.symlink("ds.json", tmp_path / "link.json")
+        os.link(tmp_path / "ck.json", tmp_path / "hard.json")
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, flags", [
+        (TRAIN + ["--out-checkpoint", "ds.json"], ("--out-checkpoint", "--data")),
+        (TRAIN + ["--out-checkpoint", "sub/../ds.json"], ("--out-checkpoint", "--data")),
+        (TRAIN + ["--out-checkpoint", "link.json"], ("--out-checkpoint", "--data")),
+        (TRAIN + ["--out-checkpoint", "x.json", "--csv", "x.json"], ("--csv", "--out-checkpoint")),
+        (TRAIN + ["--resume", "ck.json", "--out-checkpoint", "x.json", "--csv", "hard.json"],
+         ("--csv", "--resume")),
+        (TRAIN + ["--config", "c.json", "--out-checkpoint", "c.json"],
+         ("--out-checkpoint", "--config")),
+        (EVAL + ["--out", "ds.json"], ("--out", "--data")),
+        (EVAL + ["--out", "ck.json"], ("--out", "--checkpoint")),
+        (EVAL + ["--csv", "link.json"], ("--csv", "--data")),
+        (EVAL + ["--out", "m.json", "--csv", "m.json"], ("--csv", "--out")),
+        (GEN + ["--config", "c.json", "--out", "c.json"], ("--out", "--config")),
+    ], ids=["train-data", "train-data-spelled", "train-data-symlink", "train-csv-checkpoint",
+            "train-csv-resume-hardlink", "train-config", "eval-data", "eval-checkpoint",
+            "eval-csv-data-symlink", "eval-csv-out", "gen-config"])
+    def test_collision_changes_no_file(self, files, capsys, argv, flags):
+        before = {p: p.read_bytes() for p in files.rglob("*") if p.is_file()}
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {flags[0]} ") and err.endswith(f" {flags[1]}\n")
+        assert {p: p.read_bytes() for p in files.rglob("*") if p.is_file()} == before
+
+    def test_resume_may_write_its_checkpoint(self, files, capsys):
+        assert main(self.TRAIN + ["--epochs", "3", "--stop-after", "1",
+                                  "--out-checkpoint", "ck.json"]) == 0
+        assert main(self.TRAIN + ["--epochs", "3", "--resume", "ck.json",
+                                  "--out-checkpoint", "ck.json"]) == 0
+        assert main(self.TRAIN + ["--epochs", "3", "--out-checkpoint", "full.json"]) == 0
+        for suffix in ("", TWIN_SUFFIX):
+            assert (files / f"ck.json{suffix}").read_bytes() == \
+                (files / f"full.json{suffix}").read_bytes()
+
+
 class TestLoadOrder:
     """``eval`` and ``inspect`` open the checkpoint before the dataset."""
 

@@ -435,7 +435,7 @@ class TestSidecar:
     def test_bags_are_views_of_one_loaded_pair(self, tmp_path, monkeypatch):
         # the data sits in memory once: each bag's arrays are read-only
         # slices of the sidecar's features and boxes, in bag order, and the
-        # malloc-threshold step runs once per load
+        # malloc-threshold step runs once per load, also from the JSON alone
         path = tmp_path / "ds.json"
         ds = _small(proposals=5)
         save_dataset(ds, str(path))
@@ -464,6 +464,8 @@ class TestSidecar:
                                       np.concatenate(arrays))
                 wholes.append(whole)
             assert not np.shares_memory(*wholes)
+        _assert_same(_json_only(path, tmp_path), ds)
+        assert len(primed) == 3
 
     def test_dataset_without_ground_truth(self, tmp_path, parses):
         path = tmp_path / "ds.json"

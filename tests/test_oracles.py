@@ -26,6 +26,7 @@ import warnings
 import numpy as np
 import pytest
 
+from minent import trainer as trainer_module
 from minent.cli import main
 from minent.data import Bag, Dataset, SynthConfig, generate_synthetic, save_dataset
 
@@ -103,18 +104,17 @@ def reference_localization(kernel_a, partition, selected, probs, positives, boxe
     """A visit's localization, branch after branch: each branch scores each
     class's anchors on its own softmax, one call per anchor, then adds its
     own pick to the anchors of the branches after it.  Returns each
-    branch's terms, its gradient and its (class, anchor, home, soft
-    weights) in scoring order."""
+    branch's (class, anchor, home, soft weights, loss) in scoring order,
+    and the branches' gradients."""
     n_branches = len(probs) - 1
     pool = np.flatnonzero(partition.label >= 0)
     first = {y: select_object(partition.clique_members(selected[y]), probs[0], y)
              for y in positives.tolist()}
     inherited = {y: [] for y in first}
-    homes, terms, grads, anchors = {}, [], [], []
+    homes, grads, anchors = {}, [], []
     for k in range(n_branches):
         probs_k = probs[1 + k].copy()
         branch_grad = np.zeros_like(probs_k)
-        terms.append([])
         anchors.append([])
         for y, top in first.items():
             for h_star in [top] + [h for h in inherited[y] if h != top]:
@@ -125,13 +125,12 @@ def reference_localization(kernel_a, partition, selected, probs, positives, boxe
                     homes[h_star] = home, kernel
                 home, kernel = homes[h_star]
                 w, loss = reference_localization_terms(home, kernel, probs_k, y, branch_grad)
-                terms[k].append(loss)
-                anchors[k].append((y, h_star, home, w))
+                anchors[k].append((y, h_star, home, w, loss))
             own = int(pool[np.argmax(probs_k[pool, y])])
             if own not in inherited[y]:
                 inherited[y].append(own)
         grads.append(branch_grad)
-    return terms, np.array(grads), anchors
+    return anchors, np.array(grads)
 
 
 def reference_discovery_loss(labels, partition, scores):
@@ -280,10 +279,20 @@ def test_dense_bag_graph_keeps_few_block_cells():
             assert np.array_equal(block, full)
 
 
-def test_visit_localization_equals_per_branch_per_anchor_loop():
+def records(anchors):
+    """Each branch's (class, anchor, home, soft weights, loss) entries, with
+    the home as a list and the weights as their bit patterns."""
+    return [[(y, h, home.tolist(), bits(w).tolist(), loss) for y, h, home, w, loss in branch]
+            for branch in anchors]
+
+
+def test_visit_localization_equals_per_branch_per_anchor_loop(monkeypatch):
     rng = np.random.default_rng(31)
     cfg = TrainConfig()
-    seen = {"inherited": 0, "homes": set(), "shared": 0, "cached": 0}
+    calls, terms = [], trainer_module.localization_terms
+    monkeypatch.setattr(trainer_module, "localization_terms",
+                        lambda rows, kernel, y: calls.append(y) or terms(rows, kernel, y))
+    seen = {"inherited": 0, "homes": set(), "shared": 0, "shared_anchor": 0, "cached": 0}
     for bag in range(100):
         boxes, graph, num_classes, positives = random_bag(rng)
         run = BagRun(positives, graph, {})
@@ -292,42 +301,51 @@ def test_visit_localization_equals_per_branch_per_anchor_loop():
             partition, probs, selected = random_visit(rng, trial, boxes, graph, num_classes,
                                                       positives)
             cached = len(run.kernels)
-            terms, grad, blocks = _localization(cfg, partition, selected, probs, run, boxes)
-            want_terms, want_grad, want_anchors = reference_localization(
+            calls.clear()
+            anchors, grad = _localization(cfg, partition, selected, probs, run, boxes)
+            want_anchors, want_grad = reference_localization(
                 cfg.kernel_a, partition, selected, probs, positives, boxes)
-            assert terms == want_terms
+            assert records(anchors) == records(want_anchors)
             assert np.array_equal(bits(grad), bits(want_grad))
-            # one block per (class, anchor), read per branch, is the loop's
-            # anchors with their soft weights
-            assert len({(y, h) for y, h, *_ in blocks}) == len(blocks)
-            scored = [[] for _ in terms]
-            for y, h, start, home, weights in blocks:
-                for k, w in enumerate(weights, start):
-                    scored[k].append((y, h, home.tolist(), bits(w).tolist()))
-            assert scored == [[(y, h, home.tolist(), bits(w).tolist()) for y, h, home, w in branch]
-                              for branch in want_anchors]
-            picks = sum(len(t) for t in terms[1:])
-            seen["inherited"] += picks > len(positives) * (len(terms) - 1)
+            # one call per (class, anchor), over every branch that scores it
+            assert len(calls) == len({(y, h) for branch in anchors for y, h, *_ in branch})
+            picks = sum(len(branch) for branch in anchors[1:])
+            seen["inherited"] += picks > len(positives) * (len(anchors) - 1)
             seen["homes"].update(int(partition.sizes[selected[y]]) for y in positives.tolist())
             seen["shared"] += len(set(selected.values())) < len(selected)
+            # an anchor that two classes score
+            seen["shared_anchor"] += any(len({h for _, h, *_ in branch}) < len(branch)
+                                         for branch in anchors)
             seen["cached"] += 0 < cached == len(run.kernels)
     assert seen["inherited"] > 50 and seen["shared"] > 50 and seen["cached"] > 10
+    assert seen["shared_anchor"] > 10
     assert set(HOME_SIZES) <= seen["homes"]
 
 
 def test_inspect_prints_the_per_branch_loop(tmp_path, capsys):
     # at a trained l-arl checkpoint, inspect's partition, selection and each
     # branch's anchors, soft weights and losses are the reference loops' on
-    # the bag's unscaled features
+    # the bag's unscaled features; the inspected bags add to the trained
+    # ones three copies of each positive bag with both classes positive: the
+    # whole bag, its largest tau-graph component, one clique that both
+    # classes select, and its first proposal, one anchor that both score
     ds = generate_synthetic(SynthConfig(num_classes=2, bags_per_class=6, negatives=3,
                                         proposals_per_bag=12, feature_dim=8, seed=7))
     cfg = TrainConfig(epochs=3, seed=0)
     state, _ = train(ds, cfg)
-    data, ck = str(tmp_path / "ds.json"), str(tmp_path / "ck.json")
-    save_dataset(ds, data)
-    save_checkpoint(state, ck)
-    inherited = 0
+    copies = []
     for bag in ds.bags:
+        if bag.labels.any():
+            component = tau_graph(bag.boxes, cfg.tau).component
+            cuts = {"both": slice(None), "one": component == np.bincount(component).argmax(),
+                    "solo": slice(1)}
+            copies += [Bag(f"{name}-{bag.id}", [1, 1], bag.features[cut], bag.boxes[cut])
+                       for name, cut in cuts.items()]
+    data, ck = str(tmp_path / "ds.json"), str(tmp_path / "ck.json")
+    save_dataset(Dataset(ds.classes, ds.feature_dim, ds.bags + copies), data)
+    save_checkpoint(state, ck)
+    seen = {"inherited": 0, "same_clique": 0, "shared_anchor": 0}
+    for bag in ds.bags + copies:
         assert main(["inspect", "--data", data, "--checkpoint", ck, "--bag", bag.id]) == 0
         doc = json.loads(capsys.readouterr().out)
         positives = np.flatnonzero(bag.labels == 1)
@@ -341,8 +359,8 @@ def test_inspect_prints_the_per_branch_loop(tmp_path, capsys):
                                              cfg.tau, cfg.top_k)
         partition = CliquePartition(members, sizes, bag.num_proposals)
         loss, _, selected, _ = reference_discovery_loss(bag.labels, partition, scores[0])
-        terms, _, anchors = reference_localization(cfg.kernel_a, partition, selected, probs,
-                                                   positives, bag.boxes)
+        anchors, _ = reference_localization(cfg.kernel_a, partition, selected, probs,
+                                            positives, bag.boxes)
         assert [c["members"] for c in doc["cliques"]] == [
             partition.clique_members(i).tolist() for i in range(len(sizes))]
         assert doc["selected"] == {str(y): c for y, c in selected.items()}
@@ -350,11 +368,13 @@ def test_inspect_prints_the_per_branch_loop(tmp_path, capsys):
         got = [[(a["class"], a["h"], a["members"], a["weights"], a["loss"])
                 for a in branch["anchors"]] for branch in doc["branches"]]
         assert got == [[(y, h, home.tolist(), w.tolist(), term)
-                        for (y, h, home, w), term in zip(branch, branch_terms)]
-                       for branch, branch_terms in zip(anchors, terms)]
+                        for y, h, home, w, term in branch] for branch in anchors]
         # a later branch scores an anchor that an earlier branch's pick supplied
-        inherited += any(len(branch) > len(positives) for branch in got[1:])
-    assert inherited > 0
+        seen["inherited"] += any(len(branch) > len(positives) for branch in got[1:])
+        seen["same_clique"] += len(selected) == 2 and len(set(selected.values())) == 1
+        seen["shared_anchor"] += any(len({h for _, h, *_ in branch}) < len(branch)
+                                     for branch in got)
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_blocks_equal_one_call_per_head():
