@@ -30,7 +30,7 @@ from .data import (
 )
 from .entropy import clique_mean_scores
 from .evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate
-from .jsonio import dumps_canonical, read_json, write_atomic, write_json
+from .jsonio import TWIN_SUFFIX, dumps_canonical, read_json, write_atomic, write_json
 from .trainer import (
     ABLATION_TIERS,
     CheckpointError,
@@ -88,13 +88,21 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _files(dest: str, path: str, twinned: bool) -> list[tuple[str, bool, str]]:
+    """``(dest, is the twin, path)`` of the file of flag ``dest`` and, if
+    ``twinned``, of its twin."""
+    return [(dest, False, path)] + ([(dest, True, path + TWIN_SUFFIX)] if twinned else [])
+
+
 def _check_outputs(args: argparse.Namespace, **outputs: str) -> None:
     """Fail before any work unless the path of each output flag given, as
-    ``dest=what``, can be created and names no file of an input flag or an
-    earlier output.  ``train`` may write the checkpoint it resumes: it reads
-    that file whole first."""
-    inputs = ("data", "checkpoint", "resume", "config")
-    taken = [(dest, getattr(args, dest, None)) for dest in inputs]
+    ``dest=what``, can be created, and neither it nor the twin written with a
+    dataset or checkpoint names a file of an input flag, an input's twin, or
+    an earlier output or its twin.  ``train`` may write the checkpoint it
+    resumes, and so its twin: it reads both whole first."""
+    taken = [file for dest in ("data", "checkpoint", "resume", "config")
+             if getattr(args, dest, None) is not None
+             for file in _files(dest, getattr(args, dest), dest != "config")]
     for dest, what in outputs.items():
         path = getattr(args, dest)
         if path is None:
@@ -103,12 +111,16 @@ def _check_outputs(args: argparse.Namespace, **outputs: str) -> None:
                 or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
             why = "it is a directory" if os.path.isdir(path) else "no such directory"
             raise RuntimeError(f"cannot write {what} {path!r}: {why}")
-        for other, given in taken:
-            if (given is not None and (dest, other) != ("out_checkpoint", "resume")
-                    and _same_file(path, given)):
-                flags = ["--" + name.replace("_", "-") for name in (dest, other)]
-                raise RuntimeError(f"{flags[0]} {path!r} names the same file as {flags[1]}")
-        taken.append((dest, path))
+        written = _files(dest, path, what in ("dataset", "checkpoint"))
+        for _, twin, target in written:
+            for other, other_twin, given in taken:
+                if ((dest, other, twin) != ("out_checkpoint", "resume", other_twin)
+                        and _same_file(target, given)):
+                    flags = ["--" + name.replace("_", "-") for name in (dest, other)]
+                    mine = f"writes its twin {target!r} over" if twin else "names the same file as"
+                    theirs = f"the twin of {flags[1]}" if other_twin else flags[1]
+                    raise RuntimeError(f"{flags[0]} {path!r} {mine} {theirs}")
+        taken += written
 
 
 # ---------------------------------------------------------------------------

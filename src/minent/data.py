@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
@@ -338,100 +339,167 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _encode_bags(bags: list[Bag]) -> bytes:
-    """The canonical JSON of the records of ``bags``, comma-separated, as
-    they sit inside the dataset document's ``bags`` list."""
-    return dumps_canonical([_bag_to_record(b) for b in bags])[1:-2].encode()
+def _encode_bag(bag: Bag) -> bytes:
+    """The canonical JSON of the record of ``bag``, as it sits inside the
+    dataset document's ``bags`` list."""
+    return dumps_canonical(_bag_to_record(bag))[:-1].encode()
 
 
-def _encode_child(conn, bags: list[Bag]) -> None:
-    """A worker of ``_encode_records``: sends its slice's bytes and exits 0,
-    or sends the error that stopped it and exits 1."""
+class _Claims:
+    """The bags no process has taken yet, indices ``[front, back)``: the
+    caller takes them from the front and the workers from the back.  The
+    pair sits in the file ``fd``, which every process shares, under a POSIX
+    record lock.  The kernel drops that lock when its holder dies, so a
+    worker that dies inside ``take`` leaves no other process waiting."""
+
+    def __init__(self, fd: int, front: int, back: int):
+        self.fd = fd
+        os.pwrite(fd, struct.pack("qq", front, back), 0)
+
+    def take(self, from_back: bool) -> int | None:
+        """The index of the bag taken, or None once the two ends have met."""
+        os.lockf(self.fd, os.F_LOCK, 0)
+        try:
+            front, back = struct.unpack("qq", os.pread(self.fd, 16, 0))
+            if front == back:
+                return None
+            index = back - 1 if from_back else front
+            ends = (front, index) if from_back else (index + 1, back)
+            os.pwrite(self.fd, struct.pack("qq", *ends), 0)
+            return index
+        finally:
+            os.lockf(self.fd, os.F_ULOCK, 0)
+
+
+def _encode_child(conn, out, bags: list[Bag], claims: _Claims, index: int) -> None:
+    """A worker of ``_encode_records``: encodes bag ``index`` and then each
+    bag it takes from the back, and appends their bytes to the file ``out``.
+    Then it sends their indices and lengths and exits 0; or it sends the
+    error that stopped it and exits 1."""
+    written = []
     try:
-        part = _encode_bags(bags)
+        while index is not None:
+            part = _encode_bag(bags[index])
+            out.write(part)
+            written.append((index, len(part)))
+            index = claims.take(from_back=True)
+        out.flush()
     except Exception as e:
         conn.send_bytes(f"{type(e).__name__}: {e}".encode())
         raise SystemExit(1)
-    conn.send_bytes(part)
+    conn.send_bytes(np.array(written, dtype=np.int64).tobytes())
 
 
-def _receive(index: int, proc, conn) -> bytes:
-    """Worker ``index``'s slice; a RuntimeError if it sent none."""
+def _receive(index: int, proc, conn) -> list[list[int]]:
+    """The index and length of each bag that worker ``index`` wrote, in the
+    order it wrote them; a RuntimeError that says why if it did not finish."""
     try:
-        part = conn.recv_bytes()
-    except EOFError:
-        part = None
+        message = conn.recv_bytes()
+    except (EOFError, OSError):  # OSError: it died inside the message
+        message = None
     proc.join()
-    if part is not None and proc.exitcode == 0:
-        return part
-    if part is not None and proc.exitcode == 1:
-        why = part.decode(errors="replace")
+    if message is not None and proc.exitcode == 0:
+        return np.frombuffer(message, dtype=np.int64).reshape(-1, 2).tolist()
+    if message is not None and proc.exitcode == 1:
+        why = message.decode(errors="replace")
     else:
-        why = f"exit code {proc.exitcode}" + (", nothing sent" if part is None else "")
+        why = f"exit code {proc.exitcode}" + (", nothing sent" if message is None else "")
     raise RuntimeError(f"dataset encoding worker {index} failed: {why}")
 
 
-def _encode_records(bags: list[Bag]) -> list[bytes]:
-    """``_encode_bags`` of contiguous slices of ``bags``, one slice per
-    usable CPU and never more slices than bags.  The caller's process
-    encodes the first slice while forked workers encode the others and send
-    them back through pipes; with one CPU, or where ``fork`` is missing,
-    the one slice is all of ``bags``.  The bytes do not depend on the count.
+def _encode_records(bags: list[Bag]):
+    """``_encode_bag`` of each of ``bags``, yielded in file order.
+
+    With one usable CPU, or where ``fork`` is missing, the caller encodes
+    them in turn.  Else forked workers help, one per further CPU and never
+    more processes than bags.  Each process starts with a bag of its own:
+    the caller with the first, each worker with one of the last.  Then the
+    caller takes bags one at a time from the front (``_Claims``) and yields
+    each as soon as it is encoded, while the workers take theirs from the
+    back and append them to files of their own.  When the two ends meet,
+    the caller reads the workers' bags back and yields them in order.  The
+    bytes do not depend on the CPU count or on which process encoded a bag.
 
     Fork is safe here: a worker only formats JSON from arrays it inherited,
     and never calls into BLAS, whose threads it does not inherit.
     ``multiprocessing`` (not a bare ``os.fork``) flushes stdio before it
     forks, so no buffered output is written twice.  No worker outlives the
-    call, whether it returns or raises.
+    generator, whether it ends, raises or is closed.
     """
-    import multiprocessing  # here, so that train and eval do not import it
+    import multiprocessing  # here, so that train and eval do not import them
+    import tempfile
 
     fork = (multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods() else None)
     n = min(_usable_cpus(), len(bags)) if fork else 1
-    # gen gives every bag the same proposal count, so equal bag counts
-    # are equal work; with n <= len(bags) no slice is empty
-    bounds = [len(bags) * k // n for k in range(n + 1)]
+    if n == 1:
+        yield from map(_encode_bag, bags)
+        return
     workers = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            conn, child_conn = fork.Pipe(duplex=False)
-            proc = fork.Process(target=_encode_child, args=(child_conn, bags[lo:hi]),
-                                daemon=True)
-            proc.start()
-            child_conn.close()
-            workers.append((proc, conn))
-        parts = [_encode_bags(bags[: bounds[1]])]
-        parts += [_receive(i, proc, conn) for i, (proc, conn) in enumerate(workers, 1)]
-        return parts
-    finally:
-        for proc, conn in workers:
-            conn.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+    with tempfile.TemporaryFile() as shared:
+        claims = _Claims(shared.fileno(), 1, len(bags) - n + 1)
+        try:
+            for k in range(1, n):
+                conn, child_conn = fork.Pipe(duplex=False)
+                out = tempfile.TemporaryFile()
+                proc = fork.Process(target=_encode_child, daemon=True,
+                                    args=(child_conn, out, bags, claims, len(bags) - k))
+                proc.start()
+                child_conn.close()
+                workers.append((proc, conn, out))
+            index = 0
+            while index is not None:
+                yield _encode_bag(bags[index])
+                index = claims.take(from_back=False)
+            rest = {}  # bag index: (file descriptor, offset, length)
+            for k, (proc, conn, out) in enumerate(workers, 1):
+                offset = 0
+                for index, length in _receive(k, proc, conn):
+                    rest[index] = (out.fileno(), offset, length)
+                    offset += length
+            for index in sorted(rest):
+                fd, offset, length = rest[index]
+                yield os.pread(fd, length, offset)
+        finally:
+            for proc, conn, out in workers:
+                conn.close()
+                out.close()
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write ``ds`` to ``path`` as canonical JSON, and its twin: the bags'
     concatenated features and boxes, each bag's proposal count, and the
     document without ``proposals``.  The bag records are encoded on every
-    usable CPU (``_encode_records``); the bytes are those of
-    ``dumps_canonical`` of the whole document."""
+    usable CPU and written as they come (``_encode_records``), so no string
+    of the whole file is built; the bytes are those of ``dumps_canonical``
+    of the whole document."""
     validate_dataset(ds)
     head = {"classes": list(ds.classes), "feature_dim": int(ds.feature_dim)}
     # "bags" sorts first, so the document is this opening, the records
     # joined by commas, and the rest of the document with no bags
     opening = b'{"bags":['
-    pieces = [opening]
-    for part in _encode_records(ds.bags):
-        pieces += [part, b","]
-    pieces[-1] = dumps_canonical({**head, "bags": []}).encode()[len(opening) :]
-    write_twin(path, pieces, {**head, "bags": [_bag_meta(b) for b in ds.bags]}, {
-        "counts": np.array([b.num_proposals for b in ds.bags]),
-        "features": np.concatenate([b.features for b in ds.bags]),
-        "boxes": np.concatenate([b.boxes for b in ds.bags]),
-    })
+    records = _encode_records(ds.bags)
+
+    def pieces(first):
+        yield opening
+        yield first
+        for record in records:
+            yield b","
+            yield record
+        yield dumps_canonical({**head, "bags": []}).encode()[len(opening) :]
+
+    try:
+        # the first record starts the workers, which encode while the twin's arrays are built
+        write_twin(path, pieces(next(records)), {**head, "bags": [_bag_meta(b) for b in ds.bags]}, {
+            "counts": np.array([b.num_proposals for b in ds.bags]),
+            "features": np.concatenate([b.features for b in ds.bags]),
+            "boxes": np.concatenate([b.boxes for b in ds.bags]),
+        })
+    finally:  # a failed write stops every worker
+        records.close()
 
 
 def _raise_malloc_thresholds() -> None:

@@ -766,6 +766,7 @@ class TestOutputNamesAnInput:
             for path in (name, name + TWIN_SUFFIX):
                 shutil.copy(workspace / path, tmp_path / path)
         (tmp_path / "c.json").write_text('{"seed": 7}')
+        (tmp_path / "c.npz").write_text('{"seed": 7}')
         os.symlink("ds.json", tmp_path / "link.json")
         os.link(tmp_path / "ck.json", tmp_path / "hard.json")
         (tmp_path / "sub").mkdir()
@@ -790,12 +791,45 @@ class TestOutputNamesAnInput:
             "train-csv-resume-hardlink", "train-config", "eval-data", "eval-checkpoint",
             "eval-csv-data-symlink", "eval-csv-out", "gen-config"])
     def test_collision_changes_no_file(self, files, capsys, argv, flags):
+        self.assert_refused(files, capsys, argv, flags)
+
+    @pytest.mark.parametrize("argv, flags, message", [
+        (TRAIN + ["--out-checkpoint", "ds.json.npz"], ("--out-checkpoint", "--data"),
+         "names the same file as the twin of"),
+        (TRAIN + ["--out-checkpoint", "sub/../ds.json.npz"], ("--out-checkpoint", "--data"),
+         "names the same file as the twin of"),
+        (TRAIN + ["--resume", "ck.json", "--out-checkpoint", "ck.json.npz"],
+         ("--out-checkpoint", "--resume"), "names the same file as the twin of"),
+        (TRAIN + ["--resume", "ck.json.npz", "--out-checkpoint", "ck.json"],
+         ("--out-checkpoint", "--resume"), "writes its twin 'ck.json.npz' over"),
+        (["train", "--data", "ds.json.npz", "--out-checkpoint", "ds.json"],
+         ("--out-checkpoint", "--data"), "writes its twin 'ds.json.npz' over"),
+        (TRAIN + ["--out-checkpoint", "x.json", "--csv", "x.json.npz"],
+         ("--csv", "--out-checkpoint"), "names the same file as the twin of"),
+        (EVAL + ["--out", "ck.json.npz"], ("--out", "--checkpoint"),
+         "names the same file as the twin of"),
+        (EVAL + ["--out", "m.json", "--csv", "ds.json.npz"], ("--csv", "--data"),
+         "names the same file as the twin of"),
+        (GEN + ["--config", "c.npz", "--out", "c"], ("--out", "--config"),
+         "writes its twin 'c.npz' over"),
+    ], ids=["train-data-twin", "train-data-twin-spelled", "train-resume-twin",
+            "train-twin-resume", "train-twin-data", "train-csv-checkpoint-twin",
+            "eval-checkpoint-twin", "eval-csv-data-twin", "gen-twin-config"])
+    def test_twin_collision_changes_no_file(self, files, capsys, argv, flags, message):
+        err = self.assert_refused(files, capsys, argv, flags)
+        assert err.endswith(f" {message} {flags[1]}\n")
+
+    @staticmethod
+    def assert_refused(files, capsys, argv, flags) -> str:
+        """Run ``argv``: exit 1, one ``error:`` line naming ``flags``, an
+        empty stdout and every file as it was; returns the line."""
         before = {p: p.read_bytes() for p in files.rglob("*") if p.is_file()}
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {flags[0]} ") and err.endswith(f" {flags[1]}\n")
         assert {p: p.read_bytes() for p in files.rglob("*") if p.is_file()} == before
+        return err
 
     def test_resume_may_write_its_checkpoint(self, files, capsys):
         assert main(self.TRAIN + ["--epochs", "3", "--stop-after", "1",

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import itertools
 import json
 import multiprocessing
 import os
 import shutil
+import signal
 import stat
 import threading
 import time
@@ -933,15 +935,46 @@ def _cpus(monkeypatch, n):
 
 
 def _fails_in_worker(monkeypatch, action):
-    """Make ``_encode_bags`` run ``action()`` in encoding workers only."""
-    parent, real = os.getpid(), data_module._encode_bags
+    """Make ``_encode_bag`` run ``action()`` in encoding workers only."""
+    parent, real = os.getpid(), data_module._encode_bag
 
-    def encode(bags):
+    def encode(bag):
         if os.getpid() != parent:
             action()
-        return real(bags)
+        return real(bag)
 
-    monkeypatch.setattr(data_module, "_encode_bags", encode)
+    monkeypatch.setattr(data_module, "_encode_bag", encode)
+
+
+def _logged(monkeypatch, name, log, before=lambda caller: None):
+    """Make ``data.<name>`` append its process id to the file ``log`` on each
+    call, after ``before(caller)``, where ``caller`` is whether it runs in
+    this process; returns the ids read back."""
+    parent, real = os.getpid(), getattr(data_module, name)
+
+    def logged(*args):
+        before(os.getpid() == parent)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(data_module, name, logged)
+    return lambda: [int(line) for line in Path(log).read_text().split()]
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _raise():
@@ -954,6 +987,13 @@ def _exit_silently():
 
 def _killed():
     os._exit(9)
+
+
+WORKER_FAILURES = [
+    (_raise, "dataset encoding worker 1 failed: MemoryError: out of memory in the worker"),
+    (_exit_silently, "dataset encoding worker 1 failed: exit code 0, nothing sent"),
+    (_killed, "dataset encoding worker 1 failed: exit code 9, nothing sent"),
+]
 
 
 class TestParallelEncoder:
@@ -985,18 +1025,16 @@ class TestParallelEncoder:
         save_dataset(ds, str(tmp_path / "ds.json"))
         assert (tmp_path / "ds.json").read_bytes() == _reference_bytes(ds)
 
-    @pytest.mark.parametrize("action, message", [
-        (_raise, "dataset encoding worker 1 failed: MemoryError: out of memory in the worker"),
-        (_exit_silently, "dataset encoding worker 1 failed: exit code 0, nothing sent"),
-        (_killed, "dataset encoding worker 1 failed: exit code 9, nothing sent"),
-    ])
+    # with no more bags than CPUs, each process encodes only the bag it starts with
+    @pytest.mark.parametrize("cpus, bags", [(2, 7), (2, 2), (3, 3), (50, 2)])
+    @pytest.mark.parametrize("action, message", WORKER_FAILURES)
     def test_failed_worker_raises_one_line_and_writes_nothing(
-        self, monkeypatch, tmp_path, action, message
+        self, monkeypatch, tmp_path, action, message, cpus, bags
     ):
-        _cpus(monkeypatch, 2)
+        _cpus(monkeypatch, cpus)
         _fails_in_worker(monkeypatch, action)
         with pytest.raises(RuntimeError) as err:
-            save_dataset(_odd_dataset(), str(tmp_path / "ds.json"))
+            save_dataset(_odd_dataset(bags=bags), str(tmp_path / "ds.json"))
         assert str(err.value) == message
         assert list(tmp_path.iterdir()) == []
         assert multiprocessing.active_children() == []
@@ -1014,15 +1052,132 @@ class TestParallelEncoder:
 
     def test_failure_in_the_caller_stops_every_worker(self, monkeypatch, tmp_path):
         _cpus(monkeypatch, 3)
-        parent, real = os.getpid(), data_module._encode_bags
+        parent, real = os.getpid(), data_module._encode_bag
 
-        def encode(bags):
+        def encode(bag):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return real(bags)
+            return real(bag)
 
-        monkeypatch.setattr(data_module, "_encode_bags", encode)
+        monkeypatch.setattr(data_module, "_encode_bag", encode)
         with pytest.raises(KeyboardInterrupt):
             save_dataset(_odd_dataset(), str(tmp_path / "ds.json"))
         assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("slow", ["caller", "workers"])
+    def test_the_faster_end_encodes_more_bags(self, monkeypatch, tmp_path, cpus, slow):
+        """A slow caller leaves most bags to the workers, and slow workers
+        leave most to the caller; every process encodes at least one, and
+        the bytes stay those of one ``dumps_canonical``."""
+        ds = _odd_dataset(bags=12)
+        _cpus(monkeypatch, cpus)
+
+        def pause(caller):
+            if caller == (slow == "caller"):
+                time.sleep(0.1)
+
+        calls = _logged(monkeypatch, "_encode_bag", tmp_path / "calls", pause)
+        path = tmp_path / "ds.json"
+        save_dataset(ds, str(path))
+        assert path.read_bytes() == _reference_bytes(ds)
+        pids = calls()
+        by_caller = pids.count(os.getpid())
+        assert len(pids) == len(ds.bags) and len(set(pids)) == cpus and by_caller >= 1
+        assert (by_caller < len(pids) - by_caller) == (slow == "caller")
+
+    def test_more_workers_than_cores_encode_each_bag_once(self, monkeypatch, tmp_path):
+        """Eight processes race for 200 small bags: a claim lost between two
+        of them would encode a bag twice, or leave one out of the file."""
+        ds = _odd_dataset(bags=200)
+        _cpus(monkeypatch, 8)
+        calls = _logged(monkeypatch, "_encode_bag", tmp_path / "calls")
+        with _within(60):
+            save_dataset(ds, str(tmp_path / "ds.json"))
+        assert (tmp_path / "ds.json").read_bytes() == _reference_bytes(ds)
+        assert len(calls()) == len(ds.bags) and len(set(calls())) == 8
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_dumps_per_bag(self, monkeypatch, tmp_path, cpus):
+        """Each bag's record is one ``dumps_canonical`` call of its own; one
+        more gives the end of the document."""
+        ds = _odd_dataset(bags=9)
+        _cpus(monkeypatch, cpus)
+        calls = _logged(monkeypatch, "dumps_canonical", tmp_path / "calls")
+        save_dataset(ds, str(tmp_path / "ds.json"))
+        assert len(calls()) == len(ds.bags) + 1
+        assert (tmp_path / "ds.json").read_bytes() == _reference_bytes(ds)
+
+    def test_worker_failure_after_part_of_the_file_is_written(self, monkeypatch, tmp_path):
+        """The caller writes its bags while a slow worker encodes its first;
+        the worker's failure then removes the partly written file."""
+        _cpus(monkeypatch, 2)
+        written, real = [], data_module.write_twin
+
+        def write_twin(path, pieces, *rest):
+            def counted():
+                for piece in pieces:
+                    written.append(piece)
+                    yield piece
+            return real(path, counted(), *rest)
+
+        def fail_late():
+            time.sleep(0.2)
+            _raise()
+
+        monkeypatch.setattr(data_module, "write_twin", write_twin)
+        _fails_in_worker(monkeypatch, fail_late)
+        ds = _odd_dataset(bags=12)
+        with pytest.raises(RuntimeError) as err:
+            save_dataset(ds, str(tmp_path / "ds.json"))
+        assert str(err.value) == WORKER_FAILURES[0][1]
+        # the opening and at least the caller's first record
+        assert len(written) >= 2
+        assert b"".join(written) == _reference_bytes(ds)[: len(b"".join(written))]
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_failed_write_stops_every_worker(self, monkeypatch, tmp_path):
+        _cpus(monkeypatch, 3)
+        _fails_in_worker(monkeypatch, lambda: time.sleep(5))
+        alive = []
+
+        def write_twin(path, pieces, *rest):
+            next(pieces), next(pieces)  # the opening and the first record
+            alive.extend(multiprocessing.active_children())
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(data_module, "write_twin", write_twin)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="No space left on device"):
+            save_dataset(_odd_dataset(bags=12), str(tmp_path / "ds.json"))
+        assert len(alive) == 2 and time.monotonic() - start < 4
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dead_inside_its_claim_does_not_hang_gen(self, monkeypatch, tmp_path, capsys):
+        """A worker that dies holding the claim lock leaves it free: the
+        caller takes every bag the worker did not, and gen exits 1 with one
+        line."""
+        _cpus(monkeypatch, 2)
+        parent, real = os.getpid(), os.lockf
+
+        def lockf(fd, command, length):
+            real(fd, command, length)
+            if command == os.F_LOCK and os.getpid() != parent:
+                os._exit(3)
+
+        monkeypatch.setattr(os, "lockf", lockf)
+        calls = _logged(monkeypatch, "_encode_bag", tmp_path / "calls",
+                        lambda caller: time.sleep(0.05) if caller else None)
+        out = tmp_path / "out" / "ds.json"
+        out.parent.mkdir()
+        with _within(30):
+            rc = main(["gen", "--bags", "4", "--negatives", "2", "--seed", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: dataset encoding worker 1 failed: exit code 3, nothing sent\n")
+        pids = calls()
+        assert len(pids) == 6 and pids.count(os.getpid()) == 5
+        assert list(out.parent.iterdir()) == []
         assert multiprocessing.active_children() == []
