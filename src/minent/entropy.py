@@ -240,6 +240,8 @@ def clique_mean_scores(partition: CliquePartition, scores: np.ndarray) -> np.nda
         # mean() sums a lone column pairwise, which a scatter cannot follow
         rows, ends = scores[partition.members], np.cumsum(partition.sizes).tolist()
         return np.stack([rows[a:b].mean(axis=0) for a, b in zip([0] + ends, ends)])
+    if len(partition.sizes) == len(partition.members):  # one member each: 0.0 + row, over 1
+        return scores[partition.members] + 0.0
     sums = np.zeros((len(partition.sizes), scores.shape[1]))
     np.add.at(sums, partition.label[partition.members], scores[partition.members])
     return sums / partition.sizes[:, None]
@@ -305,8 +307,11 @@ def discovery_loss(
             loss += entropies[y]
             gm += (u[:, None] / a) * weights + probs
             gm[:, y] -= 2.0 * u / a
-        # members run clique after clique, so each clique's row repeats in place
-        grad[partition.members] += (gm / partition.sizes[:, None]).repeat(partition.sizes, axis=0)
+        # members run clique after clique, so each clique's row repeats in
+        # place; a clique of one takes its row as it is, gm / 1 once
+        if len(partition.sizes) < len(partition.members):
+            gm = (gm / partition.sizes[:, None]).repeat(partition.sizes, axis=0)
+        grad[partition.members] += gm
 
     negatives = (labels == 0).nonzero()[0]
     if negatives.size:

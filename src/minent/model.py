@@ -130,7 +130,8 @@ def hidden_layer(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray,
         )
     if params.hidden_w is None:
         return features, None
-    z = features @ params.hidden_w + params.hidden_b
+    z = features @ params.hidden_w
+    z += params.hidden_b
     return np.maximum(z, 0.0), z
 
 
@@ -156,7 +157,7 @@ def forward_heads(params: ModelParams, features: np.ndarray, heads, *, hidden=No
 
 def backward_head(
     params: ModelParams, features: np.ndarray, head, upstream: np.ndarray, *,
-    hidden=None, into: dict[str, np.ndarray] | None = None,
+    hidden=None, into: dict[str, np.ndarray] | None = None, write_hidden: bool = False,
 ) -> dict[str, np.ndarray]:
     """Gradients of sum(upstream * scores) with respect to the parameters
     that feed the selected head.
@@ -166,7 +167,9 @@ def backward_head(
     every head.  ``hidden`` is as in ``forward``.  With ``into``, the head's
     own gradients are written over its arrays there and the hidden layer's
     are added to theirs: a caller differentiates each head once per update
-    and sums the hidden layer's gradient over the heads.
+    and sums the hidden layer's gradient over the heads.  With
+    ``write_hidden`` too, the hidden layer's are written over theirs, as
+    the first head of an update does.
     """
     upstream = np.asarray(upstream, dtype=float)
     w, _, w_key, b_key = _head_arrays(params, head)
@@ -179,9 +182,10 @@ def backward_head(
     grads = {w_key: np.matmul(x.T, upstream, out=w_out), b_key: upstream.sum(axis=0, out=b_out)}
     if params.hidden_w is not None:
         gx = (upstream @ w.T) * (z > 0.0)
-        grads["hidden_w"] = np.asarray(features, dtype=float).T @ gx
-        grads["hidden_b"] = gx.sum(axis=0)
-        if into is not None:
+        w_out, b_out = (into["hidden_w"], into["hidden_b"]) if write_hidden else (None, None)
+        grads["hidden_w"] = np.matmul(np.asarray(features, dtype=float).T, gx, out=w_out)
+        grads["hidden_b"] = gx.sum(axis=0, out=b_out)
+        if into is not None and not write_hidden:
             into["hidden_w"] += grads["hidden_w"]
             into["hidden_b"] += grads["hidden_b"]
     return grads

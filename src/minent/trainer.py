@@ -216,11 +216,15 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, buffers: np.ndarray,
              lr: float, momentum: float, weight_decay: float) -> None:
     """In-place momentum update of flat vectors: buf = m*buf + grad +
     wd*param; param -= lr*buf.  A parameter that got no gradient holds -0.0,
-    IEEE addition's exact identity, so its update is wd*param to the bit."""
-    update = grads + weight_decay * params
+    IEEE addition's exact identity, so its update is wd*param to the bit.
+    IEEE sums and products commute, so one temporary, reused, gives those
+    bits; ``grads`` is not written."""
+    update = weight_decay * params
+    update += grads
     buffers *= momentum
     buffers += update
-    params -= lr * buffers
+    np.multiply(buffers, lr, out=update)
+    params -= update
 
 
 def init_state(ds: Dataset, cfg: TrainConfig) -> TrainState:
@@ -268,20 +272,28 @@ def _check_compat(state: TrainState, cfg: TrainConfig, ds: Dataset) -> None:
 
 class BagRun(NamedTuple):
     """One bag's data that holds for a ``train`` call: its positive classes,
-    its ``tau_graph`` (None where nothing is partitioned), and each scored
-    anchor's component members and ``anchor_kernel`` over them."""
+    its ``tau_graph`` (None where nothing is partitioned), each scored
+    anchor's component members and ``anchor_kernel`` over them, and its
+    partition where no objectness can change it (else None)."""
 
     positives: np.ndarray
     graph: TauGraph | None
     kernels: dict[int, tuple[np.ndarray, np.ndarray]]
+    partition: CliquePartition | None = None
 
 
 def bag_run(bag, cfg: TrainConfig, switches: TierSwitches) -> BagRun:
     """``bag``'s ``BagRun``, with no kernel yet and a tau-graph only where
-    the tier partitions cliques and the bag has a class to discover."""
+    the tier partitions cliques and the bag has a class to discover.  A
+    tier without cliques whose pool holds every proposal has one partition,
+    each proposal its own clique, whatever the objectness."""
     positives = (bag.labels == 1).nonzero()[0]
-    graph = tau_graph(bag.boxes, cfg.tau) if switches.use_cliques and positives.size else None
-    return BagRun(positives, graph, {})
+    graph = partition = None
+    if positives.size and switches.use_cliques:
+        graph = tau_graph(bag.boxes, cfg.tau)
+    elif positives.size and cfg.top_k >= bag.num_proposals:
+        partition = singleton_partition(np.zeros(bag.num_proposals), cfg.top_k)
+    return BagRun(positives, graph, {}, partition)
 
 
 class Visit(NamedTuple):
@@ -368,8 +380,8 @@ def visit(params: ModelParams, cfg: TrainConfig, switches: TierSwitches, bag, fe
     if not np.isfinite(scores[0]).all():
         raise TrainingDiverged("discovery scores non-finite")
     probs = row_softmax(scores)
-    partition = None
-    if positives.size:
+    partition = run.partition
+    if positives.size and partition is None:
         objectness = row_max(probs[0][:, positives])
         partition = (partition_cliques(bag.boxes, objectness, cfg.tau, cfg.top_k, run.graph)
                      if switches.use_cliques else singleton_partition(objectness, cfg.top_k))
@@ -392,13 +404,16 @@ def _bag_step(state: TrainState, cfg: TrainConfig, switches: TierSwitches, bag, 
     feats_eff = bag.features * s[:, None] if s is not None else bag.features
     # the parameters hold until sgd_step, so one hidden pass serves every head
     hidden = hidden_layer(params, feats_eff)
-    flat_params, flat_buffers, flat_grads, grads = flat
+    flat_params, flat_buffers, flat_grads, grads, branch_start = flat
     # IEEE addition's identity: writing a head's gradient over it is adding
-    # it, and a head without one updates by exactly wd * param
-    flat_grads.fill(-0.0)
+    # it, and a head without one updates by exactly wd * param.  The
+    # discovery head comes first and writes the hidden layer's gradient and
+    # its own, so only the branch heads' tail of the vector needs it.
+    flat_grads[branch_start:].fill(-0.0)
 
     seen = visit(params, cfg, switches, bag, feats_eff, run, hidden)
-    backward_head(params, feats_eff, "disc", seen.disc_grad, hidden=hidden, into=grads)
+    backward_head(params, feats_eff, "disc", seen.disc_grad, hidden=hidden, into=grads,
+                  write_hidden=True)
     for k, branch_grad in enumerate(seen.branch_grad):
         branch_grad *= cfg.loc_weight  # in place, in the record too
         backward_head(params, feats_eff, k, branch_grad, hidden=hidden, into=grads)
@@ -487,7 +502,8 @@ def train(
     flat_grads = np.empty_like(flat_params)
     views = [dict(state.params.on(v).named_arrays()) for v in (flat_buffers, flat_grads)]
     state.params, state.buffers = state.params.on(flat_params), views[0]
-    flat = (flat_params, flat_buffers, flat_grads, views[1])
+    branch_start = sum(arr.size for name, arr in views[1].items() if not name.startswith("loc"))
+    flat = (flat_params, flat_buffers, flat_grads, views[1], branch_start)
     reports: list[EpochReport] = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the finite checks catch these

@@ -481,6 +481,22 @@ class TestCliqueMeanScores:
             want = np.stack([scores[list(c.members)].mean(axis=0) for c in part.cliques])
             assert np.array_equal(bits(clique_mean_scores(part, scores)), bits(want))
 
+    @pytest.mark.parametrize("n_cls", [1, 2, 4])
+    def test_singletons_are_per_clique_means(self, n_cls):
+        # a table of one-member cliques has the bits of each member's mean,
+        # -0.0 and infinite cells included
+        rng = np.random.default_rng(18)
+        special = np.array([0.0, -0.0, np.inf, -np.inf])
+        for trial in range(50):
+            n_prop = int(rng.integers(1, 40))
+            pool = rng.choice(n_prop, size=int(rng.integers(1, n_prop + 1)), replace=False)
+            part = partition_of([(h,) for h in (np.sort(pool) if trial % 2 else pool).tolist()])
+            scores = rng.normal(size=(n_prop, n_cls)) * 10.0 ** rng.uniform(-3, 3)
+            hit = rng.random(scores.shape) < 0.3
+            scores[hit] = rng.choice(special, size=int(hit.sum()))
+            want = np.stack([scores[list(c.members)].mean(axis=0) for c in part.cliques])
+            assert np.array_equal(bits(clique_mean_scores(part, scores)), bits(want))
+
 
 class TestCliqueWeights:
     def test_equal_probs_give_uniform_row(self):

@@ -3,7 +3,8 @@ and the metrics bytes of ``evaluate`` on the discovery head and on a
 branch head, pinned as sha256 digests.  A pure-speed change to the
 training loop or to eval must leave all fourteen unchanged, the two
 ``l-arl`` digests of a wider fixture, whose sums run over long cliques,
-and the two metrics digests of a zero score floor and of detections that
+the two ``base`` digests of that fixture, whose bags fall on both sides
+of ``top_k``, and the two metrics digests of a zero score floor and of detections that
 tie across bags.
 
 The digests were recorded with numpy 2.4.6, the version CI pins: another
@@ -60,6 +61,13 @@ WIDE_DIGESTS = {
     0: "099a23bf568cdc8d6cec645322ddf17b04bd94cbb16f3ced125eddf4ceea6cb0",
     8: "e4c5b89daf10d76f26f680c7bfd70d87a6ecdf95e9a68a2627b0cfb75b1a969a",
 }
+# base on the wide fixture, by hidden_dim: the pool holds every proposal of
+# a 40-proposal bag, whose singleton partition is fixed for the run, and
+# cuts each 80-proposal bag, whose partition follows its objectness
+WIDE_BASE_DIGESTS = {
+    0: "2a34f6fc251a4e642243db44c885990238476cd2a5e14a8e28e4bccd834314ad",
+    8: "88c98a71ba5d39b7bea8b80b5d2781914cd25394b2ec8c324356e6e354c9b2d3",
+}
 WIDE_TOP_K = 50
 
 needs_pinned_numpy = pytest.mark.skipif(
@@ -96,8 +104,8 @@ def wide_dataset():
                    joined + [bag for bag in base.bags if bag.id not in used])
 
 
-def _wide_config(hidden_dim):
-    return TrainConfig(epochs=2, branches=3, seed=1, ablation="l-arl", hidden_dim=hidden_dim,
+def _wide_config(hidden_dim, ablation="l-arl"):
+    return TrainConfig(epochs=2, branches=3, seed=1, ablation=ablation, hidden_dim=hidden_dim,
                        top_k=WIDE_TOP_K)
 
 
@@ -130,6 +138,17 @@ def test_wide_checkpoint_bytes(tmp_path, wide_dataset, hidden_dim):
     path = tmp_path / "ckpt.json"
     save_checkpoint(state, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_DIGESTS[hidden_dim]
+
+
+@needs_pinned_numpy
+@pytest.mark.parametrize("hidden_dim", sorted(WIDE_BASE_DIGESTS))
+def test_wide_base_checkpoint_bytes(tmp_path, wide_dataset, hidden_dim):
+    positive = [bag.num_proposals for bag in wide_dataset.bags if bag.labels.any()]
+    assert min(positive) <= WIDE_TOP_K < max(positive)
+    state, _ = train(wide_dataset, _wide_config(hidden_dim, "base"))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_BASE_DIGESTS[hidden_dim]
 
 
 def test_every_tier_is_pinned():

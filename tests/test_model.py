@@ -198,6 +198,40 @@ def test_one_hidden_pass_serves_every_head():
     assert np.array_equal(into["loc_w.1"], plain["loc_w.1"])
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_first_head_writes_the_hidden_gradient(heads):
+    # the first head's hidden gradient written over the arrays, then each
+    # later head's added, has the bits of every head's added onto -0.0;
+    # zero features and upstream rows give signed-zero gradients
+    rng = np.random.default_rng(13)
+    for trial in range(20):
+        p = init_params(4, 3, 3, hidden_dim=5, seed=trial, scale=0.5)
+        x = rng.normal(size=(6, 4))
+        x[:, rng.random(4) < 0.3] = rng.choice([0.0, -0.0])
+        hidden = hidden_layer(p, x)
+        size = sum(a.size for _, a in p.named_arrays())
+        want = dict(p.on(np.full(size, -0.0)).named_arrays())
+        got = dict(p.on(np.full(size, np.nan)).named_arrays())
+        for i, head in enumerate(["disc", 0, 1, 2][:heads]):
+            up = rng.normal(size=(6, 3))
+            up[rng.random(6) < 0.3] = rng.choice([0.0, -0.0])
+            backward_head(p, x, head, up, hidden=hidden, into=want)
+            backward_head(p, x, head, up, hidden=hidden, into=got, write_hidden=i == 0)
+        for name in ("hidden_w", "hidden_b"):
+            assert got[name].tobytes() == want[name].tobytes()
+
+
+def test_hidden_pre_activation_adds_its_bias():
+    rng = np.random.default_rng(14)
+    p = init_params(4, 3, 1, hidden_dim=5, seed=2, scale=0.5)
+    p.hidden_b[:] = rng.normal(size=5)
+    x = rng.normal(size=(7, 4))
+    out, z = hidden_layer(p, x)
+    want = x @ p.hidden_w + p.hidden_b
+    assert z.tobytes() == want.tobytes()
+    assert out.tobytes() == np.maximum(want, 0.0).tobytes()
+
+
 def test_validate_catches_nonfinite_and_bad_shape():
     p = init_params(3, 2, 1)
     p.validate()

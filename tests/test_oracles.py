@@ -407,7 +407,7 @@ def test_row_max_equals_max_over_the_last_axis():
 
 def test_discovery_loss_equals_per_class_loops():
     rng = np.random.default_rng(34)
-    seen = {"negative_only": 0, "two_each": 0, "long": 0}
+    seen = {"negative_only": 0, "two_each": 0, "long": 0, "singletons": 0}
     for trial in range(300):
         num = int(rng.choice([1, 7, 8, 30, 130]))
         num_classes = int(rng.integers(1, 6))
@@ -432,6 +432,10 @@ def test_discovery_loss_equals_per_class_loops():
         seen["negative_only"] += not labels.any()
         seen["two_each"] += labels.sum() >= 2 and (labels == 0).sum() >= 2
         seen["long"] += partition is not None and len(partition.sizes) >= 8
+        # one-member cliques over two or more classes: the reference divides
+        # each clique's row by 1 and repeats it once
+        seen["singletons"] += (partition is not None and num_classes >= 2
+                               and bool((partition.sizes == 1).all()))
     assert all(count > 20 for count in seen.values()), seen
 
 

@@ -196,6 +196,28 @@ class TestSgdStep:
         sgd_step(x, np.full_like(x, -0.0), buf, 0.1, 0.9, weight_decay)
         assert x.tobytes() == want_x.tobytes() and buf.tobytes() == want_buf.tobytes()
 
+    @pytest.mark.parametrize("lr, momentum, weight_decay", [
+        (0.1, 0.9, 5e-4), (0.0, 0.9, 5e-4), (0.1, 0.0, 5e-4), (0.1, 0.9, 0.0), (0.0, 0.0, 0.0),
+    ])
+    def test_update_has_the_bits_of_its_formula(self, lr, momentum, weight_decay):
+        # buf = m*buf + (grad + wd*param); param -= lr*buf, bit for bit, with
+        # signed zeros and subnormals in every operand; grads stay unchanged
+        rng = np.random.default_rng(1)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308])
+        for trial in range(20):
+            x, grads, buf = rng.normal(size=(3, 200)) * 10.0 ** rng.uniform(-310, 2, (3, 200))
+            for arr in (x, grads, buf):
+                hit = rng.random(200) < 0.3
+                arr[hit] = rng.choice(special, size=int(hit.sum()))
+            want_x, want_buf, kept = x.copy(), buf.copy(), grads.copy()
+            update = grads + weight_decay * want_x
+            want_buf *= momentum
+            want_buf += update
+            want_x -= lr * want_buf
+            sgd_step(x, grads, buf, lr, momentum, weight_decay)
+            assert x.tobytes() == want_x.tobytes() and buf.tobytes() == want_buf.tobytes()
+            assert grads.tobytes() == kept.tobytes()
+
 
 class TestTrain:
     def test_runs_and_reports(self):
@@ -485,6 +507,41 @@ class TestTrain:
         for positive, *events, _ in visits:
             feedback = ["hidden"] if positive and ablation == "l-arl" else []
             assert events == ["hidden", "step"] + feedback
+
+    @pytest.mark.parametrize("top_k", [8, 5])
+    def test_singleton_partition_is_built_once_per_run_when_the_pool_is_whole(
+            self, monkeypatch, top_k):
+        # with top_k >= P the base tier's pool is every proposal, one per
+        # clique, whatever the objectness: it is built once per positive bag
+        # per train call; with top_k < P, once per visit; either way every
+        # visit's partition is a fresh one of its own objectness
+        built, visits = [], []
+        singletons, bag_step = trainer_module.singleton_partition, trainer_module._bag_step
+
+        def recorded_step(state, cfg, switches, bag, *args):
+            seen = bag_step(state, cfg, switches, bag, *args)
+            visits.append((bag, seen))
+            return seen
+
+        monkeypatch.setattr(trainer_module, "singleton_partition",
+                            lambda *args: built.append(args) or singletons(*args))
+        monkeypatch.setattr(trainer_module, "_bag_step", recorded_step)
+        ds = small_ds()
+        cfg = small_cfg(ablation="base", hidden_dim=5, top_k=top_k)
+        positive = sum(bool(bag.labels.any()) for bag in ds.bags)
+        assert {bag.num_proposals for bag in ds.bags} == {8}
+        for run in (1, 2):
+            train(ds, cfg)
+            assert len(built) == run * positive * (1 if top_k >= 8 else cfg.epochs)
+        for bag, seen in visits:
+            if not bag.labels.any():
+                assert seen.partition is None
+                continue
+            fresh = singletons(seen.probs[0][:, bag.labels == 1].max(axis=1), cfg.top_k)
+            for field in fields(fresh):
+                got, want = getattr(seen.partition, field.name), getattr(fresh, field.name)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.array_equal(got, want), field.name
 
     def test_ground_truth_overlaps_built_once_per_positive_bag(self, monkeypatch):
         built = []
