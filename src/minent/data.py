@@ -15,12 +15,11 @@ overlapping boxes and scoring groups by their mean lets the near-object
 group win — the behavior the training objective is supposed to exhibit.
 
 ``save_dataset`` writes the canonical JSON and its binary twin
-(``jsonio.write_twin``): the bags' concatenated features and boxes, each
-bag's proposal count, and the document without ``proposals``.
-``load_dataset`` builds the dataset from a current twin, else from the JSON
-(``jsonio.read_checked``); ``open_dataset`` also uses the twin's dataset
-while the hash runs.  A bag read from the twin holds read-only slices of its
-two loaded arrays, not copies, so the data sits in memory once.
+(``jsonio.write_twin``): the document without ``proposals``, and the tables
+``features`` and ``boxes`` of each bag's arrays by its id.  ``load_dataset``
+builds the dataset from a current twin, else from the JSON (``read_checked``);
+``open_dataset`` also uses the twin's dataset while the hash runs.  A bag read
+from the twin holds read-only slices of its two tables, not copies.
 
 The dataset is a fixed function of the config and its seed.  A positive
 bag's boxes are rejection-sampled in blocks of tries: each round draws the
@@ -34,6 +33,7 @@ takes a variable share of the stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -43,7 +43,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .geometry import Box, iou_matrix
-from .jsonio import dumps_canonical, read_checked, read_json, write_twin
+from .jsonio import canonical_pieces, dumps_canonical, read_checked, read_json, write_twin
 
 
 class DataError(ValueError):
@@ -470,34 +470,21 @@ def _encode_records(bags: list[Bag]):
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    """Write ``ds`` to ``path`` as canonical JSON, and its twin: the bags'
-    concatenated features and boxes, each bag's proposal count, and the
-    document without ``proposals``.  The bag records are encoded on every
-    usable CPU and written as they come (``_encode_records``), so no string
-    of the whole file is built; the bytes are those of ``dumps_canonical``
-    of the whole document."""
+    """Write ``ds`` to ``path`` as canonical JSON, and its twin: the
+    document without ``proposals``, and each bag's features and boxes as
+    tables keyed by bag id.  The bag records are encoded on every usable
+    CPU and written as they come (``_encode_records``), so no string of the
+    whole file is built."""
     validate_dataset(ds)
     head = {"classes": list(ds.classes), "feature_dim": int(ds.feature_dim)}
-    # "bags" sorts first, so the document is this opening, the records
-    # joined by commas, and the rest of the document with no bags
-    opening = b'{"bags":['
     records = _encode_records(ds.bags)
-
-    def pieces(first):
-        yield opening
-        yield first
-        for record in records:
-            yield b","
-            yield record
-        yield dumps_canonical({**head, "bags": []}).encode()[len(opening) :]
-
     try:
-        # the first record starts the workers, which encode while the twin's arrays are built
-        write_twin(path, pieces(next(records)), {**head, "bags": [_bag_meta(b) for b in ds.bags]}, {
-            "counts": np.array([b.num_proposals for b in ds.bags]),
-            "features": np.concatenate([b.features for b in ds.bags]),
-            "boxes": np.concatenate([b.boxes for b in ds.bags]),
-        })
+        # the first record starts the workers, which encode while the twin's tables are flattened
+        bags = itertools.chain([next(records)], records)
+        write_twin(path, canonical_pieces({**head, "bags": bags}),
+                   {**head, "bags": [_bag_meta(b) for b in ds.bags]},
+                   {"features": {b.id: b.features for b in ds.bags},
+                    "boxes": {b.id: b.boxes for b in ds.bags}})
     finally:  # a failed write stops every worker
         records.close()
 
@@ -513,17 +500,10 @@ def _raise_malloc_thresholds() -> None:
     np.empty(16 << 20, dtype=np.uint8)
 
 
-def _dataset_from_twin(doc, arrays) -> Dataset:
-    """The dataset of a twin's document and arrays; raises on any fault."""
-    counts, features, boxes = arrays["counts"], arrays["features"], arrays["boxes"]
-    if (counts.dtype.kind not in "iu" or not features.dtype == boxes.dtype == np.float64
-            or not counts.sum() == len(features) == len(boxes)):
-        raise DataError("twin arrays do not fit together")
-    ends = np.cumsum(counts).tolist()
-    # each bag's arrays are read-only slices of the loaded pair, not copies
-    features.flags.writeable = boxes.flags.writeable = False
-    return _dataset_from_doc(doc, [(features[a:b], boxes[a:b])
-                                   for a, b in zip([0] + ends[:-1], ends)])
+def _dataset_from_twin(doc) -> Dataset:
+    """The dataset of a twin's document, each bag's arrays found by its id; raises on any fault."""
+    features, boxes = doc["features"], doc["boxes"]
+    return _dataset_from_doc(doc, [(features[rec["id"]], boxes[rec["id"]]) for rec in doc["bags"]])
 
 
 def open_dataset(path: str, use=lambda ds: ds):

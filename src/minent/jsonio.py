@@ -4,8 +4,9 @@ All persisted files (datasets, checkpoints, metrics) go through these so
 that a fixed object always serializes to identical bytes: keys sorted,
 compact separators, floats at full round-trip precision, trailing newline.
 Writes are atomic (temp file in the target directory, then rename).
-``read_checked`` is the one rule for a file with a binary twin (``write_twin``):
-use the twin only if it holds the JSON's SHA-256, else parse the JSON.
+``canonical_pieces`` streams a document, and ``write_twin`` lays out every
+binary twin as tables.  ``read_checked`` is the one rule for a file with a
+twin: use the twin only if it holds the JSON's SHA-256, else parse the JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import secrets
 import threading
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -50,44 +52,55 @@ def write_atomic(path: str, write) -> None:
 
 
 def _pieces(obj):
-    """``dumps_canonical(obj)`` less its newline, in pieces: a dict with
-    string keys is written key by key, a numpy array of two or more
-    dimensions row by row, and anything else whole, an array as its
-    ``tolist()``.  No piece holds more than one row of an array."""
+    """``canonical_pieces(obj)`` less its newline."""
     if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
-        yield "{"
+        yield b"{"
         for i, key in enumerate(sorted(obj)):
-            yield ("," if i else "") + json.dumps(key) + ":"
+            yield (("," if i else "") + json.dumps(key) + ":").encode()
             yield from _pieces(obj[key])
-        yield "}"
-    elif getattr(obj, "ndim", 0) > 1:
-        yield "["
-        for i, row in enumerate(obj):
-            yield "," if i else ""
-            yield from _pieces(row)
-        yield "]"
+        yield b"}"
+    elif getattr(obj, "ndim", 0) > 1 or isinstance(obj, Iterator):
+        yield b"["
+        for i, item in enumerate(obj):
+            yield b"," if i else b""
+            yield from _pieces(item)
+        yield b"]"
+    elif isinstance(obj, bytes):  # already encoded
+        yield obj
     else:
-        yield dumps_canonical(obj.tolist() if hasattr(obj, "tolist") else obj)[:-1]
+        yield dumps_canonical(obj.tolist() if hasattr(obj, "tolist") else obj)[:-1].encode()
+
+
+def canonical_pieces(obj):
+    """The bytes of ``dumps_canonical(obj)`` in pieces, a numpy array as its
+    ``tolist()`` and an iterator of encoded JSON items as their array.  A dict
+    with string keys comes key by key, an array of two or more dimensions row
+    by row, an iterator item by item, and anything else whole."""
+    yield from _pieces(obj)
+    yield b"\n"
 
 
 def write_json(obj, path: str, twin=()) -> None:
-    """Atomically write ``obj`` to ``path`` as canonical JSON, the bytes of
-    ``dumps_canonical(obj)`` with a numpy array (``obj`` or a dict's value)
-    as its ``tolist()``, encoded and written piece by piece.  ``twin`` names
-    keys of ``obj`` whose tables of arrays ``write_twin`` stores as arrays."""
-    pieces = (piece.encode() for piece in itertools.chain(_pieces(obj), ["\n"]))
+    """Atomically write ``obj`` to ``path`` as canonical JSON, written piece
+    by piece (``canonical_pieces``).  ``twin`` names keys of ``obj`` whose
+    tables of arrays ``write_twin`` stores as arrays."""
+    pieces = canonical_pieces(obj)
     if twin:
         rest = {key: value for key, value in obj.items() if key not in twin}
         return write_twin(path, pieces, rest, {key: obj[key] for key in twin})
     write_atomic(path, lambda f: f.writelines(pieces))
 
 
-def write_twin(path: str, pieces, doc: dict, arrays: dict) -> None:
+def write_twin(path: str, pieces, doc: dict, tables: dict) -> None:
     """Atomically write the bytes ``pieces`` to ``path``, then its twin: an
-    archive of their SHA-256 (taken as written), ``doc`` as canonical JSON
-    and the named ``arrays``, a table (a dict of float arrays) as one flat
-    array in sorted name order with its names and shapes in ``doc``.  The
-    JSON goes first, so a failed write leaves no twin behind."""
+    archive of their SHA-256 (taken as written), ``doc`` as canonical JSON,
+    and each named table (a dict of float arrays) flattened in sorted name
+    order, its names and shapes in ``doc``.  The tables are flattened before
+    the first piece is taken; the JSON goes first, so a failed write leaves no twin."""
+    tables = {key: dict(sorted(t.items())) for key, t in tables.items()}
+    doc = {**doc, **{key: {name: a.shape for name, a in t.items()} for key, t in tables.items()}}
+    flat = {key: np.concatenate([np.empty(0)] + [a.ravel() for a in t.values()])
+            for key, t in tables.items()}
     sha256 = hashlib.sha256()
 
     def hashed():
@@ -96,35 +109,32 @@ def write_twin(path: str, pieces, doc: dict, arrays: dict) -> None:
             yield piece
 
     write_atomic(path, lambda f: f.writelines(hashed()))
-    tables = {key: dict(sorted(t.items())) for key, t in arrays.items() if isinstance(t, dict)}
-    doc = {**doc, **{key: {name: a.shape for name, a in t.items()} for key, t in tables.items()}}
-    arrays = {**arrays, **{key: np.concatenate([np.empty(0)] + [a.ravel() for a in t.values()])
-                           for key, t in tables.items()}}
     write_atomic(path + TWIN_SUFFIX, lambda f: np.savez(
         f, sha256=np.array(sha256.hexdigest()),
-        doc=np.frombuffer(dumps_canonical(doc).encode(), dtype=np.uint8), **arrays))
+        doc=np.frombuffer(dumps_canonical(doc).encode(), dtype=np.uint8), **flat))
 
 
 def _built(twin: str, build):
-    """``(sha256, build(doc, arrays))`` of the archive ``twin``, each table back
-    in ``doc``; raises on any fault.  ``doc`` and ``arrays`` die with the frame."""
+    """``(sha256, build(doc))`` of the archive ``twin``, each table back in
+    ``doc`` as read-only slices of its flat member; raises on any fault."""
     # opened here, not by np.load, so a malformed archive closes it too
     with open(twin, "rb") as zf, np.load(zf, allow_pickle=False) as z:
         sha256 = str(z["sha256"])
         doc = json.loads(z["doc"].tobytes())
-        arrays = {name: z[name] for name in z.files if name not in ("sha256", "doc")}
-    for key in doc.keys() & arrays.keys():  # the tables
-        flat, shapes = arrays.pop(key), doc[key]
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+        flat = {key: z[key] for key in z.files if key not in ("sha256", "doc")}
+    for key, member in flat.items():
+        shapes = doc[key]
+        ends = list(itertools.accumulate((math.prod(s) for s in shapes.values()), initial=0))
+        if member.dtype != np.float64 or member.shape != (ends[-1],):
             raise ValueError(f"table '{key}' does not fit its shapes")
-        parts = np.split(flat, np.cumsum(sizes[:-1], dtype=int))
-        doc[key] = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), parts)}
-    return sha256, build(doc, arrays)
+        member.flags.writeable = False
+        doc[key] = {name: member[a:b].reshape(shape)
+                    for (name, shape), a, b in zip(shapes.items(), ends, ends[1:])}
+    return sha256, build(doc)
 
 
 def read_checked(path: str, build, parse, use=lambda obj: obj):
-    """``use(obj)``, where ``obj`` is ``build(doc, arrays)`` of the twin of
+    """``use(obj)``, where ``obj`` is ``build(doc)`` of the twin of
     the JSON file ``path`` if the twin holds the JSON's SHA-256, else
     ``parse()``.  A second thread hashes the JSON while the twin is read,
     built and used; that pass's result, exception and warnings count only if

@@ -599,7 +599,7 @@ def load_checkpoint(path: str) -> TrainState:
             raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
         return _state_from_doc(path, doc)
 
-    return read_checked(path, lambda doc, _: _state_from_doc(path, doc), parse)
+    return read_checked(path, lambda doc: _state_from_doc(path, doc), parse)
 
 
 def _state_from_doc(path: str, doc) -> TrainState:

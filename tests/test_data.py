@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -436,8 +437,8 @@ class TestSidecar:
 
     def test_bags_are_views_of_one_loaded_pair(self, tmp_path, monkeypatch):
         # the data sits in memory once: each bag's arrays are read-only
-        # slices of the sidecar's features and boxes, in bag order, and the
-        # malloc-threshold step runs once per load, also from the JSON alone
+        # slices of the sidecar's features and boxes tables, in bag-id order,
+        # and the malloc-threshold step runs once per load, also from the JSON alone
         path = tmp_path / "ds.json"
         ds = _small(proposals=5)
         save_dataset(ds, str(path))
@@ -457,7 +458,7 @@ class TestSidecar:
             _assert_same(loaded, ds)
             wholes = []
             for name in ("features", "boxes"):
-                arrays = [getattr(bag, name) for bag in loaded.bags]
+                arrays = [getattr(bag, name) for bag in sorted(loaded.bags, key=lambda b: b.id)]
                 whole = owner(arrays[0])
                 assert all(owner(arr) is whole for arr in arrays)
                 assert not any(arr.flags.writeable for arr in arrays)
@@ -482,13 +483,13 @@ class TestSidecar:
         ds = _small(proposals=5)
         save_dataset(ds, str(path))
         z = _members(path)
-        assert set(z) == {"sha256", "doc", "counts", "features", "boxes"}
         assert str(z["sha256"]) == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert z["counts"].tolist() == [5] * len(ds.bags)
-        assert z["features"].dtype == z["boxes"].dtype == np.float64
-        assert np.array_equal(z["features"], np.concatenate([b.features for b in ds.bags]))
-        assert np.array_equal(z["boxes"], np.concatenate([b.boxes for b in ds.bags]))
+        by_id = sorted(ds.bags, key=lambda b: b.id)
+        assert np.array_equal(z["features"], np.concatenate([b.features.ravel() for b in by_id]))
+        assert np.array_equal(z["boxes"], np.concatenate([b.boxes.ravel() for b in by_id]))
         doc = json.loads(z["doc"].tobytes())
+        assert doc.pop("features") == {b.id: [5, ds.feature_dim] for b in ds.bags}
+        assert doc.pop("boxes") == {b.id: [5, 4] for b in ds.bags}
         assert all("proposals" not in rec for rec in doc["bags"])
         full = json.loads(path.read_text())
         for rec in full["bags"]:
@@ -554,15 +555,16 @@ class TestSidecar:
         lambda path: _truncate(_sidecar(path)),
         lambda path: Path(_sidecar(path)).write_bytes(b"not a zip file"),
         lambda path: _rewrite_sidecar(path, boxes=None),
-        lambda path: _rewrite_sidecar(path, counts=None),
+        lambda path: _shapes_off_by_one(path),
         lambda path: _rewrite_sidecar(
             path, doc=np.array([json.loads(_members(path)["doc"].tobytes())], dtype=object)),
         lambda path: _rewrite_sidecar(path, features=_nan_first(_members(path)["features"])),
         lambda path: _rewrite_sidecar(path, doc=_duplicate_first_id(_members(path)["doc"])),
-        lambda path: _rewrite_sidecar(path, counts=_members(path)["counts"][:-1]),
+        lambda path: _drop_last_id(path),
         lambda path: _rewrite_sidecar(path, features=_members(path)["features"].astype(np.float32)),
-    ], ids=["truncated", "not-a-zip", "no-boxes", "no-counts", "pickled-doc", "nan-feature",
-            "duplicate-id", "short-counts", "float32-features"])
+        lambda path: _old_layout(path),
+    ], ids=["truncated", "not-a-zip", "no-boxes", "shapes-off-by-one", "pickled-doc",
+            "nan-feature", "duplicate-id", "missing-id", "float32-features", "old-layout"])
     def test_malformed_sidecar_falls_back(self, tmp_path, parses, spoil):
         path = tmp_path / "ds.json"
         save_dataset(_small(), str(path))
@@ -679,14 +681,50 @@ def _truncate(name):
 
 def _nan_first(features):
     features = features.copy()
-    features[0, 0] = np.nan
+    features[0] = np.nan
     return features
+
+
+def _encoded(doc) -> np.ndarray:
+    return np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8)
 
 
 def _duplicate_first_id(doc_bytes):
     doc = json.loads(doc_bytes.tobytes())
     doc["bags"][1]["id"] = doc["bags"][0]["id"]
-    return np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8)
+    return _encoded(doc)
+
+
+def _shapes_off_by_one(path):
+    """Take one row off the first bag's feature shape in the sidecar's
+    document, so the shapes no longer sum to the member's length."""
+    doc = json.loads(_members(path)["doc"].tobytes())
+    doc["features"][min(doc["features"])][0] -= 1
+    _rewrite_sidecar(path, doc=_encoded(doc))
+
+
+def _drop_last_id(path):
+    """Drop the last bag, in sorted id order, from the sidecar's features
+    table: its shape from the document and its cells from the member, so
+    the table fits its shapes but holds no entry for that bag."""
+    members = _members(path)
+    doc = json.loads(members["doc"].tobytes())
+    cells = math.prod(doc["features"].pop(max(doc["features"])))
+    _rewrite_sidecar(path, doc=_encoded(doc), features=members["features"][:-cells])
+
+
+def _old_layout(path):
+    """Rewrite the sidecar in the layout that predates tables: the JSON's
+    current hash, the document without ``proposals``, each bag's proposal
+    count, and every bag's features and boxes stacked in bag order."""
+    doc = json.loads(Path(path).read_bytes())
+    proposals = [rec.pop("proposals") for rec in doc["bags"]]
+    with open(_sidecar(path), "wb") as f:
+        np.savez(f, sha256=np.array(hashlib.sha256(Path(path).read_bytes()).hexdigest()),
+                 doc=np.frombuffer(dumps_canonical(doc).encode(), dtype=np.uint8),
+                 counts=np.array([len(p) for p in proposals]),
+                 features=np.array([q["feature"] for p in proposals for q in p]),
+                 boxes=np.array([q["box"] for p in proposals for q in p]))
 
 
 # ---------------------------------------------------------------------------
@@ -1100,13 +1138,18 @@ class TestParallelEncoder:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_one_dumps_per_bag(self, monkeypatch, tmp_path, cpus):
-        """Each bag's record is one ``dumps_canonical`` call of its own; one
-        more gives the end of the document."""
+        """Each bag's record is one ``_encode_bag`` call of its own, and the
+        file is written in pieces of which none holds two records."""
         ds = _odd_dataset(bags=9)
         _cpus(monkeypatch, cpus)
-        calls = _logged(monkeypatch, "dumps_canonical", tmp_path / "calls")
+        calls = _logged(monkeypatch, "_encode_bag", tmp_path / "calls")
+        pieces, real = [], data_module.write_twin
+        monkeypatch.setattr(data_module, "write_twin", lambda path, written, *rest: real(
+            path, (pieces.append(piece) or piece for piece in written), *rest))
         save_dataset(ds, str(tmp_path / "ds.json"))
-        assert len(calls()) == len(ds.bags) + 1
+        assert len(calls()) == len(ds.bags)
+        records = [piece.count(b'"labels":') for piece in pieces]
+        assert sum(records) == len(ds.bags) and max(records) == 1
         assert (tmp_path / "ds.json").read_bytes() == _reference_bytes(ds)
 
     def test_worker_failure_after_part_of_the_file_is_written(self, monkeypatch, tmp_path):
@@ -1144,7 +1187,7 @@ class TestParallelEncoder:
         alive = []
 
         def write_twin(path, pieces, *rest):
-            next(pieces), next(pieces)  # the opening and the first record
+            next(pieces), next(pieces)  # the document's first two pieces
             alive.extend(multiprocessing.active_children())
             raise OSError(28, "No space left on device", path)
 
