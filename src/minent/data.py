@@ -15,11 +15,12 @@ overlapping boxes and scoring groups by their mean lets the near-object
 group win — the behavior the training objective is supposed to exhibit.
 
 ``save_dataset`` writes the canonical JSON and its binary twin
-(``jsonio.write_twin``): the document without ``proposals``, and the tables
-``features`` and ``boxes`` of each bag's arrays by its id.  ``load_dataset``
-builds the dataset from a current twin, else from the JSON (``read_checked``);
-``open_dataset`` also uses the twin's dataset while the hash runs.  A bag read
-from the twin holds read-only slices of its two tables, not copies.
+(``jsonio.write_twin``): the document without ``proposals``, and the declared
+tables ``features`` and ``boxes`` of each bag's arrays by its id.
+``load_dataset`` builds the dataset from a current twin, else from the JSON
+(``jsonio.read_checked``, which alone reads either file); ``open_dataset`` also
+uses the twin's dataset while the hash runs.  A bag read from the twin holds
+read-only slices of its two tables, not copies.
 
 The dataset is a fixed function of the config and its seed.  A positive
 bag's boxes are rejection-sampled in blocks of tries: each round draws the
@@ -43,7 +44,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .geometry import Box, iou_matrix
-from .jsonio import canonical_pieces, dumps_canonical, read_checked, read_json, write_twin
+from .jsonio import canonical_pieces, dumps_canonical, read_checked, write_twin
 
 
 class DataError(ValueError):
@@ -304,10 +305,10 @@ def _bag_from_record(rec: dict, arrays=None) -> Bag:
     return Bag(id=bag_id, labels=labels, features=features, boxes=boxes, ground_truth=gt)
 
 
-def _dataset_from_doc(doc, arrays=None) -> Dataset:
-    """The validated dataset of a parsed dataset document.  ``arrays``
-    holds each bag's (features, boxes) pair, for a document whose bag
-    records carry no ``proposals``."""
+def _dataset_from_doc(doc, tables) -> Dataset:
+    """The validated dataset of a parsed dataset document (``tables`` None),
+    or of a twin's document and its ``tables``, which hold each bag's
+    features and boxes by its id in place of its record's ``proposals``."""
     if not isinstance(doc, dict):
         raise DataError("dataset file must contain a JSON object")
     for key in ("classes", "feature_dim", "bags"):
@@ -318,8 +319,8 @@ def _dataset_from_doc(doc, arrays=None) -> Dataset:
         raise DataError("'classes' must be a list of strings")
     if not isinstance(bags, list) or not all(isinstance(rec, dict) for rec in bags):
         raise DataError("'bags' must be a list of objects")
-    if arrays is None:
-        arrays = [None] * len(bags)
+    arrays = ([None] * len(bags) if tables is None else
+              [(tables["features"][rec["id"]], tables["boxes"][rec["id"]]) for rec in bags])
     # after the read of the JSON or twin, so that its buffers are not kept in the heap
     _raise_malloc_thresholds()
     ds = Dataset(
@@ -500,23 +501,10 @@ def _raise_malloc_thresholds() -> None:
     np.empty(16 << 20, dtype=np.uint8)
 
 
-def _dataset_from_twin(doc) -> Dataset:
-    """The dataset of a twin's document, each bag's arrays found by its id; raises on any fault."""
-    features, boxes = doc["features"], doc["boxes"]
-    return _dataset_from_doc(doc, [(features[rec["id"]], boxes[rec["id"]]) for rec in doc["bags"]])
-
-
 def open_dataset(path: str, use=lambda ds: ds):
     """``use(dataset)`` of the JSON file ``path``, the twin's dataset used while
     the hash runs and kept only if the twin is current (``jsonio.read_checked``)."""
-    def parse() -> Dataset:
-        try:
-            doc = read_json(path)
-        except ValueError as e:
-            raise DataError(f"unreadable dataset {path}: {e}") from e
-        return _dataset_from_doc(doc)
-
-    return read_checked(path, _dataset_from_twin, parse, use)
+    return read_checked(path, "dataset", DataError, _dataset_from_doc, use)
 
 
 def load_dataset(path: str) -> Dataset:

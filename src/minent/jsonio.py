@@ -4,9 +4,10 @@ All persisted files (datasets, checkpoints, metrics) go through these so
 that a fixed object always serializes to identical bytes: keys sorted,
 compact separators, floats at full round-trip precision, trailing newline.
 Writes are atomic (temp file in the target directory, then rename).
-``canonical_pieces`` streams a document, and ``write_twin`` lays out every
-binary twin as tables.  ``read_checked`` is the one rule for a file with a
-twin: use the twin only if it holds the JSON's SHA-256, else parse the JSON.
+``canonical_pieces`` streams a document.  ``write_twin`` writes a JSON file
+with its binary twin, and ``read_checked`` reads it back, for datasets and
+checkpoints alike: the twin is used only if it holds the JSON's SHA-256 and
+exactly the tables it declares, else the JSON is parsed.
 """
 
 from __future__ import annotations
@@ -80,25 +81,25 @@ def canonical_pieces(obj):
     yield b"\n"
 
 
-def write_json(obj, path: str, twin=()) -> None:
+def write_json(obj, path: str) -> None:
     """Atomically write ``obj`` to ``path`` as canonical JSON, written piece
-    by piece (``canonical_pieces``).  ``twin`` names keys of ``obj`` whose
-    tables of arrays ``write_twin`` stores as arrays."""
-    pieces = canonical_pieces(obj)
-    if twin:
-        rest = {key: value for key, value in obj.items() if key not in twin}
-        return write_twin(path, pieces, rest, {key: obj[key] for key in twin})
-    write_atomic(path, lambda f: f.writelines(pieces))
+    by piece (``canonical_pieces``)."""
+    write_atomic(path, lambda f: f.writelines(canonical_pieces(obj)))
+
+
+def _encoded(obj) -> np.ndarray:
+    return np.frombuffer(dumps_canonical(obj).encode(), dtype=np.uint8)
 
 
 def write_twin(path: str, pieces, doc: dict, tables: dict) -> None:
     """Atomically write the bytes ``pieces`` to ``path``, then its twin: an
     archive of their SHA-256 (taken as written), ``doc`` as canonical JSON,
-    and each named table (a dict of float arrays) flattened in sorted name
-    order, its names and shapes in ``doc``.  The tables are flattened before
-    the first piece is taken; the JSON goes first, so a failed write leaves no twin."""
+    the member ``tables`` that declares each named table's array names and
+    shapes, and each table (a dict of float arrays) flattened in sorted name
+    order as a member of its own.  The tables are flattened before the first
+    piece is taken; the JSON goes first, so a failed write leaves no twin."""
     tables = {key: dict(sorted(t.items())) for key, t in tables.items()}
-    doc = {**doc, **{key: {name: a.shape for name, a in t.items()} for key, t in tables.items()}}
+    shapes = {key: {name: a.shape for name, a in t.items()} for key, t in tables.items()}
     flat = {key: np.concatenate([np.empty(0)] + [a.ravel() for a in t.values()])
             for key, t in tables.items()}
     sha256 = hashlib.sha256()
@@ -110,35 +111,46 @@ def write_twin(path: str, pieces, doc: dict, tables: dict) -> None:
 
     write_atomic(path, lambda f: f.writelines(hashed()))
     write_atomic(path + TWIN_SUFFIX, lambda f: np.savez(
-        f, sha256=np.array(sha256.hexdigest()),
-        doc=np.frombuffer(dumps_canonical(doc).encode(), dtype=np.uint8), **flat))
+        f, sha256=np.array(sha256.hexdigest()), doc=_encoded(doc), tables=_encoded(shapes), **flat))
 
 
 def _built(twin: str, build):
-    """``(sha256, build(doc))`` of the archive ``twin``, each table back in
-    ``doc`` as read-only slices of its flat member; raises on any fault."""
+    """``(sha256, build(doc, tables))`` of the archive ``twin``, each table it
+    declares as read-only slices of its flat member.  Raises on any fault,
+    such as a declared table without a member or a member not declared."""
     # opened here, not by np.load, so a malformed archive closes it too
     with open(twin, "rb") as zf, np.load(zf, allow_pickle=False) as z:
         sha256 = str(z["sha256"])
-        doc = json.loads(z["doc"].tobytes())
-        flat = {key: z[key] for key in z.files if key not in ("sha256", "doc")}
+        doc, shapes = (json.loads(z[key].tobytes()) for key in ("doc", "tables"))
+        if set(z.files) != {"sha256", "doc", "tables", *shapes}:
+            raise ValueError("the archive's members are not the tables it declares")
+        flat = {key: z[key] for key in shapes}
+    tables = {}
     for key, member in flat.items():
-        shapes = doc[key]
-        ends = list(itertools.accumulate((math.prod(s) for s in shapes.values()), initial=0))
+        ends = list(itertools.accumulate((math.prod(s) for s in shapes[key].values()), initial=0))
         if member.dtype != np.float64 or member.shape != (ends[-1],):
             raise ValueError(f"table '{key}' does not fit its shapes")
         member.flags.writeable = False
-        doc[key] = {name: member[a:b].reshape(shape)
-                    for (name, shape), a, b in zip(shapes.items(), ends, ends[1:])}
-    return sha256, build(doc)
+        tables[key] = {name: member[a:b].reshape(shape)
+                       for (name, shape), a, b in zip(shapes[key].items(), ends, ends[1:])}
+    return sha256, build(doc, tables)
 
 
-def read_checked(path: str, build, parse, use=lambda obj: obj):
-    """``use(obj)``, where ``obj`` is ``build(doc)`` of the twin of
+def read_checked(path: str, what: str, error: type[Exception], build, use=lambda obj: obj):
+    """``use(obj)``, where ``obj`` is ``build(doc, tables)`` of the twin of
     the JSON file ``path`` if the twin holds the JSON's SHA-256, else
-    ``parse()``.  A second thread hashes the JSON while the twin is read,
-    built and used; that pass's result, exception and warnings count only if
-    the twin is current.  Else it is dropped and freed, and ``use(parse())`` runs."""
+    ``build(doc, None)`` of the parsed JSON.  A file that does not parse
+    raises ``error("unreadable <what> PATH: ...")``.  A second thread hashes
+    the JSON while the twin is read, built and used; that pass's result,
+    exception and warnings count only if the twin is current.  Else it is
+    dropped and freed, and the JSON is parsed, built and used."""
+    def parse():
+        try:
+            doc = read_json(path)
+        except ValueError as e:
+            raise error(f"unreadable {what} {path}: {e}") from e
+        return build(doc, None)
+
     twin = path + TWIN_SUFFIX
     if not os.path.isfile(twin):
         return use(parse())

@@ -57,7 +57,7 @@ from .entropy import (
 )
 from .evaluate import best_gt_overlaps, dataset_loc_stats
 from .geometry import box_iou
-from .jsonio import dumps_canonical, read_checked, read_json, write_json
+from .jsonio import canonical_pieces, dumps_canonical, read_checked, write_twin
 from .model import (
     ModelParams,
     backward_head,
@@ -581,31 +581,27 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         "branches": state.params.branches,
         "epoch": state.epoch,
         "config": {**asdict(state.config), **_V1_FIXED_CONFIG},
-        "params": dict(state.params.named_arrays()),
-        "buffers": state.buffers,
-        "s_h": state.s_h,
         "rng_state": _seed_rng_state(state.config.seed),
     }
-    write_json(doc, path, twin=("params", "buffers", "s_h"))
+    tables = {"params": dict(state.params.named_arrays()), "buffers": state.buffers,
+              "s_h": state.s_h}
+    write_twin(path, canonical_pieces({**doc, **tables}), doc, tables)
 
 
 def load_checkpoint(path: str) -> TrainState:
     """The state in the checkpoint file ``path``, from its twin when that is
     current, else from the JSON (``jsonio.read_checked``), after the same checks."""
-    def parse() -> TrainState:
-        try:
-            doc = read_json(path)
-        except ValueError as e:
-            raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
-        return _state_from_doc(path, doc)
-
-    return read_checked(path, lambda doc: _state_from_doc(path, doc), parse)
+    return read_checked(path, "checkpoint", CheckpointError,
+                        lambda doc, tables: _state_from_doc(path, doc, tables))
 
 
-def _state_from_doc(path: str, doc) -> TrainState:
-    """The checked state of a parsed checkpoint document."""
+def _state_from_doc(path: str, doc, tables) -> TrainState:
+    """The checked state of a parsed checkpoint document (``tables`` None),
+    or of a twin's document and its ``tables`` (``params``, ``buffers`` and
+    ``s_h``)."""
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a checkpoint file")
+    doc = {**doc, **(tables or {})}
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {doc.get('version')} unsupported "

@@ -979,13 +979,13 @@ class TestSidecarByteIdentity:
         ds = data_dir / "ds.json"
         assert main(GEN + ["--out", str(ds)]) == 0
         parses = []
-        real = data_module.read_json
+        real = jsonio_module.read_json
 
         def counting(path):
             parses.append(path)
             return real(path)
 
-        monkeypatch.setattr(data_module, "read_json", counting)
+        monkeypatch.setattr(jsonio_module, "read_json", counting)
 
         def listing():
             return sorted((p.name, p.stat().st_mtime_ns) for p in data_dir.iterdir())
@@ -1039,8 +1039,8 @@ class TestCheckpointTwinByteIdentity:
         assert main(["train", "--data", str(ds), "--out-checkpoint", str(ck), "--epochs", "2",
                      "--stop-after", "1", "--seed", "0", *tier]) == 0
         parses = []
-        real = trainer_module.read_json
-        monkeypatch.setattr(trainer_module, "read_json",
+        real = jsonio_module.read_json
+        monkeypatch.setattr(jsonio_module, "read_json",
                             lambda path: parses.append(path) or real(path))
 
         def listing():
@@ -1171,13 +1171,13 @@ class TestDeferredDatasetHash:
         shutil.copyfile(workspace / "ck.json", ck)  # no twin, so every hash is the dataset's
         data.write_text(data.read_text().replace('"labels":[1', '"labels":[0', 1))
         builds, hashes = [], []
-        build = data_module._dataset_from_twin
-        monkeypatch.setattr(data_module, "_dataset_from_twin",
-                            lambda *args: builds.append(1) or build(*args))
+        build = data_module._dataset_from_doc
+        monkeypatch.setattr(data_module, "_dataset_from_doc", lambda doc, tables: (
+            builds.append("twin" if tables is not None else "json") or build(doc, tables)))
         monkeypatch.setattr(jsonio_module, "hashlib", SimpleNamespace(
             sha256=lambda: hashes.append(1) or hashlib.sha256()))
         assert main(["eval", "--data", str(data), "--checkpoint", str(ck)]) == 0
-        assert (len(builds), len(hashes)) == (1, 1)
+        assert (builds, len(hashes)) == (["twin", "json"], 1)
 
     @pytest.mark.parametrize("edit", ['"labels":[0', '"labels":[2'])
     def test_stale_twin_equals_no_twin(self, workspace, data, capsys, edit):

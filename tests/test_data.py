@@ -409,13 +409,13 @@ def _assert_same(a: Dataset, b: Dataset):
 def parses(monkeypatch):
     """Counts the dataset JSON parses ``load_dataset`` makes."""
     calls = []
-    real = data_module.read_json
+    real = jsonio_module.read_json
 
     def counting(path):
         calls.append(path)
         return real(path)
 
-    monkeypatch.setattr(data_module, "read_json", counting)
+    monkeypatch.setattr(jsonio_module, "read_json", counting)
     return calls
 
 
@@ -487,9 +487,10 @@ class TestSidecar:
         by_id = sorted(ds.bags, key=lambda b: b.id)
         assert np.array_equal(z["features"], np.concatenate([b.features.ravel() for b in by_id]))
         assert np.array_equal(z["boxes"], np.concatenate([b.boxes.ravel() for b in by_id]))
-        doc = json.loads(z["doc"].tobytes())
-        assert doc.pop("features") == {b.id: [5, ds.feature_dim] for b in ds.bags}
-        assert doc.pop("boxes") == {b.id: [5, 4] for b in ds.bags}
+        assert set(z) == {"sha256", "doc", "tables", "features", "boxes"}
+        doc, shapes = (json.loads(z[key].tobytes()) for key in ("doc", "tables"))
+        assert shapes == {"features": {b.id: [5, ds.feature_dim] for b in ds.bags},
+                          "boxes": {b.id: [5, 4] for b in ds.bags}}
         assert all("proposals" not in rec for rec in doc["bags"])
         full = json.loads(path.read_text())
         for rec in full["bags"]:
@@ -563,8 +564,12 @@ class TestSidecar:
         lambda path: _drop_last_id(path),
         lambda path: _rewrite_sidecar(path, features=_members(path)["features"].astype(np.float32)),
         lambda path: _old_layout(path),
+        lambda path: _undeclare(path, "boxes"),
+        lambda path: _rewrite_sidecar(path, extra=np.zeros(3)),
+        lambda path: _shapes_in_doc(path),
     ], ids=["truncated", "not-a-zip", "no-boxes", "shapes-off-by-one", "pickled-doc",
-            "nan-feature", "duplicate-id", "missing-id", "float32-features", "old-layout"])
+            "nan-feature", "duplicate-id", "missing-id", "float32-features", "old-layout",
+            "no-boxes-table", "undeclared-member", "shapes-in-doc"])
     def test_malformed_sidecar_falls_back(self, tmp_path, parses, spoil):
         path = tmp_path / "ds.json"
         save_dataset(_small(), str(path))
@@ -697,20 +702,37 @@ def _duplicate_first_id(doc_bytes):
 
 def _shapes_off_by_one(path):
     """Take one row off the first bag's feature shape in the sidecar's
-    document, so the shapes no longer sum to the member's length."""
-    doc = json.loads(_members(path)["doc"].tobytes())
-    doc["features"][min(doc["features"])][0] -= 1
-    _rewrite_sidecar(path, doc=_encoded(doc))
+    declared tables, so the shapes no longer sum to the member's length."""
+    shapes = json.loads(_members(path)["tables"].tobytes())
+    shapes["features"][min(shapes["features"])][0] -= 1
+    _rewrite_sidecar(path, tables=_encoded(shapes))
 
 
 def _drop_last_id(path):
     """Drop the last bag, in sorted id order, from the sidecar's features
-    table: its shape from the document and its cells from the member, so
-    the table fits its shapes but holds no entry for that bag."""
+    table: its shape from the declared tables and its cells from the member,
+    so the table fits its shapes but holds no entry for that bag."""
     members = _members(path)
-    doc = json.loads(members["doc"].tobytes())
-    cells = math.prod(doc["features"].pop(max(doc["features"])))
-    _rewrite_sidecar(path, doc=_encoded(doc), features=members["features"][:-cells])
+    shapes = json.loads(members["tables"].tobytes())
+    cells = math.prod(shapes["features"].pop(max(shapes["features"])))
+    _rewrite_sidecar(path, tables=_encoded(shapes), features=members["features"][:-cells])
+
+
+def _undeclare(path, table):
+    """Drop ``table`` from the sidecar, a dataset's or a checkpoint's: both its
+    member and its entry in the declared tables, so the archive is consistent
+    but lacks the table."""
+    shapes = json.loads(_members(path)["tables"].tobytes())
+    del shapes[table]
+    _rewrite_sidecar(path, tables=_encoded(shapes), **{table: None})
+
+
+def _shapes_in_doc(path):
+    """Rewrite the sidecar in the layout that predates the tables member:
+    each table's shapes inside the document, and no ``tables`` member."""
+    members = _members(path)
+    doc = {**json.loads(members["doc"].tobytes()), **json.loads(members["tables"].tobytes())}
+    _rewrite_sidecar(path, doc=_encoded(doc), tables=None)
 
 
 def _old_layout(path):

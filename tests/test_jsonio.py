@@ -2,8 +2,8 @@
 an array row by row and an iterator item by item, and ``write_json``
 writes them; the pieces must join to the bytes of ``dumps_canonical`` of
 the whole document, with each array as its ``tolist()``.  Every binary
-twin has one layout: the JSON's hash, a document, and one flat member per
-table."""
+twin has one layout: the JSON's hash, a document, the declared tables,
+and one flat member per table."""
 
 import hashlib
 import json
@@ -152,9 +152,9 @@ def test_checkpoint_matches_dumps_canonical(tmp_path, monkeypatch, tier, hidden_
     state, _ = train(ds, TrainConfig(epochs=1, branches=2, seed=1, ablation=tier,
                                      hidden_dim=hidden_dim))
     docs = []
-    real = trainer_module.write_json
-    monkeypatch.setattr(trainer_module, "write_json",
-                        lambda doc, path, twin: docs.append(doc) or real(doc, path, twin))
+    real = trainer_module.write_twin
+    monkeypatch.setattr(trainer_module, "write_twin", lambda path, pieces, doc, tables: (
+        docs.append({**doc, **tables}) or real(path, pieces, doc, tables)))
     path = tmp_path / "ckpt.json"
     save_checkpoint(state, str(path))
     assert ("hidden_w" in docs[0]["params"]) == (hidden_dim > 0)
@@ -176,13 +176,15 @@ def test_a_twin_holds_one_flat_member_per_table(tmp_path, kind, tables):
     with np.load(str(path) + TWIN_SUFFIX, allow_pickle=False) as z:
         members = {key: z[key] for key in z.files}
     assert str(members.pop("sha256")) == hashlib.sha256(path.read_bytes()).hexdigest()
-    doc = json.loads(members.pop("doc").tobytes())
-    assert set(members) == tables
+    doc, shapes = (json.loads(members.pop(key).tobytes()) for key in ("doc", "tables"))
+    assert set(members) == set(shapes) == tables
+    assert not tables & set(doc)
     for key, member in members.items():
         assert member.dtype == np.float64 and member.ndim == 1
-        assert len(member) == sum(math.prod(shape) for shape in doc[key].values())
-    # read back, each table holds read-only arrays of the shapes in doc
-    _, built = _built(str(path) + TWIN_SUFFIX, lambda doc: doc)
+        assert len(member) == sum(math.prod(shape) for shape in shapes[key].values())
+    # read back, each table holds read-only arrays of its declared shapes
+    _, (built_doc, built) = _built(str(path) + TWIN_SUFFIX, lambda doc, tables: (doc, tables))
+    assert built_doc == doc and set(built) == tables
     for key in tables:
-        assert {name: list(a.shape) for name, a in built[key].items()} == doc[key]
+        assert {name: list(a.shape) for name, a in built[key].items()} == shapes[key]
         assert not any(a.flags.writeable for a in built[key].values())

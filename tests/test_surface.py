@@ -75,10 +75,41 @@ def test_every_public_function_has_a_caller():
     assert orphans == []
 
 
+def _metric_spans():
+    """``(module, function)`` or ``(module, class, method)`` of each span that
+    a per-layer metric names as ``<span>.<stat>``.  Two-part counters such as
+    ``model.flops``, and the ``layer``, ``cli`` and ``trace`` names, name none."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {tuple(parts[:-1]) for parts in (m["name"].split(".") for m in spec["per_layer"])
+            if len(parts) > 2 and parts[0] not in ("layer", "cli", "trace")}
+
+
+def _defines(tree, names):
+    """Whether ``tree`` defines the module-level function, or the method of a
+    module-level class, that ``names`` spells."""
+    body = tree.body
+    for cls in names[:-1]:
+        body = next((n.body for n in body if isinstance(n, ast.ClassDef) and n.name == cls), [])
+    return any(isinstance(n, ast.FunctionDef) and n.name == names[-1] for n in body)
+
+
+def test_every_benchmarked_span_exists():
+    # perfbench/run.py --trace 1 refuses a run that lacks a listed metric, so a
+    # function that a metric names goes only with the change that drops the metric
+    modules = _modules()
+    missing = [".".join(span) for span in sorted(_metric_spans())
+               if span[0] not in modules or not _defines(modules[span[0]], span[1:])]
+    assert missing == []
+
+
 def test_the_rule_sees_what_it_guards():
     # the three sources of reasons must each be read, or the rule passes vacuously
     modules = _modules()
     assert ("entropy", "partition_cliques") in _referenced(modules)
     assert ("evaluate", "average_precision") in _acceptance_imports()
     assert ("evaluate", "detect") in _benchmarked()
+    spans = _metric_spans()
+    assert {("evaluate", "detect"), ("data", "Bag", "feature_matrix")} <= spans
+    assert not any(span[0] in ("layer", "cli", "trace") for span in spans)
+    assert not _defines(modules["data"], ("Bag", "no_such_method"))
     assert sum(len(_public_functions(tree)) for tree in modules.values()) > 40

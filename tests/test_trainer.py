@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from minent import evaluate as evaluate_module
+from minent import jsonio as jsonio_module
 from minent import model as model_module
 from minent import trainer as trainer_module
 from minent.cli import main
-from minent.data import SynthConfig, generate_synthetic, save_dataset
+from minent.data import Bag, SynthConfig, generate_synthetic, save_dataset
 from minent.entropy import tau_graph
 from minent.evaluate import dataset_loc_stats, evaluate
 from minent.geometry import Box
@@ -33,6 +34,7 @@ from minent.trainer import (
     tier_switches,
     train,
 )
+from test_data import _shapes_in_doc, _undeclare
 
 
 def small_ds(seed=3):
@@ -58,6 +60,16 @@ def mixed_pairs_ds():
     both.ground_truth = both.ground_truth + [(1, Box(*both.boxes[-1]))]
     ds.bags[1].ground_truth = None
     ds.bags[-1].ground_truth = [(0, Box(*ds.bags[-1].boxes[0]))]  # a negative bag
+    return ds
+
+
+def one_proposal_bag_ds():
+    """``small_ds`` with its last bag, a negative, cut to its first proposal."""
+    ds = small_ds()
+    last = ds.bags[-1]
+    assert not last.labels.any()
+    ds.bags[-1] = Bag(id=last.id, labels=last.labels, features=last.features[:1],
+                      boxes=last.boxes[:1], ground_truth=last.ground_truth)
     return ds
 
 
@@ -736,8 +748,8 @@ class TestCheckpoint:
 def ckpt_parses(monkeypatch):
     """Counts the checkpoint JSON parses ``load_checkpoint`` makes."""
     calls = []
-    real = trainer_module.read_json
-    monkeypatch.setattr(trainer_module, "read_json", lambda path: calls.append(path) or real(path))
+    real = jsonio_module.read_json
+    monkeypatch.setattr(jsonio_module, "read_json", lambda path: calls.append(path) or real(path))
     return calls
 
 
@@ -820,16 +832,16 @@ class TestCheckpointTwin:
         path = tmp_path / "ck.json"
         save_checkpoint(state, str(path))
         z = _twin_members(path)
-        assert set(z) == {"sha256", "doc", "params", "buffers", "s_h"}
+        assert set(z) == {"sha256", "doc", "tables", "params", "buffers", "s_h"}
         assert str(z["sha256"]) == hashlib.sha256(path.read_bytes()).hexdigest()
         full = json.loads(path.read_text())
-        doc = json.loads(z["doc"].tobytes())
+        doc, shapes = (json.loads(z[key].tobytes()) for key in ("doc", "tables"))
         for key in ("params", "buffers", "s_h"):
             table = full.pop(key)
-            assert doc.pop(key) == {name: list(np.shape(v)) for name, v in table.items()}
+            assert shapes.pop(key) == {name: list(np.shape(v)) for name, v in table.items()}
             flat = np.concatenate([np.ravel(table[name]) for name in sorted(table)])
             assert z[key].dtype == np.float64 and z[key].tobytes() == flat.tobytes()
-        assert doc == full
+        assert doc == full and shapes == {}
 
     @pytest.mark.parametrize("spoil", [
         lambda path: _edit_one_param_digit(path),
@@ -838,9 +850,16 @@ class TestCheckpointTwin:
         lambda path: _rewrite_twin(path, params=_twin_members(path)["params"].astype(np.float32)),
         lambda path: _rewrite_twin(path, s_h=_twin_members(path)["s_h"][:-1]),
         lambda path: _rewrite_twin(path, buffers=None),
-    ], ids=["stale", "truncated", "not-a-zip", "float32-params", "short-s_h", "no-buffers"])
+        lambda path: _rewrite_twin(path, s_h=None),
+        lambda path: _undeclare(path, "s_h"),
+        lambda path: _rewrite_twin(path, extra=np.zeros(3)),
+        lambda path: _shapes_in_doc(path),
+    ], ids=["stale", "truncated", "not-a-zip", "float32-params", "short-s_h", "no-buffers",
+            "no-s_h", "no-s_h-table", "undeclared-member", "shapes-in-doc"])
     def test_spoiled_twin_gives_the_json_state(self, tmp_path, ckpt_parses, spoil):
-        state, _ = train(small_ds(), small_cfg())
+        # a one-proposal bag: a twin's shape map read as its s(h) would be [1.],
+        # of the length a resume checks
+        state, _ = train(one_proposal_bag_ds(), small_cfg())
         path = tmp_path / "ck.json"
         save_checkpoint(state, str(path))
         spoil(path)
