@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import box_iou, iou_matrix
+from .geometry import box_iou, self_iou_table
 
 EPS = 1e-12
 
@@ -100,17 +100,15 @@ class LocalizationOutput:
 
 @dataclass(frozen=True, eq=False)
 class TauGraph:
-    """One bag's IoU > ``tau`` graph, fixed while its boxes and ``tau`` are:
-    ``component``, each proposal's connected component, numbered in
-    proposal order, with ``sizes`` each component's size, and ``blocks``,
-    which maps each component of two or more proposals to its members,
-    ascending, and the (size x size) bool adjacency among them (no self
-    loops).  No edge leaves a component, so the blocks are the whole graph
-    in a few cells of the P x P table."""
+    """One bag's IoU > ``tau`` graph, fixed while its boxes and ``tau`` are,
+    kept as its components alone: ``component``, each proposal's connected
+    component, numbered in proposal order, with ``sizes`` each component's
+    size.  No edge leaves a component, so a pool that keeps a component
+    whole keeps it as one clique; the edges inside a component the pool
+    cuts are scored again, over its pooled boxes only."""
 
     component: np.ndarray
     sizes: np.ndarray
-    blocks: dict[int, tuple[np.ndarray, np.ndarray]]
     tau: float
 
 
@@ -138,17 +136,18 @@ def _components(adjacency: np.ndarray) -> np.ndarray:
     return label
 
 
-def tau_graph(boxes: np.ndarray, tau: float) -> TauGraph:
-    """The IoU > ``tau`` graph of ``boxes`` and its connected components;
-    IoU exactly ``tau`` does not chain."""
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    adjacency = iou_matrix(boxes, boxes) > tau
+def _adjacency(boxes: np.ndarray, tau: float) -> np.ndarray:
+    """The IoU > ``tau`` graph of ``boxes`` as a bool table without self
+    loops; IoU exactly ``tau`` does not chain."""
+    adjacency = self_iou_table(boxes, tau, np.greater)
     np.fill_diagonal(adjacency, False)
-    component = _components(adjacency)
-    sizes = np.bincount(component)
-    members = {c: np.flatnonzero(component == c) for c in np.flatnonzero(sizes > 1).tolist()}
-    blocks = {c: (m, adjacency.take(m, axis=0).take(m, axis=1)) for c, m in members.items()}
-    return TauGraph(component=component, sizes=sizes, blocks=blocks, tau=tau)
+    return adjacency
+
+
+def tau_graph(boxes: np.ndarray, tau: float) -> TauGraph:
+    """The connected components of the IoU > ``tau`` graph of ``boxes``."""
+    component = _components(_adjacency(boxes, tau))
+    return TauGraph(component=component, sizes=np.bincount(component), tau=tau)
 
 
 def partition_cliques(
@@ -166,8 +165,8 @@ def partition_cliques(
     come in the order of their seeds, each with sorted members.  ``graph``
     is the bag's ``tau_graph(boxes, tau)``, built here if not given.  A
     component of it that the pool keeps whole is a clique as it stands; a
-    breadth-first search runs only over the pooled members of a component
-    the pool cuts, which may fall apart into several cliques.
+    breadth-first search runs only over the overlaps of the pooled members
+    of a component the pool cuts, which may fall apart into several cliques.
     """
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     objectness = np.asarray(objectness, dtype=float)
@@ -189,10 +188,8 @@ def partition_cliques(
         fresh = len(graph.sizes)  # keys past every component's
         for cut in np.flatnonzero((pooled > 0) & (pooled < graph.sizes)).tolist():
             at = np.flatnonzero(key == cut)  # in pool order
-            members, block = graph.blocks[cut]
-            local = members.searchsorted(order[at])
-            key[at] = fresh + _components(block.take(local, axis=0).take(local, axis=1))
-            fresh += len(local)
+            key[at] = fresh + _components(_adjacency(boxes[order[at]], tau))
+            fresh += len(at)
     # number the cliques by the pool position of their first member, the seed
     seeds: dict[int, int] = {}
     clique = np.array([seeds.setdefault(k, len(seeds)) for k in key.tolist()], dtype=int)

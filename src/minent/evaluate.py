@@ -12,9 +12,10 @@ mean and variance of every proposal's best IoU with ground truth.
 computes only the localization figures from the same IoU tables, so each
 alone equals what ``evaluate`` reports.
 
-Each bag has two IoU tables: every class's NMS cuts its sub-table from one
-over the proposals that pass the score floor in some class, and the pair
-rows and AP matching read one of the proposals against all ground truth.
+Each bag has two overlap tables: every class's NMS cuts its sub-table from
+one bool table of which pairs it keeps, over the proposals that pass the
+score floor in some class, and the pair rows and AP matching read a float
+IoU table of the proposals against all ground truth.
 NMS gives a class's survivors by descending score, ties to the lower
 index, and they are matched in that order; a stable sort over the bags'
 survivors ranks them the same way, so a detection is a (score, hit) pair.
@@ -34,7 +35,7 @@ import numpy as np
 
 from .data import Bag, Dataset
 from .entropy import joint_softmax
-from .geometry import Box, iou_matrix, nms
+from .geometry import Box, iou_matrix, nms, self_iou_table
 from .model import ModelParams, forward
 
 DEFAULT_NMS_IOU = 0.4
@@ -93,21 +94,21 @@ def head_probs(params: ModelParams, features: np.ndarray, head=None) -> np.ndarr
 
 def _survivors(boxes: np.ndarray, probs: np.ndarray, nms_iou: float, score_floor: float):
     """(class, proposal indices) of each class's NMS survivors among its
-    cells at or above the score floor, in NMS order, with every class's IoU
-    table cut from one over the proposals that pass in some class."""
+    cells at or above the score floor, in NMS order, with every class's
+    ``nms`` table cut from one over the proposals that pass in some class."""
     passing = probs >= score_floor
     cand = np.flatnonzero(passing.any(axis=1))
     if cand.size == 0:
         return []
     cand_boxes, passing = boxes[cand], passing[cand]
-    table = iou_matrix(cand_boxes, cand_boxes)
+    table = self_iou_table(cand_boxes, nms_iou, np.less_equal)
     out = []
     for cls in range(probs.shape[1]):
         keep = np.flatnonzero(passing[:, cls])
         if keep.size:
-            ious = table if keep.size == cand.size else table[keep][:, keep]
+            keeps = table if keep.size == cand.size else table[keep][:, keep]
             idx = cand[keep]
-            out.append((cls, idx[nms(cand_boxes[keep], probs[idx, cls], nms_iou, ious)]))
+            out.append((cls, idx[nms(cand_boxes[keep], probs[idx, cls], nms_iou, keeps)]))
     return out
 
 

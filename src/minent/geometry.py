@@ -1,7 +1,9 @@
 """Axis-aligned boxes, pairwise IoU tables, and greedy NMS.
 
 Coordinates are continuous; areas are plain (x2-x1)*(y2-y1) with no
-pixel +1 convention.
+pixel +1 convention.  A box set's overlaps with itself are wanted only
+against a threshold, so ``self_iou_table`` keeps them as bits and never
+holds more than ``IOU_BLOCK`` rows of floats.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+IOU_BLOCK = 128  # rows of floats per block of a self-overlap table
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,29 +81,48 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table
 
 
-def nms(boxes, scores, iou_threshold: float, ious=None) -> list[int]:
+def self_iou_table(boxes, threshold: float, compare) -> np.ndarray:
+    """The (n, n) bool table ``compare(iou_matrix(boxes, boxes), threshold)``.
+
+    Each block of ``IOU_BLOCK`` rows is scored against itself and the boxes
+    after it, and mirrored below the diagonal: a cell's IoU has the same
+    bits in either order, so every cell equals the full table's, and a NaN
+    cell is what ``compare`` makes of NaN.
+    """
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    table = np.empty((len(boxes), len(boxes)), dtype=bool)
+    for start in range(0, len(boxes), IOU_BLOCK):
+        rows = slice(start, start + IOU_BLOCK)
+        block = compare(iou_matrix(boxes[rows], boxes[start:]), threshold)
+        table[rows, start:] = block
+        table[start:, rows] = block.T
+    return table
+
+
+def nms(boxes, scores, iou_threshold: float, keeps=None) -> list[int]:
     """Greedy non-maximum suppression of an (n, 4) corner-format array-like.
 
     Repeatedly keeps the highest-scored remaining box and discards every
     remaining box whose IoU with it exceeds ``iou_threshold``.  Score ties
     are broken by lower original index.  Returns kept indices in descending
-    score order.  ``ious``, if given, is ``iou_matrix(boxes, boxes)``, cut
-    by a caller that suppresses the same boxes for several score columns.
+    score order.  ``keeps``, if given, is ``self_iou_table(boxes,
+    iou_threshold, np.less_equal)``, cut by a caller that suppresses the
+    same boxes for several score columns.
 
     The pass reads no array per candidate: bit ``j`` of the Python int
     ``alive`` says whether box ``j`` survives, and keeping box ``i`` ands in
-    row ``i`` of the IoU table's ``<= iou_threshold`` bits.
+    row ``i`` of ``keeps``, packed as bits.
     """
     n = len(boxes)
     if n != len(scores):
         raise ValueError(f"{n} boxes but {len(scores)} scores")
     if n == 0:
         return []
-    if ious is None:
-        ious = iou_matrix(boxes, boxes)
+    if keeps is None:
+        keeps = self_iou_table(boxes, iou_threshold, np.less_equal)
     order = np.argsort(-np.asarray(scores, dtype=float), kind="stable").tolist()
     width = (n + 7) // 8  # bytes per row of bits
-    rows = np.packbits(ious <= iou_threshold, axis=1, bitorder="little").tobytes()
+    rows = np.packbits(keeps, axis=1, bitorder="little").tobytes()
     alive = (1 << n) - 1
     kept: list[int] = []
     for i in order:

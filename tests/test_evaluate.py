@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import minent.evaluate as evaluate_module
+import minent.geometry as geometry_module
 from minent.data import Bag, Dataset, SynthConfig, generate_synthetic
 from minent.evaluate import (
     Detection,
@@ -467,6 +468,7 @@ class TestArrayPath:
             monkeypatch.setattr(evaluate_module, name, counted)
         events = []
         real_head_probs, real_iou = evaluate_module.head_probs, evaluate_module.iou_matrix
+        real_self_iou = geometry_module.self_iou_table
 
         def marked_head_probs(*args, **kwargs):
             events.append("bag")
@@ -476,8 +478,15 @@ class TestArrayPath:
             events.append("nms" if a is b else "gt")
             return real_iou(a, b)
 
+        def counted_self_iou(*args):
+            events.append("nms")
+            return real_self_iou(*args)
+
         monkeypatch.setattr(evaluate_module, "head_probs", marked_head_probs)
         monkeypatch.setattr(evaluate_module, "iou_matrix", counted_iou)
+        # a table that nms builds for itself, or one per class, counts too
+        monkeypatch.setattr(evaluate_module, "self_iou_table", counted_self_iou)
+        monkeypatch.setattr(geometry_module, "self_iou_table", counted_self_iou)
         ds = generate_synthetic(SynthConfig(num_classes=3, bags_per_class=3, negatives=2,
                                             proposals_per_bag=12, feature_dim=9, seed=1))
         params = init_params(9, 3, branches=2, seed=2, scale=1.0)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from minent.geometry import Box, box_iou, iou_matrix, nms
+from minent.entropy import tau_graph
+from minent.geometry import IOU_BLOCK, Box, box_iou, iou_matrix, nms, self_iou_table
 
 
 def scalar_iou(a: Box, b: Box) -> float:
@@ -237,3 +240,53 @@ def test_nms_equals_reference_on_random_cases():
         assert nms(boxes, scores, threshold) == reference_nms(boxes, scores, threshold), case
     assert at_threshold > 1000
 
+
+def self_overlap_boxes(rng, n):
+    """``n`` boxes on a half-unit grid, whose pairs hit IoU 1/2, 1/3 and 1/4
+    exactly, with duplicates, a NaN box and boxes on signed zeros."""
+    corners = rng.integers(0, 6, size=(n, 2)) / 2
+    boxes = np.hstack([corners, corners + rng.integers(1, 4, size=(n, 2)) / 2])
+    special = [[-0.0, -0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0], [-0.0, 0.0, 0.5, 1.0],
+               [np.nan, 0.0, 1.0, 1.0]]
+    for i, box in zip(rng.permutation(n)[:len(special)].tolist(), special):
+        boxes[i] = box
+    if n > 5:
+        boxes[rng.integers(0, n, size=n // 5)] = boxes[rng.integers(0, n, size=n // 5)]
+    return boxes
+
+
+def test_self_iou_table_equals_the_full_table():
+    rng = np.random.default_rng(37)
+    at_threshold = 0
+    for n in (0, 1, 2, 127, 128, 129, 257, 300):
+        boxes = self_overlap_boxes(rng, n)
+        full = iou_matrix(boxes, boxes)
+        for threshold in (0.5, 1 / 3, 0.25, 0.0, 1.0, 0.7):
+            at_threshold += int((full == threshold).sum())
+            for compare in (np.greater, np.less_equal):
+                table = self_iou_table(boxes, threshold, compare)
+                assert table.dtype == bool and table.shape == (n, n)
+                assert np.array_equal(table, compare(full, threshold)), (n, threshold, compare)
+    assert at_threshold > 10000
+    # the NaN box's cells are neither above nor at most the threshold
+    nan_box = np.array([[np.nan, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    assert not self_iou_table(nan_box, 0.5, np.greater)[0].any()
+    assert not self_iou_table(nan_box, 0.5, np.less_equal)[0].any()
+    assert IOU_BLOCK == 128  # the sizes above straddle one and two blocks
+
+
+def test_nms_and_tau_graph_hold_no_full_float_table():
+    # 1000 boxes: a full (P, P) float table is 8 MB, and the one-shot IoU
+    # table and its temporaries peaked near 23 MB
+    rng = np.random.default_rng(38)
+    corners = rng.uniform(0, 10, size=(1000, 2))
+    boxes = np.hstack([corners, corners + rng.uniform(0.5, 3, size=(1000, 2))])
+    scores = rng.uniform(size=1000)
+    for build in (lambda: tau_graph(boxes, 0.7), lambda: nms(boxes, scores, 0.4)):
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak

@@ -4,8 +4,9 @@ branch head, pinned as sha256 digests.  A pure-speed change to the
 training loop or to eval must leave all fourteen unchanged, the two
 ``l-arl`` digests of a wider fixture, whose sums run over long cliques,
 the two ``base`` digests of that fixture, whose bags fall on both sides
-of ``top_k``, and the two metrics digests of a zero score floor and of detections that
-tie across bags.
+of ``top_k``, the two metrics digests of a zero score floor and of detections that
+tie across bags, and the ``l-arl`` checkpoint and metrics digests of a dense
+fixture, whose overlap tables span several blocks of rows.
 
 The digests were recorded with numpy 2.4.6, the version CI pins: another
 numpy may draw different Generator streams or sum in a different order,
@@ -19,7 +20,7 @@ import pytest
 
 from minent.data import Bag, Dataset, SynthConfig, generate_synthetic
 from minent.evaluate import DEFAULT_NMS_IOU, DEFAULT_SCORE_FLOOR, evaluate, head_probs
-from minent.geometry import Box
+from minent.geometry import IOU_BLOCK, Box
 from minent.jsonio import dumps_canonical
 from minent.model import init_params
 from minent import trainer
@@ -69,6 +70,11 @@ WIDE_BASE_DIGESTS = {
     8: "88c98a71ba5d39b7bea8b80b5d2781914cd25394b2ec8c324356e6e354c9b2d3",
 }
 WIDE_TOP_K = 50
+
+# l-arl on the dense fixture, and evaluate on its checkpoint
+DENSE_DIGEST = "c565842aef0a30539298059abf98a4eb98c8d5574492cb021fc36dac5906e06f"
+DENSE_METRICS_DIGEST = "ecdf8f8944bb099b66c105b69a9d4b2211fa5deb4fcd7318acbb5004ced27140"
+DENSE_TOP_K = 250
 
 needs_pinned_numpy = pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
@@ -234,3 +240,51 @@ def test_more_metrics_bytes(request, fixture, score_floor, nms_iou):
     report = evaluate(params, ds, 1, nms_iou=nms_iou, score_floor=score_floor)
     digest = hashlib.sha256(dumps_canonical(report.to_dict()).encode()).hexdigest()
     assert digest == MORE_METRICS_DIGESTS[fixture, score_floor, nms_iou]
+
+
+@pytest.fixture(scope="module")
+def dense_dataset():
+    """330-proposal bags, 60% of them parts of the object: each positive
+    bag's part crowd is one tau-graph component of about 200 boxes."""
+    return generate_synthetic(SynthConfig(num_classes=3, bags_per_class=2, negatives=1,
+                                          proposals_per_bag=330, feature_dim=9,
+                                          part_fraction=0.6, seed=11))
+
+
+@pytest.fixture(scope="module")
+def dense_state(dense_dataset):
+    state, _ = train(dense_dataset, TrainConfig(epochs=2, branches=3, seed=1, ablation="l-arl",
+                                                top_k=DENSE_TOP_K))
+    return state
+
+
+def test_dense_fixture_spans_several_row_blocks(monkeypatch, dense_dataset, dense_state):
+    # tau-graphs of more than 256 boxes, and cut components whose pooled
+    # part is more than 128 boxes
+    assert min(bag.num_proposals for bag in dense_dataset.bags) > 2 * IOU_BLOCK
+    pooled_cut = []
+    partition_cliques = trainer.partition_cliques
+
+    def spy(boxes, objectness, tau, top_k, graph=None):
+        pooled = np.bincount(graph.component[np.argsort(-objectness, kind="stable")[:top_k]],
+                             minlength=len(graph.sizes))
+        pooled_cut.extend(pooled[(pooled > 0) & (pooled < graph.sizes)].tolist())
+        return partition_cliques(boxes, objectness, tau, top_k, graph)
+
+    monkeypatch.setattr(trainer, "partition_cliques", spy)
+    train(dense_dataset, TrainConfig(epochs=1, branches=3, seed=1, ablation="l-arl",
+                                     top_k=DENSE_TOP_K))
+    assert max(pooled_cut) > IOU_BLOCK
+    # more than 128 NMS candidates in some bag
+    candidates = [(head_probs(dense_state.params, bag.feature_matrix())
+                   >= DEFAULT_SCORE_FLOOR).any(axis=1).sum() for bag in dense_dataset.bags]
+    assert max(candidates) > IOU_BLOCK
+
+
+@needs_pinned_numpy
+def test_dense_checkpoint_and_metrics_bytes(tmp_path, dense_dataset, dense_state):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(dense_state, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DENSE_DIGEST
+    text = dumps_canonical(evaluate(dense_state.params, dense_dataset).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_METRICS_DIGEST

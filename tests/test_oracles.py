@@ -9,8 +9,9 @@ kept here as references: one ``localization_terms`` call per branch and
 anchor on that branch's own softmax, one kernel per anchor and visit over
 its clique's overlaps, and one column at a time per class.
 
-A bag's tau-graph keeps each component's own adjacency block, not the
-P x P table; the partition it gives must be the one a full table gives,
+A bag's tau-graph keeps only its components, not the P x P table, and a
+component the pool cuts is searched again over its pooled boxes'
+overlaps; the partition this gives must be the one a full table gives,
 which is kept here as a reference.
 
 Eval ranks detections as (score, hit) pairs, matched per bag in NMS
@@ -19,6 +20,7 @@ did, one ``Box`` and one ``Detection`` per survivor ranked into
 ``average_precision``, which is kept here too.
 """
 
+import dataclasses
 import itertools
 import json
 import warnings
@@ -237,7 +239,7 @@ def reference_partition(boxes, objectness, tau, top_k):
     return order[np.lexsort((order, clique))], np.bincount(clique)
 
 
-def test_component_blocks_partition_as_the_full_adjacency():
+def test_cut_components_partition_as_the_full_adjacency():
     rng = np.random.default_rng(37)
     seen = {"pair_to_one": 0, "several_cut": 0, "kept_whole": 0, "top_1": 0}
     for trial in range(300):
@@ -259,24 +261,26 @@ def test_component_blocks_partition_as_the_full_adjacency():
             cut = (pooled > 0) & (pooled < graph.sizes)
             seen["pair_to_one"] += bool((cut & (graph.sizes == 2)).any())
             seen["several_cut"] += int(cut.sum()) >= 2
-            seen["kept_whole"] += top_k == num and len(graph.blocks) > 0
+            seen["kept_whole"] += top_k == num and bool((graph.sizes > 1).any())
             seen["top_1"] += top_k == 1 and bool(cut.any())
     assert all(count > 30 for count in seen.values()), seen
 
 
-def test_dense_bag_graph_keeps_few_block_cells():
+def test_dense_bag_graph_holds_only_its_components():
     ds = generate_synthetic(SynthConfig(num_classes=4, bags_per_class=1, negatives=0,
                                         proposals_per_bag=300, seed=7))
     for bag in ds.bags:
         graph = tau_graph(bag.boxes, TrainConfig().tau)
         num = bag.num_proposals
-        assert sum(block.size for _, block in graph.blocks.values()) < num * num / 4
-        assert sorted(graph.blocks) == np.flatnonzero(graph.sizes > 1).tolist()
-        for c, (members, block) in graph.blocks.items():
-            assert members.tolist() == np.flatnonzero(graph.component == c).tolist()
-            full = iou_matrix(bag.boxes[members], bag.boxes[members]) > graph.tau
-            np.fill_diagonal(full, False)
-            assert np.array_equal(block, full)
+        assert [f.name for f in dataclasses.fields(graph)] == ["component", "sizes", "tau"]
+        assert graph.component.nbytes + graph.sizes.nbytes < num * num / 4
+        full = iou_matrix(bag.boxes, bag.boxes) > graph.tau
+        np.fill_diagonal(full, False)
+        assert graph.component.tolist() == _components(full).tolist()
+        assert graph.sizes.tolist() == np.bincount(graph.component).tolist()
+        assert (graph.sizes > 1).sum() > 1  # components of several boxes to keep whole
+        # no edge leaves a component, so the components are the whole graph
+        assert not (full & (graph.component[:, None] != graph.component)).any()
 
 
 def records(anchors):
